@@ -59,7 +59,6 @@ from .repring import (
     VirtualRep,
     builtin_fusion,
     builtin_group,
-    repring_from_table,
     restriction_kernel,
 )
 from .symfunc import elementary_symmetric, symmetrize
@@ -111,7 +110,6 @@ __all__ = [
     "normal_form",
     "parse_divisor",
     "parse_poly",
-    "repring_from_table",
     "restriction_kernel",
     "standard_monomials",
     "symmetrize",

@@ -8,6 +8,7 @@ from math import comb
 
 from .cert import Certificate
 from .divisor import divisor_from_roots, divisor_lambda, divisor_psi
+from .errors import InexactDivision
 from .fgl import honda_fgl, multiplicative_fgl
 from .field import GF
 from .groebner import buchberger, standard_monomials
@@ -25,7 +26,6 @@ from .omega import (
     enumerate_omega_prime,
     kappa,
     pointwise_signature,
-    theta_star_points,
     xi_class_map,
 )
 from .pipelines import (
@@ -94,27 +94,12 @@ def criterion_4_sigma4() -> Certificate:
     return cert
 
 
-def _generated_subgroup(model, gens) -> set[int]:
-    closure = {model.identity}
-    work = list(gens)
-    while work:
-        g = work.pop()
-        if g in closure:
-            continue
-        closure.add(g)
-        for h in list(closure):
-            for prod in (model.table[g][h], model.table[h][g]):
-                if prod not in closure:
-                    work.append(prod)
-    return closure
-
-
 def _sigma4_strata(model, reps) -> tuple[int, ...]:
     """Image-subgroup census: trivial; transposition; double transposition or
     non-regular Klein; regular Klein; cyclic of order four."""
     counts = [0] * 5
     for rep in reps:
-        closure = _generated_subgroup(model, rep)
+        closure = model.closure(rep)
         size = len(closure)
         cyclic = any(model.element_order(g) == size for g in closure)
         orbits = _orbits(model, closure)
@@ -203,7 +188,7 @@ def criterion_7_lambda_rho() -> Certificate:
             brute = lambda_rho_brute(p, d, k)
             try:
                 closed = lambda_rho_closed_form(p, d, k)
-            except Exception as exc:
+            except InexactDivision as exc:
                 closed = f"non-integral: {exc}"
             if brute != closed:
                 mismatches.append({"k": k, "brute": list(brute), "closed": closed})
@@ -251,7 +236,7 @@ def criterion_10_sigma6() -> Certificate:
     for g in range(s6.size):
         orbit1.add((s6.conj(g, u1), s6.conj(g, u2)))
     cert.add("distinct_in_omega", hom2 not in orbit1, {})
-    pts = theta_star_points(2, 2, 2)
+    pts = Theta(2, 2, 2).points()
     sig1 = pointwise_signature(s6, hom1, pts)
     sig2 = pointwise_signature(s6, hom2, pts)
     cert.add("equal_in_omega_prime", sig1 == sig2, {"signature": list(sig1)})
@@ -492,7 +477,7 @@ def criterion_11_properties(seed: int = 20260811) -> Certificate:
     for rep in om4.reps:
         f = kappa(t4, s4, rep, 2, 2)
         ok = ok and xi_class_map(f, t4, s4, 2, 2) == pointwise_signature(
-            s4, rep, theta_star_points(2, 2, 2)
+            s4, rep, Theta(2, 2, 2).points()
         )
     cert.add("xi_after_kappa_is_canonical", ok, {})
     return cert

@@ -14,10 +14,10 @@ import sys
 import tempfile
 
 from . import acceptance
-from .cert import Certificate
+from .cert import SCHEMA, Certificate
 from .errors import ChernlabError, SchemaError, UsageError, ValidationError
 from .fgl import honda_fgl, multiplicative_fgl
-from .field import GF
+from .field import GF, is_prime
 from .groebner import buchberger, standard_monomials
 from .groups import builtin_model
 from .omega import (
@@ -32,7 +32,7 @@ from .pipelines import nonpositive_divisor_witness, sdiv_checks, sigma4_pipeline
 from .poly import PolyRing, grlex_order, lex_order, parse_poly
 from .presentation import build_presentation
 from .repring import RepRing, builtin_group
-from .table_io import ingest_table, table_to_dict
+from .table_io import ingest_table, table_to_json
 from .xspec import extraspecial_table_checks, xspec_census
 
 
@@ -213,7 +213,7 @@ def cmd_table_check(args) -> int:
 
 def cmd_export_table(args) -> int:
     table = builtin_group(args.group)
-    _emit(json.dumps(table_to_dict(table), sort_keys=True, indent=2) + "\n", args.out)
+    _emit(table_to_json(table), args.out)
     return 0
 
 
@@ -226,7 +226,7 @@ def cmd_all(args) -> int:
     else:
         doc = json.dumps(
             {
-                "schema": "chernlab/1",
+                "schema": SCHEMA,
                 "pipeline": "all",
                 "status": "pass" if overall else "fail",
                 "certificates": [c.as_dict() for c in certs],
@@ -238,8 +238,23 @@ def cmd_all(args) -> int:
     return 0 if overall else 1
 
 
+def prime(text: str) -> int:
+    """argparse type of every --p: a prime."""
+    p = int(text)
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"{p} is not prime")
+    return p
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one UsageError line, not usage text."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chernlab",
         description="Exact formal-group / divisor / representation-ring computations",
     )
@@ -247,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, p=False, n=False, v=False, prec=False, group=False, table=False):
         if p:
-            sp.add_argument("--p", type=int, required=True)
+            sp.add_argument("--p", type=prime, required=True)
         if n:
             sp.add_argument("--n", type=int, required=True)
         if v:
@@ -297,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_witness)
 
     sp = sub.add_parser("xspec")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=prime, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     common(sp)
@@ -305,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("table-check")
     sp.add_argument("--table", type=str, default=None)
-    sp.add_argument("--p", type=int, default=None)
+    sp.add_argument("--p", type=prime, default=None)
     sp.add_argument("--d", type=int, default=None)
     common(sp)
     sp.set_defaults(fn=cmd_table_check)
@@ -326,10 +341,9 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
         return args.fn(args)
+    except SystemExit as exc:  # --help
+        return 2 if exc.code not in (0, None) else 0
     except (UsageError, SchemaError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -95,12 +95,6 @@ class SplitTower:
         self.offset = 0  # number of adjoined variables so far
         self._counter = 0
 
-    def embed(self, p: Poly) -> Poly:
-        if self.offset == 0:
-            return p
-        pad = (0,) * self.offset
-        return Poly(self.ext.ring, {pad + e: c for e, c in p.terms.items()})
-
     def extract(self, p: Poly) -> Poly:
         p = self.ext.reduce(p)
         off = self.offset
@@ -144,8 +138,8 @@ class SplitTower:
         roots: list[Poly] = []
         while len(work) > 1:
             root = self.adjoin_root(work)
-            roots = [self.embed_new(r) for r in roots]
-            work = [self.embed_new(c) for c in work]
+            roots = [_pad_to(r, self.ext.ring) for r in roots]
+            work = [_pad_to(c, self.ext.ring) for c in work]
             # divide by (t - root): quotient coefficients by Horner
             quotient = []
             prev = self.ext.ring.one()
@@ -161,22 +155,10 @@ class SplitTower:
             roots = roots + [self.ext.reduce(-work[0])]
         return roots
 
-    def embed_new(self, p: Poly) -> Poly:
-        """Re-embed an element of the previous extension (one fewer variable)."""
-        if p.ring == self.ext.ring:
-            return p
-        return Poly(self.ext.ring, {(0,) + e: c for e, c in p.terms.items()})
-
 
 def _check_ceiling(deg: int):
     if deg > DEGREE_CEILING:
         raise DegreeCeiling(f"divisor degree {deg} exceeds ceiling {DEGREE_CEILING}")
-
-
-def _split_with_tower(D: DivisorPoly):
-    tower = SplitTower(D.qring)
-    roots = tower.split(list(D.coeffs))
-    return tower, roots
 
 
 def _extract_divisor(base: QuotientRing, law: FGL, tower: SplitTower, roots) -> DivisorPoly:
@@ -224,7 +206,8 @@ def divisor_lambda(D: DivisorPoly, r: int) -> DivisorPoly:
     law = D.law
     if r == 0:
         return DivisorPoly(D.qring, law, [D.qring.ring.zero()])
-    tower, roots = _split_with_tower(D)
+    tower = SplitTower(D.qring)
+    roots = tower.split(list(D.coeffs))
     new_roots = []
     for subset in combinations(roots, r):
         new_roots.append(law.sum_in_ring(list(subset), tower.ext))
@@ -250,7 +233,8 @@ def divisor_psi(D: DivisorPoly, k: int) -> DivisorPoly:
             q = law.p ** (law.n * m)
             return DivisorPoly(D.qring, law, [D.qring.pow(c, q) for c in D.coeffs])
     _check_ceiling(D.degree)
-    tower, roots = _split_with_tower(D)
+    tower = SplitTower(D.qring)
+    roots = tower.split(list(D.coeffs))
     series = law.mul_series(k)
     new_roots = [law.eval_series(series, r, tower.ext) for r in roots]
     return _extract_divisor(D.qring, law, tower, new_roots)

@@ -33,10 +33,6 @@ class NotSymmetric(ChernlabError):
     pass
 
 
-class NotFiniteDimensional(ChernlabError):
-    pass
-
-
 class InfiniteDimensional(ChernlabError):
     """The complement of a leading-term ideal is provably infinite."""
 

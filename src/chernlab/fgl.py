@@ -225,15 +225,6 @@ class FGL:
         poly = Poly(ring, {(d,): c for d, c in s.items() if c})
         return poly.text(ring.lex())
 
-    def f_poly(self, ring: PolyRing, xvar: str, yvar: str) -> Poly:
-        xi, yi = ring.var_index(xvar), ring.var_index(yvar)
-        terms = {}
-        for (i, j), c in self.terms.items():
-            e = [0] * ring.nvars
-            e[xi], e[yi] = i, j
-            terms[tuple(e)] = ring.field.from_int(c)
-        return Poly(ring, {e: c for e, c in terms.items() if c})
-
     def __repr__(self):
         return f"FGL({self.kind}, p={self.p}, n={self.n}, prec={self.prec})"
 

@@ -10,8 +10,14 @@ dictionary values.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 
 from .errors import DivisionByZero, IncompatibleField, ValidationError
+
+
+def is_prime(n: int) -> bool:
+    """Primality by trial division."""
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
@@ -58,7 +64,7 @@ class FiniteField:
     """
 
     def __init__(self, p: int, modulus: list[int] | None = None):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if not is_prime(p):
             raise ValidationError(f"characteristic {p} is not prime")
         if modulus is None:
             modulus = [0, 1]  # x, i.e. the prime field

@@ -7,9 +7,10 @@ import os
 from .errors import (
     IncompatibleRing,
     InfiniteDimensional,
-    NotFiniteDimensional,
+    NotAUnit,
     NotLocal,
     ResourceLimit,
+    ValidationError,
 )
 from .poly import MonomialOrder, Poly, PolyRing
 
@@ -100,7 +101,7 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
     """
     gens = [g for g in generators if g]
     if not gens:
-        raise ValueError("no nonzero generators")
+        raise ValidationError("no nonzero generators")
     ring = gens[0].ring
     for g in gens:
         if g.ring != ring:
@@ -230,9 +231,6 @@ class QuotientRing:
     def reduce(self, p: Poly) -> Poly:
         return normal_form(p, self.basis)
 
-    def add(self, a: Poly, b: Poly) -> Poly:
-        return a + b
-
     def mul(self, a: Poly, b: Poly) -> Poly:
         return self.reduce(a * b)
 
@@ -258,14 +256,6 @@ class QuotientRing:
     def dimension(self) -> int:
         return len(self.std_monomials())
 
-    def coordinates(self, p: Poly) -> dict[tuple[int, ...], int]:
-        p = self.reduce(p)
-        return dict(p.terms)
-
-    def is_unit(self, p: Poly) -> bool:
-        """Valid for local quotients: unit iff the constant term is nonzero."""
-        return self.reduce(p).constant_term() != 0
-
     def invert(self, p: Poly) -> Poly:
         """Inverse of a unit c + n with c nonzero and n nilpotent.
 
@@ -275,7 +265,7 @@ class QuotientRing:
         p = self.reduce(p)
         c = p.constant_term()
         if not c:
-            raise NotFiniteDimensional("inverse of a non-unit")
+            raise NotAUnit("inverse of a non-unit")
         fld = self.field
         cinv = fld.inv(c)
         n = p - self.ring.const(c)
@@ -289,7 +279,7 @@ class QuotientRing:
             if steps > 4096:
                 raise ResourceLimit("unit inversion did not terminate")
         if self.mul(result, p) != self.ring.one():
-            raise NotFiniteDimensional("element is not invertible in this quotient")
+            raise NotAUnit("element is not invertible in this quotient")
         return result
 
     # -- local-ring analysis -------------------------------------------------
@@ -321,10 +311,7 @@ class QuotientRing:
         forms are sorted and normalized.  The ring is Gorenstein iff the
         result has length one.
         """
-        try:
-            std = self.std_monomials()
-        except InfiniteDimensional as exc:
-            raise NotFiniteDimensional(str(exc)) from exc
+        std = self.std_monomials()
         self.verify_local()
         fld = self.field
         dim = len(std)

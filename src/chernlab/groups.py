@@ -7,6 +7,7 @@ precomputed, so enumeration loops run on plain list lookups.
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import permutations
 
@@ -123,23 +124,24 @@ class GroupModel:
                 out.append(i)
         return out
 
+    def closure(self, indices) -> set[int]:
+        """The subgroup generated by the given element indices."""
+        closure = {self.identity}
+        work = list(indices)
+        while work:
+            g = work.pop()
+            if g in closure:
+                continue
+            closure.add(g)
+            for h in list(closure):
+                for prod in (self.table[g][h], self.table[h][g]):
+                    if prod not in closure:
+                        work.append(prod)
+        return closure
+
     def subgroup(self, generator_elems: list, name: str) -> "GroupModel":
         """Closure of the generators, as a standalone model."""
-        gens = [self.index[e] for e in generator_elems]
-        closure = {self.identity}
-        frontier = list(gens)
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for h in list(closure):
-                    for prod in (self.table[g][h], self.table[h][g]):
-                        if prod not in closure:
-                            closure.add(prod)
-                            nxt.append(prod)
-                if g not in closure:
-                    closure.add(g)
-                    nxt.append(g)
-            frontier = nxt
+        closure = self.closure(self.index[e] for e in generator_elems)
         elems = [self.elements[i] for i in sorted(closure)]
 
         def mult(a, b):
@@ -219,6 +221,8 @@ def model_extraspecial(p: int, d: int) -> GroupModel:
     by the standard symplectic form."""
     if p == 2:
         raise ValidationError("extraspecial model requires an odd prime")
+    if d < 1:
+        raise ValidationError("extraspecial model requires d >= 1")
     if p ** (2 * d + 1) > 100000:
         raise ValidationError("extraspecial model too large")
     b = symplectic_form(d)
@@ -235,24 +239,44 @@ def model_extraspecial(p: int, d: int) -> GroupModel:
     return GroupModel(f"extraspecial({p},{d})", elems, mult)
 
 
-def builtin_model(name: str) -> GroupModel:
-    import re
+# name grammar of the builtin groups: (kind, pattern with integer groups)
+_GROUP_NAMES = (
+    ("trivial", r"trivial"),
+    ("c", r"c(\d+)"),
+    ("cxc", r"c(\d+)xc(\d+)"),
+    ("sigma", r"sigma(\d)"),
+    ("d8", r"d8"),
+    ("extraspecial", r"extraspecial\((\d+),(\d+)\)"),
+)
 
-    name = name.strip().lower()
-    if name == "trivial":
-        return model_trivial()
-    m = re.fullmatch(r"c(\d+)", name)
-    if m:
-        return model_cyclic(int(m.group(1)))
-    m = re.fullmatch(r"c(\d+)xc(\d+)", name)
-    if m:
-        return model_cyclic_product(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"sigma(\d)", name)
-    if m:
-        return model_symmetric(int(m.group(1)))
-    if name == "d8":
-        return model_dihedral8()
-    m = re.fullmatch(r"extraspecial\((\d+),(\d+)\)", name.replace(" ", ""))
-    if m:
-        return model_extraspecial(int(m.group(1)), int(m.group(2)))
-    raise UnknownGroup(f"no builtin group model {name!r}")
+
+def parse_group_name(name: str) -> tuple[str, tuple[int, ...]] | None:
+    """(kind, integer parameters) of a builtin group name, or None.
+
+    Kinds: trivial, c (cyclic of order m), cxc (C_m x C_k), sigma (symmetric
+    of degree k), d8, extraspecial (p^{1+2d}; spaces inside are ignored).
+    """
+    key = name.strip().lower()
+    for kind, pattern in _GROUP_NAMES:
+        m = re.fullmatch(pattern, key.replace(" ", "") if kind == "extraspecial" else key)
+        if m:
+            args = tuple(int(g) for g in m.groups())
+            if kind in ("c", "cxc") and min(args) < 1:
+                raise ValidationError(f"cyclic factors need order at least 1: {name!r}")
+            return kind, args
+    return None
+
+
+def builtin_model(name: str) -> GroupModel:
+    kind, args = parse_group_name(name) or ("", ())
+    make = {
+        "trivial": model_trivial,
+        "c": model_cyclic,
+        "cxc": model_cyclic_product,
+        "sigma": model_symmetric,
+        "d8": model_dihedral8,
+        "extraspecial": model_extraspecial,
+    }.get(kind)
+    if make is None:
+        raise UnknownGroup(f"no builtin group model {name.strip().lower()!r}")
+    return make(*args)

@@ -147,33 +147,15 @@ class LatticeDivisor:
         """lambda^k: sum over k-element sub-multisets of the sum of points.
 
         k > dim gives the empty divisor; negative k is an error.  Computed by
-        the two-term addition law for large dimension, by direct enumeration
-        for small (identical results, property-tested).
+        iterating the two-term addition law: adding a point [pt] updates
+        lambda^j <- lambda^j + [pt] * lambda^{j-1}, levels 0..k.
         """
         if k < 0:
             raise LambdaOutOfRange(f"lambda^{k}")
         if k == 0:
             return LatticeDivisor(self.theta, [self.theta.zero()])
-        d = self.dim()
-        if k > d:
+        if k > self.dim():
             return LatticeDivisor(self.theta)
-        if d <= 8:
-            return self._lam_enumerate(k)
-        return self._lam_additive(k)
-
-    def _lam_enumerate(self, k: int) -> "LatticeDivisor":
-        pts = list(self.points_with_multiplicity())
-        counts: dict = {}
-        for subset in combinations(range(len(pts)), k):
-            s = self.theta.zero()
-            for i in subset:
-                s = self.theta.add(s, pts[i])
-            counts[s] = counts.get(s, 0) + 1
-        return LatticeDivisor.from_counts(self.theta, counts)
-
-    def _lam_additive(self, k: int) -> "LatticeDivisor":
-        # iterate the two-term addition law: adding a point [pt] updates
-        # lambda^j <- lambda^j + [pt] * lambda^{j-1}, levels 0..k
         theta = self.theta
         series: list[dict] = [{theta.zero(): 1}]
         for pt in self.points_with_multiplicity():
@@ -181,15 +163,11 @@ class LatticeDivisor:
             if len(new) <= k:
                 new.append({})
             for lvl in range(min(len(new) - 1, k), 0, -1):
-                if lvl - 1 >= len(series):
-                    continue
                 target = new[lvl]
                 for s, m in series[lvl - 1].items():
                     key = theta.add(s, pt)
                     target[key] = target.get(key, 0) + m
             series = new
-        if k >= len(series):
-            return LatticeDivisor(self.theta)
         return LatticeDivisor.from_counts(self.theta, series[k])
 
     # -- text form: 2[0,0] + [1,0] ------------------------------------------
@@ -284,14 +262,6 @@ def newton_psi_to_lambda(psis: list, count: int, divide=None):
     return lams
 
 
-def xi_eval(units: list, ring=None):
-    """xi of a divisor of units: the plain sum of the unit elements."""
-    total = None
-    for u in units:
-        total = u if total is None else total + u
-    return total
-
-
 def unit_elementary(units: list, j: int):
     """a_j: the j-th elementary symmetric function of the unit list."""
     if not 0 <= j <= len(units):
@@ -303,9 +273,3 @@ def unit_elementary(units: list, j: int):
             prod = u if prod is None else prod * u
         acc = prod if acc is None else acc + prod
     return acc
-
-
-def xi_lambda(units: list, j: int):
-    """xi(lambda^j D) for D a divisor of units, lambda computed
-    multiplicatively ([u][v] = [uv])."""
-    return unit_elementary(units, j)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import (
+    InexactDivision,
     NoMatchingClass,
     NonIntegralMultiplicity,
     ResourceLimit,
@@ -106,17 +107,13 @@ def pointwise_signature(
     return tuple(model.class_of(hom_image(model, hom, a)) for a in theta_star)
 
 
-def theta_star_points(p: int, w: int, n: int) -> list[tuple[int, ...]]:
-    return Theta(p, w, n).points()
-
-
 def enumerate_omega_prime(model: GroupModel, p: int, n: int, w: int | None = None):
     """Omega'(G) as distinct pointwise-class signatures, plus the projection
     from Omega(G) as an index map."""
     if w is None:
         w = group_p_valuation(model, p)
     om = enumerate_omega(model, p, n)
-    pts = theta_star_points(p, w, n)
+    pts = Theta(p, w, n).points()
     sig_index: dict[tuple[int, ...], int] = {}
     projection = []
     sigs = []
@@ -137,9 +134,9 @@ def enumerate_omega_dprime(model: GroupModel, p: int, n: int, w: int | None = No
     """
     if w is None:
         w = group_p_valuation(model, p)
-    pts = theta_star_points(p, w, n)
-    pt_index = {a: i for i, a in enumerate(pts)}
     theta = Theta(p, w, n)
+    pts = theta.points()
+    pt_index = {a: i for i, a in enumerate(pts)}
     classes = model.p_power_class_indices(p)
     class_orders = {c: model.element_order(model.conjugacy_classes()[c][0]) for c in classes}
     modulus = p ** w
@@ -194,12 +191,6 @@ def count_omega_dprime(model: GroupModel, p: int, n: int, w: int | None = None) 
         nclasses = len(model.p_power_class_indices(p))
         return nclasses ** nlines
     return len(enumerate_omega_dprime(model, p, n, w)[1])
-
-
-def omega_to_dprime(model: GroupModel, hom, p: int, n: int, w: int | None = None):
-    if w is None:
-        w = group_p_valuation(model, p)
-    return pointwise_signature(model, hom, theta_star_points(p, w, n))
 
 
 # -- OmegaCh: Lambda-semiring homomorphisms into the lattice model --------------
@@ -271,7 +262,7 @@ def kappa(
                 acc = cy.add(acc, cy.mul(row[class_at[a]], zeta))
             try:
                 mult = cy.rational_value(cy.divide_exact(acc, total))
-            except Exception as exc:
+            except InexactDivision as exc:
                 raise NonIntegralMultiplicity(str(exc)) from exc
             if mult < 0:
                 raise NonIntegralMultiplicity(f"negative multiplicity {mult}")

@@ -14,6 +14,7 @@ from itertools import combinations_with_replacement
 
 from .cert import Certificate
 from .divisor import DivisorPoly, divisor_from_roots, divisor_lambda, divisor_mul, divisor_psi
+from .errors import ValidationError
 from .fgl import honda_fgl
 from .field import GF
 from .groebner import (
@@ -210,7 +211,7 @@ def sdiv_checks() -> Certificate:
 
 def nonpositive_divisor_witness(n: int = 2) -> Certificate:
     if n < 2:
-        raise ValueError("witness needs height at least 2")
+        raise ValidationError("witness needs height at least 2")
     cert = Certificate("witness", {"p": 2, "n": n})
     law = honda_fgl(2, n, 32)
     theta = Theta(2, 1, n)

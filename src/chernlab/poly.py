@@ -228,16 +228,6 @@ class Poly:
         e = max(self.terms, key=order.key)
         return e, self.terms[e]
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def degree_in(self, name: str) -> int:
-        i = self.ring.var_index(name)
-        return max((e[i] for e in self.terms), default=-1)
-
-    def coefficient_of(self, exps: tuple[int, ...]) -> int:
-        return self.terms.get(tuple(exps), 0)
-
     def constant_term(self) -> int:
         return self.terms.get(self.ring._zero_exp, 0)
 
@@ -357,9 +347,7 @@ def parse_poly(ring: PolyRing, text: str) -> Poly:
                 coeff = fld.mul(coeff, fld.parse_element(factor[1:-1]))
                 continue
             m = re.fullmatch(r"([A-Za-z_][A-Za-z_0-9]*)(?:\^(\d+))?", factor)
-            if m and m.group(1) in ring._index and not (
-                m.group(1) == "g" and ring.field.degree > 1 and "g" not in ring._index
-            ):
+            if m and m.group(1) in ring._index:
                 exps[ring.var_index(m.group(1))] += int(m.group(2) or 1)
             else:
                 coeff = fld.mul(coeff, fld.parse_element(factor))

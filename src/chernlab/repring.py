@@ -8,7 +8,6 @@ constants are computed by exact cyclotomic inner products.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -30,8 +29,23 @@ from .groups import (
     model_extraspecial,
     model_symmetric,
     model_trivial,
+    parse_group_name,
 )
 from .lattice import newton_psi_to_lambda
+
+
+def _class_inner(cy, class_sizes, order, values, conj_row) -> int:
+    """(1/|G|) sum_c |c| a(c) conj(b)(c) for class functions a = values and
+    conj(b) = conj_row over the cyclotomic ring cy.
+
+    Raises InexactDivision unless the sum is |G| times a rational integer.
+    """
+    zero = cy.zero
+    total = zero
+    for a, b, size in zip(values, conj_row, class_sizes):
+        if a != zero and b != zero:
+            total = cy.add(total, cy.scale(size, cy.mul(a, b)))
+    return cy.rational_value(cy.divide_exact(total, order))
 
 
 class CharacterTable:
@@ -88,39 +102,9 @@ class CharacterTable:
             }
         return self._row_index_cache
 
-    def inner(self, row_a: list[tuple], row_b: list[tuple]) -> int:
-        cy = self.cyclo
-        zero = cy.zero
-        total = zero
-        conj = cy.conjugate
-        for c in range(self.nclasses):
-            a = row_a[c]
-            if a == zero:
-                continue
-            b = row_b[c]
-            if b == zero:
-                continue
-            term = cy.mul(a, conj(b))
-            total = cy.add(total, cy.scale(self.class_sizes[c], term))
-        try:
-            return cy.rational_value(cy.divide_exact(total, self.order))
-        except InexactDivision as exc:
-            raise NotACharacterTable(f"non-integral inner product: {exc}") from exc
-
     def _inner_conj(self, values, conj_row) -> int:
-        cy = self.cyclo
-        zero = cy.zero
-        total = zero
-        for c in range(self.nclasses):
-            a = values[c]
-            if a == zero:
-                continue
-            b = conj_row[c]
-            if b == zero:
-                continue
-            total = cy.add(total, cy.scale(self.class_sizes[c], cy.mul(a, b)))
         try:
-            return cy.rational_value(cy.divide_exact(total, self.order))
+            return _class_inner(self.cyclo, self.class_sizes, self.order, values, conj_row)
         except InexactDivision as exc:
             raise NotACharacterTable(f"non-integral inner product: {exc}") from exc
 
@@ -143,10 +127,11 @@ class CharacterTable:
             for v in self.rows[0]
         ):
             raise NotACharacterTable("first irreducible must be the trivial character")
+        conj = self._conj_rows()
         for i in range(len(self.rows)):
             for j in range(i, len(self.rows)):
                 expected = 1 if i == j else 0
-                if self.inner(self.rows[i], self.rows[j]) != expected:
+                if self._inner_conj(self.rows[i], conj[j]) != expected:
                     raise NotACharacterTable(
                         f"row orthogonality fails at ({i},{j})"
                     )
@@ -155,8 +140,8 @@ class CharacterTable:
         for c in range(self.nclasses):
             for c2 in range(c, self.nclasses):
                 total = cy.zero
-                for row in self.rows:
-                    total = cy.add(total, cy.mul(row[c], cy.conjugate(row[c2])))
+                for row, crow in zip(self.rows, conj):
+                    total = cy.add(total, cy.mul(row[c], crow[c2]))
                 if c == c2:
                     expected = cy.from_int(self.order // self.class_sizes[c])
                 else:
@@ -417,10 +402,6 @@ class RepRing:
         return f"RepRing({self.table.name})"
 
 
-def repring_from_table(table: CharacterTable) -> RepRing:
-    return RepRing(table)
-
-
 # -- restriction kernels -------------------------------------------------------
 
 class RestrictionResult:
@@ -543,32 +524,21 @@ def restriction_kernel(
         for hc in range(th.nclasses):
             if fusion[th.power_map(k)[hc]] != tg.power_map(k)[fusion[hc]]:
                 raise InconsistentFusion(f"fusion does not commute with power map {k}")
-    # compute H-decompositions inside one cyclotomic ring large enough for both
+    # decompose inside one cyclotomic ring large enough for both tables
     from math import lcm
 
-    ebig = lcm(tg.exponent, th.exponent)
-    cy = Cyclo(ebig)
-    hrows = [[cy.embed_from(th.cyclo, v) for v in row] for row in th.rows]
-
-    def h_decompose(values):
-        out = []
-        for row in hrows:
-            total = cy.zero
-            for c in range(th.nclasses):
-                term = cy.mul(values[c], cy.conjugate(row[c]))
-                total = cy.add(total, cy.scale(th.class_sizes[c], term))
-            try:
-                out.append(cy.rational_value(cy.divide_exact(total, th.order)))
-            except InexactDivision as exc:
-                raise InconsistentFusion(f"restriction is not a character: {exc}") from exc
-        return out
-
+    cy = Cyclo(lcm(tg.exponent, th.exponent))
+    hconj = [[cy.embed_from(th.cyclo, v) for v in row] for row in th._conj_rows()]
     matrix = []
     for i in range(ring_g.h):
         restricted = [
             cy.embed_from(tg.cyclo, tg.rows[i][fusion[hc]]) for hc in range(th.nclasses)
         ]
-        coeffs = h_decompose(restricted)
+        try:
+            coeffs = [_class_inner(cy, th.class_sizes, th.order, restricted, cr)
+                      for cr in hconj]
+        except InexactDivision as exc:
+            raise InconsistentFusion(f"restriction is not a character: {exc}") from exc
         if sum(c * d for c, d in zip(coeffs, ring_h.dims)) != ring_g.dims[i]:
             raise InconsistentFusion(f"restriction of irreducible {i} loses dimension")
         matrix.append(coeffs)
@@ -716,37 +686,33 @@ def builtin_group(name: str) -> CharacterTable:
     sigma6 intentionally ships as a permutation GroupModel only (see
     groups.builtin_model); request it here and you get a pointer.
     """
-    key = name.strip().lower()
-    if key == "trivial":
-        return table_trivial()
-    if key == "sigma3":
-        return table_sigma3()
-    if key == "sigma4":
-        return table_sigma4()
-    if key == "sigma6":
-        raise UnknownGroup(
-            "sigma6 has no builtin character table; use groups.builtin_model('sigma6')"
-        )
-    if key == "d8":
-        return table_dihedral8()
-    m = re.fullmatch(r"c(\d+)", key)
-    if m:
-        return table_cyclic(int(m.group(1)))
-    m = re.fullmatch(r"c(\d+)xc(\d+)", key)
-    if m:
-        return table_cyclic_product(int(m.group(1)), int(m.group(2)))
-    m = re.fullmatch(r"extraspecial\((\d+),(\d+)\)", key.replace(" ", ""))
-    if m:
-        return table_extraspecial(int(m.group(1)), int(m.group(2)))
-    raise UnknownGroup(f"no builtin character table for {name!r}")
+    kind, args = parse_group_name(name) or ("", ())
+    if kind == "sigma":
+        if args == (6,):
+            raise UnknownGroup(
+                "sigma6 has no builtin character table; use groups.builtin_model('sigma6')"
+            )
+        kind, args = f"sigma{args[0]}", ()
+    make = {
+        "trivial": table_trivial,
+        "c": table_cyclic,
+        "cxc": table_cyclic_product,
+        "sigma3": table_sigma3,
+        "sigma4": table_sigma4,
+        "d8": table_dihedral8,
+        "extraspecial": table_extraspecial,
+    }.get(kind)
+    if make is None:
+        raise UnknownGroup(f"no builtin character table for {name!r}")
+    return make(*args)
 
 
 def builtin_fusion(g_name: str, h_name: str) -> list[int]:
     """Class fusion for the builtin subgroup pairs, computed from the models."""
-    g_key, h_key = g_name.strip().lower(), h_name.strip().lower()
-    if (g_key, h_key) == ("sigma4", "d8"):
+    g, h = parse_group_name(g_name), parse_group_name(h_name)
+    if (g, h) == (("sigma", (4,)), ("d8", ())):
         return model_dihedral8().fusion_into(model_symmetric(4))
-    if (g_key, h_key) == ("sigma3", "c3"):
+    if (g, h) == (("sigma", (3,)), ("c", (3,))):
         s3 = model_symmetric(3)
         c3 = model_cyclic(3)
         cyc = s3.index[(1, 2, 0)]
@@ -755,10 +721,8 @@ def builtin_fusion(g_name: str, h_name: str) -> list[int]:
             k = c3.elements[cls[0]]
             out.append(s3.class_of(s3.power(cyc, k)))
         return out
-    mg = re.fullmatch(r"extraspecial\((\d+),(\d+)\)", g_key.replace(" ", ""))
-    mh = re.fullmatch(r"c(\d+)", h_key)
-    if mg and mh and int(mh.group(1)) == int(mg.group(1)):
-        p, d = int(mg.group(1)), int(mg.group(2))
+    if g and g[0] == "extraspecial" and h == ("c", g[1][:1]):
+        p, d = g[1]
         model = model_extraspecial(p, d)
         cm = model_cyclic(p)
         out = []

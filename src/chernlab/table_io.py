@@ -1,8 +1,8 @@
 """Character-table JSON: ingest user tables, export builtins.
 
-Schema (version chernlab/1):
+Schema (the version tag is cert.SCHEMA):
 {
-  "schema": "chernlab/1",
+  "schema": SCHEMA,
   "name": str, "order": int, "exponent": int,
   "classes": [{"size": int, "elt_order": int, "power": {"2": idx, ...}}, ...],
   "irreducibles": [{"dim": int, "values": [[conductor, c0, c1, ...], ...]}, ...]
@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 
+from .cert import SCHEMA
 from .cyclotomic import Cyclo, cyclotomic_polynomial
-from .errors import SchemaError, ValidationError
+from .errors import SchemaError
 from .repring import CharacterTable
 
 _TOP_KEYS = {"schema", "name", "order", "exponent", "classes", "irreducibles"}
@@ -47,7 +48,7 @@ def table_to_dict(table: CharacterTable) -> dict:
         values = [[e] + list(v) for v in row]
         irreducibles.append({"dim": table.dims[i], "values": values})
     return {
-        "schema": "chernlab/1",
+        "schema": SCHEMA,
         "name": table.name,
         "order": table.order,
         "exponent": e,
@@ -66,7 +67,7 @@ def table_from_dict(doc: dict) -> CharacterTable:
     _require(not extra, "$", f"unknown fields {sorted(extra)}")
     missing = _TOP_KEYS - set(doc)
     _require(not missing, "$", f"missing fields {sorted(missing)}")
-    _require(doc["schema"] == "chernlab/1", "$.schema", "unsupported schema")
+    _require(doc["schema"] == SCHEMA, "$.schema", "unsupported schema")
     name = doc["name"]
     order = doc["order"]
     e = doc["exponent"]
@@ -128,11 +129,8 @@ def table_from_dict(doc: dict) -> CharacterTable:
         dim = cy.rational_value(row[orders.index(1)]) if 1 in orders else None
         _require(dim == item["dim"], f"{path}.dim", "dim disagrees with the identity value")
         rows.append(row)
-    try:
-        return CharacterTable(name, order, e, sizes, orders, power_maps, rows)
-    except ValidationError:
-        raise
     # NotACharacterTable propagates as the validation verdict
+    return CharacterTable(name, order, e, sizes, orders, power_maps, rows)
 
 
 def table_from_json(text: str) -> CharacterTable:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chernlab.cli import run
 
 
@@ -119,3 +121,23 @@ def test_extraspecial_table_check(capsys):
     code, out = run_capture(capsys, "table-check", "--p", "3", "--d", "1")
     assert code == 0
     assert json.loads(out)["status"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    "fgl --p 4 --n 2 --series 2",
+    "fgl --p 1 --n 2 --series 2",
+    "xspec --p 1 --d 1 --n 1",
+    "omega --group c4 --p 1 --n 1",
+    "chern --group c4 --p 0 --n 1",
+    "table-check --p 4 --d 1",
+    "witness --n 1",
+    "witness --n 0",
+    "groebner --q 4 --vars x --gens 0",
+    "xspec --p 3 --d 0 --n 1",
+    "omega --group c0 --p 2 --n 1",
+    "export-table --group c0",
+])
+def test_bad_parameters_exit_2_with_one_error_line(capsys, argv):
+    assert run(argv.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

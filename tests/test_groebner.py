@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chernlab.errors import InfiniteDimensional, NotFiniteDimensional
+from chernlab.errors import InfiniteDimensional
 from chernlab.field import GF
 from chernlab.groebner import (
     QuotientRing,
@@ -154,7 +154,7 @@ def test_socle_non_gorenstein():
 def test_socle_requires_finite_dimension():
     ring = PolyRing(GF(2), ["x", "y"])
     q = QuotientRing(gb_of(ring, ["x*y"]))
-    with pytest.raises(NotFiniteDimensional):
+    with pytest.raises(InfiniteDimensional):
         q.socle()
 
 

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -11,7 +11,6 @@ from chernlab.lattice import (
     newton_psi_to_lambda,
     parse_divisor,
     unit_elementary,
-    xi_eval,
 )
 
 
@@ -47,14 +46,28 @@ def test_lambda_out_of_range(theta):
         D.lam(-1)
 
 
+def lam_by_enumeration(D, k):
+    """lambda^k straight from the definition: one point per k-subset."""
+    theta = D.theta
+    pts = list(D.points_with_multiplicity())
+    counts: dict = {}
+    for subset in combinations(range(len(pts)), k):
+        s = theta.zero()
+        for i in subset:
+            s = theta.add(s, pts[i])
+        counts[s] = counts.get(s, 0) + 1
+    return LatticeDivisor.from_counts(theta, counts)
+
+
 def test_lambda_enumerate_matches_additive():
     th = Theta(3, 1, 2)
     rng = random.Random(23)
     pts = th.points()
-    for _ in range(20):
-        D = LatticeDivisor(th, [rng.choice(pts) for _ in range(rng.randint(0, 7))])
-        for k in range(0, D.dim() + 2):
-            assert D._lam_enumerate(k) == D._lam_additive(k)
+    for dim in range(0, 11):
+        for _ in range(3):
+            D = LatticeDivisor(th, [rng.choice(pts) for _ in range(dim)])
+            for k in range(0, dim + 2):
+                assert D.lam(k) == lam_by_enumeration(D, k)
 
 
 def test_lambda_addition_law_exhaustive_small(theta):
@@ -114,7 +127,6 @@ def test_xi_over_z8():
             return self.v == o.v
 
     u, v = Z8(3), Z8(5)
-    assert xi_eval([u, v]) == Z8(0)
     assert unit_elementary([u, v], 2) == Z8(7)
     assert unit_elementary([u, v], 1) == Z8(0)
 

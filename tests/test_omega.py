@@ -10,7 +10,6 @@ from chernlab.omega import (
     enumerate_omega_prime,
     kappa,
     pointwise_signature,
-    theta_star_points,
     xi_class_map,
 )
 from chernlab.repring import (
@@ -147,7 +146,7 @@ def test_xi_injective_on_sigma3(s3_ring):
 def test_xi_after_kappa_is_canonical_map(s4_ring):
     model = model_symmetric(4)
     om = enumerate_omega(model, 2, 2)
-    pts = theta_star_points(2, 2, 2)
+    pts = Theta(2, 2, 2).points()
     for rep in om.reps:
         f = kappa(s4_ring.table, model, rep, 2, 2)
         assert xi_class_map(f, s4_ring.table, model, 2, 2) == pointwise_signature(

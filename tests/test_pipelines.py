@@ -1,6 +1,6 @@
 import pytest
 
-from chernlab.errors import CertificateMismatch
+from chernlab.errors import CertificateMismatch, ValidationError
 from chernlab.pipelines import (
     nonpositive_divisor_witness,
     sdiv_checks,
@@ -31,7 +31,7 @@ def test_witness_pipeline_passes():
 
 
 def test_witness_rejects_height_one():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         nonpositive_divisor_witness(1)
 
 

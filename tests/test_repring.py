@@ -165,6 +165,13 @@ def test_inconsistent_fusion_rejected(r4):
         restriction_kernel(r4, rd8, bad)
 
 
+def test_restriction_that_is_not_a_character_rejected(r4):
+    # orders and power maps agree, but the class function is not a character
+    rk = RepRing(table_cyclic_product(2, 2))
+    with pytest.raises(InconsistentFusion, match="restriction is not a character"):
+        restriction_kernel(r4, rk, [0, 2, 2, 2])
+
+
 def test_builtin_groups():
     t = builtin_group("sigma4")
     assert t.nclasses == 5 and t.dims == [1, 1, 2, 3, 3]
