@@ -1,8 +1,9 @@
 """Command-line front end: pipelines, censuses, table ingestion.
 
 Exit codes: 0 when every certificate clause passes, 1 when a clause fails,
-2 on usage errors.  Certificates are emitted as deterministic JSON (default)
-or a text summary; --out writes atomically.
+2 on usage errors and on inputs a resource ceiling refuses.  Certificates are
+emitted as deterministic JSON (default) or a text summary; --out writes
+atomically.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import tempfile
 
 from . import acceptance
 from .cert import SCHEMA, Certificate
-from .errors import ChernlabError, SchemaError, UsageError, ValidationError
+from .errors import ChernlabError, ResourceLimit, SchemaError, UsageError, ValidationError
 from .fgl import honda_fgl, multiplicative_fgl
 from .field import GF, is_prime
 from .groebner import buchberger, standard_monomials
@@ -110,6 +111,8 @@ def cmd_omega(args) -> int:
          "v": args.v, "variant": args.variant},
     )
     if args.variant in (None, "plain", "prime", "dprime"):
+        if not args.group:
+            raise UsageError("need --group")
         model = builtin_model(args.group)
         if args.variant in (None, "plain"):
             om = enumerate_omega(model, args.p, args.n)
@@ -246,6 +249,14 @@ def prime(text: str) -> int:
     return p
 
 
+def natural(text: str) -> int:
+    """argparse type of every --n and --v: an integer >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as one UsageError line, not usage text."""
 
@@ -264,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         if p:
             sp.add_argument("--p", type=prime, required=True)
         if n:
-            sp.add_argument("--n", type=int, required=True)
+            sp.add_argument("--n", type=natural, required=True)
         if v:
-            sp.add_argument("--v", type=int, default=None)
+            sp.add_argument("--v", type=natural, default=None)
         if prec:
             sp.add_argument("--prec", type=int, default=32)
         if group:
@@ -307,14 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("witness")
-    sp.add_argument("--n", type=int, default=2)
+    sp.add_argument("--n", type=natural, default=2)
     common(sp)
     sp.set_defaults(fn=cmd_witness)
 
     sp = sub.add_parser("xspec")
     sp.add_argument("--p", type=prime, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=natural, required=True)
     common(sp)
     sp.set_defaults(fn=cmd_xspec)
 
@@ -344,7 +355,7 @@ def run(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
-    except (UsageError, SchemaError, ValidationError) as exc:
+    except (UsageError, SchemaError, ValidationError, ResourceLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ChernlabError as exc:

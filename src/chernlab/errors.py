@@ -77,7 +77,7 @@ class InconsistentFusion(ChernlabError):
     pass
 
 
-class UnknownGroup(ChernlabError):
+class UnknownGroup(ValidationError):
     pass
 
 

@@ -191,13 +191,16 @@ class FiniteField:
             raise ValidationError("empty field element")
         vec = [0] * self.degree
         for part in text.split("+"):
-            if "g" in part:
-                coeff, _, gpart = part.partition("g")
-                c = int(coeff.rstrip("*")) if coeff.rstrip("*") else 1
-                e = int(gpart[1:]) if gpart.startswith("^") else 1
-            else:
-                c, e = int(part), 0
-            if e >= self.degree:
+            try:
+                if "g" in part:
+                    coeff, _, gpart = part.partition("g")
+                    c = int(coeff.rstrip("*")) if coeff.rstrip("*") else 1
+                    e = int(gpart[1:]) if gpart.startswith("^") else 1
+                else:
+                    c, e = int(part), 0
+            except ValueError:
+                raise ValidationError(f"bad field element {text!r}") from None
+            if not 0 <= e < self.degree:
                 raise ValidationError(f"power g^{e} out of range for {self}")
             vec[e] = (vec[e] + c) % self.p
         return self._encode(vec)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from itertools import combinations_with_replacement
 
 from .errors import (
     IncompatibleRing,
@@ -341,6 +342,16 @@ class QuotientRing:
 
     def __repr__(self):
         return f"QuotientRing({self.ring!r}, {len(self.basis)} relations)"
+
+
+def cap_ring(field, names, caps=(), total=None) -> QuotientRing:
+    """field[names]/(x_i^caps[i], every monomial of total degree ``total``)."""
+    ring = PolyRing(field, names)
+    gens = [ring.gen(name) ** c for name, c in zip(names, caps)]
+    if total is not None:
+        gens += [ring.monomial(tuple(picks.count(i) for i in range(len(names))))
+                 for picks in combinations_with_replacement(range(len(names)), total)]
+    return QuotientRing(buchberger(gens, ring.lex()))
 
 
 def _field_kernel(rows: list[list[int]], ncols: int, fld) -> list[list[int]]:

@@ -202,6 +202,55 @@ def parse_divisor(theta: Theta, text: str) -> LatticeDivisor:
     return LatticeDivisor.from_counts(theta, counts)
 
 
+# -- the Fourier pair on Theta -------------------------------------------------
+
+def _transform(theta: Theta, cy, functions, sign: int) -> list[list[tuple[int, ...]]]:
+    """f -> (y -> sum_z f(z) w^{sign <y,z>}) for functions f on theta.points().
+
+    Values lie in cy = Z[zeta_e] and w = zeta_e^{e/p^v}; the table of pairing
+    exponents is built once per call.
+    """
+    e = cy.e
+    if e % theta.modulus:
+        raise ValidationError(f"p^{theta.v} does not divide the exponent {e}")
+    step = sign * (e // theta.modulus)
+    pts = theta.points()
+    exps = [[sum(a * b for a, b in zip(y, z)) * step % e for z in pts] for y in pts]
+    out = []
+    for f in functions:
+        terms = [(j, i, c) for j, value in enumerate(f) for i, c in enumerate(value) if c]
+        row = []
+        for ey in exps:
+            acc = [0] * e  # coefficients of zeta^0 .. zeta^{e-1}
+            for j, i, c in terms:
+                acc[(i + ey[j]) % e] += c
+            row.append(tuple(sum(c * cy.root_power(k)[d] for k, c in enumerate(acc) if c)
+                             for d in range(cy.degree)))
+        out.append(row)
+    return out
+
+
+def fourier(theta: Theta, cy, divisors) -> list[list[tuple[int, ...]]]:
+    """The transform a -> sum_x mult(x) w^{<a,x>} of each divisor."""
+    pts = theta.points()
+    counts = [d.counts() for d in divisors]
+    return _transform(theta, cy, [[cy.from_int(c.get(x, 0)) for x in pts] for c in counts], 1)
+
+
+def fourier_inverse(theta: Theta, cy, rows) -> list[LatticeDivisor]:
+    """The divisor mult(x) = p^{-vn} sum_a f(a) w^{-<a,x>} of each row f.
+
+    Raises InexactDivision unless every multiplicity is a rational integer,
+    and ValidationError when one is negative.
+    """
+    pts = theta.points()
+    divisors = []
+    for row in _transform(theta, cy, rows, -1):
+        mults = [cy.rational_value(cy.divide_exact(value, len(pts))) for value in row]
+        divisors.append(LatticeDivisor.from_counts(theta, dict(zip(pts, mults))))
+    return divisors
+
+
 # -- Newton conversion between lambda and psi sequences ----------------------
 
 def newton_lambda_to_psi(lams: list, count: int, one=None):

@@ -19,10 +19,12 @@ from .errors import (
     ValidationError,
 )
 from .groups import GroupModel
-from .lattice import LatticeDivisor, Theta
+from .lattice import LatticeDivisor, Theta, fourier, fourier_inverse
 from .repring import CharacterTable, RepRing, RestrictionResult
 
 OMEGA_GROUP_CEILING = 10000
+OMEGA_CH_NODES = 10000  # search nodes of one OmegaCh enumeration
+OMEGA_DPRIME_VISITS = 1 << 20  # search nodes x |Theta| of one Omega'' enumeration
 
 
 def p_part_exponent(order_like: int, p: int) -> int:
@@ -163,21 +165,25 @@ def enumerate_omega_dprime(model: GroupModel, p: int, n: int, w: int | None = No
             new[j] = target
         return new
 
-    def dfs(state: dict[int, int], pos: int):
+    stack: list[tuple[dict[int, int], int]] = [({}, 0)]
+    visits = 0
+    while stack:
+        state, pos = stack.pop()
+        visits += len(pts)
+        if visits > OMEGA_DPRIME_VISITS:
+            raise ResourceLimit(f"Omega'' search exceeds {OMEGA_DPRIME_VISITS} point visits")
         while pos < len(seq) and seq[pos] in state:
             pos += 1
         if pos == len(seq):
             results.append(tuple(state[i] for i in range(len(pts))))
-            return
+            continue
         i = seq[pos]
         for cls in classes:
             if orders[i] % class_orders[cls]:
                 continue
             new = assign(state, i, cls)
             if new is not None:
-                dfs(new, pos + 1)
-
-    dfs({}, 0)
+                stack.append((new, pos + 1))
     results.sort()
     return pts, results
 
@@ -239,37 +245,15 @@ def kappa(
         o = model.element_order(ui)
         if modulus % o:
             raise ValidationError(f"p^{v} does not annihilate an image of order {o}")
-    theta = Theta(p, v, n)
-    pts = theta.points()
-    cy = table.cyclo
-    e = table.exponent
-    if e % modulus:
+    if table.exponent % modulus:
         raise ValidationError("group exponent not divisible by p^v")
-    step = e // modulus
-    class_at: dict[tuple[int, ...], int] = {
-        a: model.class_of(hom_image(model, hom, a)) for a in pts
-    }
-    divisors = []
-    total = modulus ** n
-    for i in range(len(table.rows)):
-        counts: dict[tuple[int, ...], int] = {}
-        row = table.rows[i]
-        for x in pts:
-            acc = cy.zero
-            for a in pts:
-                pairing = sum(ai * xi for ai, xi in zip(a, x)) % modulus
-                zeta = cy.root_power((-pairing * step) % e)
-                acc = cy.add(acc, cy.mul(row[class_at[a]], zeta))
-            try:
-                mult = cy.rational_value(cy.divide_exact(acc, total))
-            except InexactDivision as exc:
-                raise NonIntegralMultiplicity(str(exc)) from exc
-            if mult < 0:
-                raise NonIntegralMultiplicity(f"negative multiplicity {mult}")
-            if mult:
-                counts[x] = mult
-        divisors.append(LatticeDivisor.from_counts(theta, counts))
-    return OmegaChElem(divisors)
+    theta = Theta(p, v, n)
+    classes = [model.class_of(hom_image(model, hom, a)) for a in theta.points()]
+    rows = [[row[c] for c in classes] for row in table.rows]
+    try:
+        return OmegaChElem(fourier_inverse(theta, table.cyclo, rows))
+    except (InexactDivision, ValidationError) as exc:
+        raise NonIntegralMultiplicity(str(exc)) from exc
 
 
 def _linear_rules(ring: RepRing, restriction: RestrictionResult):
@@ -409,7 +393,13 @@ def enumerate_omega_ch(
                 return False
         return True
 
+    nodes = 0
+
     def dfs(assign):
+        nonlocal nodes
+        nodes += 1
+        if nodes > OMEGA_CH_NODES:
+            raise ResourceLimit(f"OmegaCh search exceeds {OMEGA_CH_NODES} nodes")
         assign = propagate(dict(assign))
         if assign is None:
             return
@@ -437,25 +427,14 @@ def xi_class_map(
     Uniqueness of h and Z-equivariance of the result are asserted.
     """
     theta = f.divisors[0].theta
-    v = theta.v
-    modulus = theta.modulus
     pts = theta.points()
-    cy = table.cyclo
-    e = table.exponent
-    step = e // modulus
+    values = fourier(theta, table.cyclo, f.divisors)
     pclasses = model.p_power_class_indices(p)
     out = []
-    for a in pts:
-        target = []
-        for i in range(len(table.rows)):
-            acc = cy.zero
-            for x, m in f.divisors[i].pairs:
-                pairing = sum(ai * xi for ai, xi in zip(a, x)) % modulus
-                acc = cy.add(acc, cy.scale(m, cy.root_power(pairing * step % e)))
-            target.append(acc)
+    for j, a in enumerate(pts):
         matches = [
             c for c in pclasses
-            if all(table.rows[i][c] == target[i] for i in range(len(table.rows)))
+            if all(row[c] == value[j] for row, value in zip(table.rows, values))
         ]
         if len(matches) != 1:
             raise NoMatchingClass(f"{len(matches)} classes match at {a}")
@@ -463,7 +442,7 @@ def xi_class_map(
     result = tuple(out)
     pt_index = {a: i for i, a in enumerate(pts)}
     for i, a in enumerate(pts):
-        for k in range(modulus):
+        for k in range(theta.modulus):
             j = pt_index[theta.scale(k, a)]
             if result[j] != model.class_power(result[i], k):
                 raise NoMatchingClass("xi image is not Z-equivariant")

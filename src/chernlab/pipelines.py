@@ -10,8 +10,6 @@ Gorenstein socle, and the Klein-subgroup restriction of c_3).
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-
 from .cert import Certificate
 from .divisor import DivisorPoly, divisor_from_roots, divisor_lambda, divisor_mul, divisor_psi
 from .errors import ValidationError
@@ -22,6 +20,7 @@ from .groebner import (
     QuotientRing,
     assert_groebner,
     buchberger,
+    cap_ring,
     normal_form,
     standard_monomials,
 )
@@ -32,24 +31,6 @@ from .poly import Poly, PolyRing, parse_poly
 from .presentation import build_presentation
 from .repring import RepRing, table_sigma3
 from .symfunc import symmetrize
-
-
-def _monomial_cap_ring(field, names, cap_total):
-    """field[names]/(all monomials of total degree cap_total)."""
-    ring = PolyRing(field, names)
-    gens = []
-    for exps in combinations_with_replacement(range(len(names)), cap_total):
-        e = [0] * len(names)
-        for i in exps:
-            e[i] += 1
-        gens.append(ring.monomial(tuple(e)))
-    return QuotientRing(buchberger(gens, ring.lex()))
-
-
-def _power_cap_ring(field, names, caps):
-    ring = PolyRing(field, names)
-    gens = [ring.gen(n) ** c for n, c in zip(names, caps)]
-    return QuotientRing(buchberger(gens, ring.lex()))
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +60,11 @@ def sigma3_pipeline() -> Certificate:
     # the displayed expansion of [2](x), and (psi^2)*y - y = y^5 with
     # y = c_2([b]+[-b]).  (The unit multiplying y^5 is +1；the series
     # -x^2 - x^{10} equals y + y^5, not y - y^5.)
-    U = _power_cap_ring(GF(3), ["x"], [32])
+    U = cap_ring(GF(3), ["x"], [32])
     x = U.gen("x")
     two_x = law.mul_in_ring(2, x, U)
     expect_2x = U.reduce(-x + U.pow(x, 9))
-    trunc12 = _power_cap_ring(GF(3), ["x"], [12])
+    trunc12 = cap_ring(GF(3), ["x"], [12])
     cert.add(
         "mul2_series_matches_mod_x12",
         trunc12.reduce(_transport(two_x, trunc12)) == trunc12.reduce(_transport(expect_2x, trunc12)),
@@ -134,7 +115,7 @@ def sdiv_checks() -> Certificate:
     cert = Certificate("sdiv", {"p": 2, "n": 2})
     law = honda_fgl(2, 2, 32)
     F4 = GF(4)
-    B = _monomial_cap_ring(F4, ["x", "y"], 7)
+    B = cap_ring(F4, ["x", "y"], total=7)
     x, y = B.gen("x"), B.gen("y")
     xb = law.mul_in_ring(-1, x, B)
     yb = law.mul_in_ring(-1, y, B)
@@ -188,7 +169,7 @@ def sdiv_checks() -> Certificate:
     # c'_1 = c_1 modulo (c_1^2, c_2, ..., c_d) for d = 2, 3 (degree-7 shadow)
     for d in (2, 3):
         names = [f"x{i}" for i in range(1, d + 1)]
-        T = _monomial_cap_ring(F4, names, 7)
+        T = cap_ring(F4, names, total=7)
         acc = T.ring.zero()
         for nm in names:
             acc = law.add_in_ring(acc, T.gen(nm), T)
@@ -224,7 +205,7 @@ def nonpositive_divisor_witness(n: int = 2) -> Certificate:
              E.lam(3) == LatticeDivisor(theta, [theta.zero()]), {})
 
     q = 2 ** n
-    A = _power_cap_ring(GF(2), ["y", "z"], [q, q])
+    A = cap_ring(GF(2), ["y", "z"], [q, q])
     yv, zv = A.gen("y"), A.gen("z")
     s = law.add_in_ring(yv, zv, A)
     c3 = A.mul(A.mul(yv, zv), s)
@@ -276,7 +257,7 @@ def sigma4_pipeline() -> Certificate:
     c1 = A.reduce(c2 * c2 + A.pow(c2, 8))
 
     # (a) images under the two jointly injective evaluation maps
-    U = _power_cap_ring(F4, ["x"], [32])
+    U = cap_ring(F4, ["x"], [32])
     xU = U.gen("x")
     xbar = law.mul_in_ring(-1, xU, U)
     Dalpha = divisor_from_roots(U, law, [xU, xbar, U.ring.zero()])
@@ -287,7 +268,7 @@ def sigma4_pipeline() -> Certificate:
              {"alpha(c2)": al[2].text(U.order)})
     cert.add("alpha_c3", al[3].is_zero(), {})
 
-    V = _power_cap_ring(F4, ["x", "y"], [4, 4])
+    V = cap_ring(F4, ["x", "y"], [4, 4])
     xV, yV = V.gen("x"), V.gen("y")
     zV = law.add_in_ring(xV, yV, V)
     Dbeta = divisor_from_roots(V, law, [xV, yV, zV])
@@ -479,14 +460,14 @@ def _jointly_independent(pairs, field) -> bool:
 def _cdD_under_map(law, F4, which: str) -> bool:
     """Verify the translated-divisor identities after the alpha or beta map."""
     if which == "alpha":
-        R = _power_cap_ring(F4, ["w", "x"], [4, 32])
+        R = cap_ring(F4, ["w", "x"], [4, 32])
         wv, xv = R.gen("w"), R.gen("x")
         xb = law.mul_in_ring(-1, xv, R)
         roots = [law.add_in_ring(wv, xv, R), law.add_in_ring(wv, xb, R), wv]
         c2_img = R.reduce(xv * xb)
         c3_img = R.ring.zero()
     else:
-        R = _power_cap_ring(F4, ["w", "x", "y"], [4, 4, 4])
+        R = cap_ring(F4, ["w", "x", "y"], [4, 4, 4])
         wv, xv, yv = R.gen("w"), R.gen("x"), R.gen("y")
         zv = law.add_in_ring(xv, yv, R)
         roots = [law.add_in_ring(wv, xv, R), law.add_in_ring(wv, yv, R),

@@ -142,5 +142,9 @@ def table_from_json(text: str) -> CharacterTable:
 
 
 def ingest_table(path: str) -> CharacterTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return table_from_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read table: {exc}") from exc
+    return table_from_json(text)

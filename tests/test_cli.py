@@ -68,8 +68,10 @@ def test_witness_exit_zero(capsys):
 
 
 def test_unknown_group_usage_error(capsys):
-    code = run(["omega", "--group", "m24", "--p", "2", "--n", "2"])
-    assert code == 1 or code == 2
+    for argv in ("omega --group m24 --p 2 --n 2", "export-table --group sigma7"):
+        assert run(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no builtin") and err.count("\n") == 1
 
 
 def test_missing_subcommand_exits_2():
@@ -136,6 +138,20 @@ def test_extraspecial_table_check(capsys):
     "xspec --p 3 --d 0 --n 1",
     "omega --group c0 --p 2 --n 1",
     "export-table --group c0",
+    "omega --group c4 --p 2 --n -1",
+    "omega --group c4 --p 2 --n 2 --variant ch --v -1",
+    "omega --group c4 --p 2 --n 2 --variant prime --v -1",
+    "omega --group c4 --p 2 --n 2 --variant dprime --v -1",
+    "omega --p 2 --n 2",
+    "omega --p 2 --n 2 --variant prime",
+    "omega --p 2 --n 2 --variant dprime",
+    "groebner --q 3 --vars x --gens y",
+    "groebner --q 3 --vars x --gens x^-1",
+    "omega --group c4 --p 2 --n 2 --variant ch --table /nonexistent.json",
+    # lattices too large to search: a ResourceLimit, not a hang or a RecursionError
+    "omega --group c8 --p 2 --n 2 --variant dprime",
+    "omega --group trivial --p 3 --n 3 --v 3 --variant dprime",
+    "omega --group sigma3 --p 3 --n 2 --v 3 --variant ch",
 ])
 def test_bad_parameters_exit_2_with_one_error_line(capsys, argv):
     assert run(argv.split()) == 2

@@ -1,0 +1,92 @@
+"""Property test of the command line over small argument spaces.
+
+Every drawn argv must end in exit 0 or 1 with a JSON certificate on stdout,
+or in exit 2 with one ``error:`` line on stderr; ``cli.run`` never raises.
+"""
+
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chernlab.cli import run
+
+# sigma7 is left out: building its 5040 x 5040 multiplication table takes about
+# a minute, which alone exceeds the time this test may take.
+GROUPS = ["trivial", "c2", "c4", "sigma3", "d8", "m24", "sigma9", "c0", "", None]
+TOKENS = ["x", "y", "x^2", "x*y", "2", "0", "g", "(g+1)*x", "2g^3", "x^-1", "z", "x^", "1/2"]
+MISSING_TABLE = str(Path(__file__).resolve().parent / "no-such-table.json")
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def option(name, values):
+    """[name, value] or nothing, as a strategy over argv fragments."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def argv(*parts):
+    """Concatenate fixed words and strategies of argv fragments."""
+    return st.tuples(*(st.just([p]) if isinstance(p, str) else p for p in parts)).map(
+        lambda chunks: [word for chunk in chunks for word in chunk]
+    )
+
+
+def flag(name):
+    return st.sampled_from([[], [name]])
+
+
+def word(strategy):
+    return strategy.map(lambda w: [w])
+
+
+def groups():
+    return st.sampled_from(GROUPS).map(lambda g: [] if g is None else ["--group", g])
+
+
+def gens():
+    term = st.lists(st.sampled_from(TOKENS), min_size=1, max_size=3).map(" + ".join)
+    return st.lists(term, min_size=1, max_size=3).map("; ".join)
+
+
+ARGVS = {
+    "fgl": argv(
+        "fgl", "--p", word(st.sampled_from(["1", "2", "3", "4"])), "--n", word(ints(-2, 3)),
+        option("--prec", st.sampled_from(["-1", "0", "2", "8"])),
+        "--series", word(ints(-2, 3)), flag("--multiplicative"),
+    ),
+    "omega": argv(
+        "omega", "--p", word(st.sampled_from(["2", "3"])), "--n", word(ints(-2, 3)),
+        option("--v", ints(-2, 3)), groups(),
+        "--variant", word(st.sampled_from(["plain", "ch", "prime", "dprime"])),
+    ),
+    "groebner": argv(
+        "groebner", "--q", word(st.sampled_from(["0", "2", "3", "4", "6"])),
+        "--vars", word(st.sampled_from(["x", "x,y", "x,x", ""])),
+        "--gens", word(gens()), option("--order", st.sampled_from(["lex", "grlex"])),
+    ),
+    "witness": argv("witness", option("--n", ints(-2, 3))),
+    "xspec": argv("xspec", "--p", "3", "--d", word(ints(-1, 1)), "--n", word(ints(-1, 1))),
+    "table-check": argv("table-check", option("--table", st.just(MISSING_TABLE))),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARGVS))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_cli_ends_in_certificate_or_one_error_line(command, data):
+    args = data.draw(ARGVS[command], label="argv")
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(args)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    else:
+        json.loads(out.getvalue())

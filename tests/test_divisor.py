@@ -12,16 +12,8 @@ from chernlab.divisor import (
 from chernlab.errors import DegreeCeiling
 from chernlab.fgl import honda_fgl, multiplicative_fgl
 from chernlab.field import GF
-from chernlab.groebner import QuotientRing, buchberger
+from chernlab.groebner import cap_ring
 from chernlab.lattice import LatticeDivisor, Theta
-from chernlab.poly import PolyRing
-
-
-def cap_ring(q, names, caps):
-    ring = PolyRing(GF(q), names)
-    return QuotientRing(
-        buchberger([ring.gen(n) ** c for n, c in zip(names, caps)], ring.lex())
-    )
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +23,7 @@ def law():
 
 @pytest.fixture()
 def Q(law):
-    return cap_ring(4, ["x", "y"], [4, 4])
+    return cap_ring(GF(4), ["x", "y"], [4, 4])
 
 
 def test_degree_one_product_is_formal_sum(law, Q):
@@ -100,7 +92,7 @@ def split_points(law, Q, theta, coord):
 def test_split_divisor_oracle_exhaustive(law):
     # transport the lattice operations through the coordinate on the
     # 2-torsion points and compare with the tower computations
-    Q = cap_ring(4, ["x", "y"], [4, 4])
+    Q = cap_ring(GF(4), ["x", "y"], [4, 4])
     theta = Theta(2, 1, 2)
     x, y = Q.gen("x"), Q.gen("y")
     coord = {
@@ -145,11 +137,7 @@ def test_generic_divisor_product_against_lattice(law):
     # generic (non-split) coefficients: multiply a generic rank-2 divisor by
     # the translation divisor in the order-24 working ring and compare with
     # the hand-checkable degree computation via associativity of the tower
-    ring = PolyRing(GF(4), ["a1", "a2", "b1"])
-    Q = QuotientRing(
-        buchberger([ring.gen("a1") ** 4, ring.gen("a2") ** 4, ring.gen("b1") ** 4],
-                   ring.lex())
-    )
+    Q = cap_ring(GF(4), ["a1", "a2", "b1"], [4, 4, 4])
     D = DivisorPoly(Q, law, [Q.gen("a1"), Q.gen("a2")])
     E = DivisorPoly(Q, law, [Q.gen("b1")])
     prod = divisor_mul(D, E)
@@ -161,7 +149,7 @@ def test_generic_divisor_product_against_lattice(law):
 
 def test_lambda_addition_law_small_degrees(law):
     # lambda^k(D + E) (disjoint-sum divisor = polynomial product of equations)
-    Q = cap_ring(4, ["x", "y"], [4, 4])
+    Q = cap_ring(GF(4), ["x", "y"], [4, 4])
     x, y = Q.gen("x"), Q.gen("y")
     z = law.add_in_ring(x, y, Q)
     roots_d = [x, y]
@@ -188,7 +176,7 @@ def test_lambda_addition_law_small_degrees(law):
 
 def test_degree_ceiling():
     law = honda_fgl(2, 2, 16)
-    Q = cap_ring(2, ["x"], [4])
+    Q = cap_ring(GF(2), ["x"], [4])
     D = divisor_from_roots(Q, law, [Q.gen("x")] * 4)
     with pytest.raises(DegreeCeiling):
         divisor_mul(D, D)
@@ -196,7 +184,7 @@ def test_degree_ceiling():
 
 def test_multiplicative_law_products(law):
     mult = multiplicative_fgl(2, 32)
-    Q = cap_ring(2, ["x", "y"], [4, 4])
+    Q = cap_ring(GF(2), ["x", "y"], [4, 4])
     x, y = Q.gen("x"), Q.gen("y")
     D = divisor_from_roots(Q, mult, [x])
     E = divisor_from_roots(Q, mult, [y])

@@ -3,27 +3,7 @@ import pytest
 from chernlab.errors import PrecisionExceeded, ResourceLimit
 from chernlab.fgl import honda_fgl, multiplicative_fgl
 from chernlab.field import GF
-from chernlab.groebner import QuotientRing, buchberger
-from chernlab.poly import PolyRing
-
-
-def cap_ring(q, names, caps):
-    ring = PolyRing(GF(q), names)
-    return QuotientRing(buchberger([ring.gen(n) ** c for n, c in zip(names, caps)],
-                                   ring.lex()))
-
-
-def total_cap_ring(q, names, cap):
-    from itertools import combinations_with_replacement
-
-    ring = PolyRing(GF(q), names)
-    gens = []
-    for picks in combinations_with_replacement(range(len(names)), cap):
-        e = [0] * len(names)
-        for i in picks:
-            e[i] += 1
-        gens.append(ring.monomial(tuple(e)))
-    return QuotientRing(buchberger(gens, ring.lex()))
+from chernlab.groebner import cap_ring
 
 
 # -- the printed series -------------------------------------------------------
@@ -59,7 +39,7 @@ def test_unit_axiom_all_laws():
 @pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
 def test_associativity_and_commutativity(p, n):
     law = honda_fgl(p, n, 32)
-    q = total_cap_ring(p, ["x", "y", "z"], 10)
+    q = cap_ring(GF(p), ["x", "y", "z"], total=10)
     x, y, z = q.gen("x"), q.gen("y"), q.gen("z")
     left = law.add_in_ring(law.add_in_ring(x, y, q), z, q)
     right = law.add_in_ring(x, law.add_in_ring(y, z, q), q)
@@ -70,7 +50,7 @@ def test_associativity_and_commutativity(p, n):
 
 def test_jk_composition():
     law = honda_fgl(2, 2, 32)
-    q = cap_ring(2, ["x"], [16])
+    q = cap_ring(GF(2), ["x"], [16])
     x = q.gen("x")
     for j in range(-2, 5):
         for k in range(-2, 5):
@@ -82,7 +62,7 @@ def test_jk_composition():
 def test_addition_law_of_series():
     # [j+k](x) = F([j](x), [k](x))
     law = honda_fgl(3, 2, 24)
-    q = cap_ring(3, ["x"], [10])
+    q = cap_ring(GF(3), ["x"], [10])
     x = q.gen("x")
     for j in range(-2, 4):
         for k in range(-2, 4):
@@ -104,7 +84,7 @@ def test_psi_periodicity():
     # where x^{p^{nw}} = 0, [k] and [l] agree when k = l mod p^w
     law = honda_fgl(2, 2, 32)
     for w, pairs in ((1, [(1, 5), (2, 6), (3, -1)]), (2, [(1, 17), (3, 19)])):
-        q = cap_ring(2, ["x"], [2 ** (2 * w)])
+        q = cap_ring(GF(2), ["x"], [2 ** (2 * w)])
         x = q.gen("x")
         for k, l in pairs:
             assert law.mul_in_ring(k, x, q) == law.mul_in_ring(l, x, q), (w, k, l)
@@ -112,7 +92,7 @@ def test_psi_periodicity():
 
 def test_p_torsion():
     law = honda_fgl(2, 2, 32)
-    q = cap_ring(2, ["x"], [30])
+    q = cap_ring(GF(2), ["x"], [30])
     a = q.gen("x")
     m = 0
     val = a
@@ -126,7 +106,7 @@ def test_multiplicative_law():
     law = multiplicative_fgl(2, 16)
     assert law.terms == {(1, 0): 1, (0, 1): 1, (1, 1): 1}
     # [k](x) = 1 - (1-x)^k
-    q = cap_ring(2, ["x"], [8])
+    q = cap_ring(GF(2), ["x"], [8])
     x = q.gen("x")
     one = q.ring.one()
     for k in range(1, 6):
@@ -136,7 +116,7 @@ def test_multiplicative_law():
 
 def test_precision_guard():
     law = honda_fgl(2, 2, 8)
-    q = cap_ring(2, ["x"], [12])
+    q = cap_ring(GF(2), ["x"], [12])
     with pytest.raises(PrecisionExceeded):
         law.add_in_ring(q.gen("x"), q.gen("x"), q)
 
@@ -148,6 +128,6 @@ def test_precision_ceiling():
 
 def test_add_in_big_ring_x_plus_x():
     law = honda_fgl(2, 2, 32)
-    q = cap_ring(4, ["x"], [32])
+    q = cap_ring(GF(4), ["x"], [32])
     x = q.gen("x")
     assert law.add_in_ring(x, x, q) == q.pow(x, 4)

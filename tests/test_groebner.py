@@ -8,6 +8,7 @@ from chernlab.groebner import (
     QuotientRing,
     assert_groebner,
     buchberger,
+    cap_ring,
     normal_form,
     standard_monomials,
 )
@@ -163,3 +164,9 @@ def test_unit_inversion():
     q = QuotientRing(gb_of(ring, ["x^5"]))
     u = q.reduce(parse_poly(ring, "1 + x + 2*x^3"))
     assert q.mul(u, q.invert(u)) == ring.one()
+
+
+def test_cap_ring_dimensions():
+    assert cap_ring(GF(2), ["x", "y"], [4, 4]).dimension() == 16
+    assert cap_ring(GF(2), ["x", "y"], total=7).dimension() == 28
+    assert cap_ring(GF(3), ["x", "y", "z"], total=7).dimension() == 84

@@ -3,10 +3,13 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from chernlab.cyclotomic import Cyclo
 from chernlab.errors import InexactDivision, LambdaOutOfRange
 from chernlab.lattice import (
     LatticeDivisor,
     Theta,
+    fourier,
+    fourier_inverse,
     newton_lambda_to_psi,
     newton_psi_to_lambda,
     parse_divisor,
@@ -141,3 +144,29 @@ def test_psi_pv_collapse():
             D = LatticeDivisor(th, [rng.choice(pts) for _ in range(d)])
             expected = LatticeDivisor(th, [th.zero()] * d)
             assert D.psi(p ** v) == expected
+
+
+@pytest.mark.parametrize("p,v,n,e", [(2, 2, 2, 4), (2, 2, 2, 8), (3, 1, 2, 3), (3, 1, 2, 9)])
+def test_fourier_inverse_undoes_fourier(p, v, n, e):
+    th = Theta(p, v, n)
+    cy = Cyclo(e)
+    rng = random.Random(100 * p + e)
+    pts = th.points()
+    divisors = [
+        LatticeDivisor(th, [rng.choice(pts) for _ in range(rng.randint(0, 6))])
+        for _ in range(12)
+    ]
+    assert fourier_inverse(th, cy, fourier(th, cy, divisors)) == divisors
+
+
+def test_fourier_pairs_points_with_roots_of_unity(theta):
+    # over Z[zeta_2], [x] transforms to a -> (-1)^<a,x>
+    row = fourier(theta, Cyclo(2), [LatticeDivisor(theta, [(1, 1)])])[0]
+    assert row == [((-1) ** (a + b),) for a, b in theta.points()]
+
+
+def test_fourier_inverse_rejects_a_non_transform(theta):
+    cy = Cyclo(2)
+    row = [cy.one if a == theta.zero() else cy.zero for a in theta.points()]
+    with pytest.raises(InexactDivision):
+        fourier_inverse(theta, cy, [row])
