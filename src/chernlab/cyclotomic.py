@@ -108,25 +108,10 @@ class CyclotomicRing:
         for k in range(deg, len(conv)):
             c = conv[k]
             if c:
-                red = self._reduce_power(k)
+                red = self.root_power(k)
                 for i in range(deg):
                     out[i] += c * red[i]
         return tuple(out)
-
-    @lru_cache(maxsize=None)
-    def _reduce_power(self, k: int) -> tuple[int, ...]:
-        """x^k mod Phi_e for k >= degree."""
-        if k < self.degree:
-            vec = [0] * self.degree
-            vec[k] = 1
-            return tuple(vec)
-        prev = self._reduce_power(k - 1)
-        carry = prev[-1]
-        vec = [0] + list(prev[:-1])
-        if carry:
-            for i in range(self.degree):
-                vec[i] -= carry * self.phi_poly[i]
-        return tuple(vec)
 
     def conjugate(self, a):
         """Complex conjugation zeta -> zeta^{-1}."""

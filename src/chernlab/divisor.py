@@ -66,13 +66,24 @@ def divisor_from_roots(qring: QuotientRing, law: FGL, roots) -> DivisorPoly:
     return DivisorPoly(qring, law, coeffs)
 
 
+def tpoly_mul(q: QuotientRing, a: list[Poly], b: list[Poly]) -> list[Poly]:
+    """Product of two t-polynomials over q, coefficient lists descending in t."""
+    out = [q.ring.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        for j, y in enumerate(b):
+            if y:
+                out[i + j] = q.reduce(out[i + j] + x * y)
+    return out
+
+
 def _coeffs_from_roots(qring: QuotientRing, roots) -> list[Poly]:
-    """Coefficients c_1..c_d of prod (t - r_i), by synthetic multiplication."""
-    coeffs = [qring.ring.one()]
+    """Coefficients c_1..c_d of prod (t - r_i)."""
+    one = qring.ring.one()
+    coeffs = [one]
     for r in roots:
-        coeffs.append(qring.ring.zero())
-        for j in range(len(coeffs) - 1, 0, -1):
-            coeffs[j] = qring.reduce(coeffs[j] - qring.mul(r, coeffs[j - 1]))
+        coeffs = tpoly_mul(qring, coeffs, [one, -r])
     return coeffs[1:]
 
 
@@ -92,18 +103,10 @@ class SplitTower:
     def __init__(self, base: QuotientRing):
         self.base = base
         self.ext = base
-        self.offset = 0  # number of adjoined variables so far
         self._counter = 0
 
     def extract(self, p: Poly) -> Poly:
-        p = self.ext.reduce(p)
-        off = self.offset
-        out = {}
-        for e, c in p.terms.items():
-            if any(e[:off]):
-                raise ValidationError("element does not descend to the base ring")
-            out[e[off:]] = c
-        return Poly(self.base.ring, out)
+        return self.ext.reduce(p).to_ring(self.base.ring)
 
     def _extend_ring(self, name: str) -> PolyRing:
         ring = self.ext.ring
@@ -118,17 +121,13 @@ class SplitTower:
         new_ring = self._extend_ring(name)
         order = lex_order(new_ring.nvars)
 
-        def lift(p: Poly) -> Poly:
-            return Poly(new_ring, {(0,) + e: c for e, c in p.terms.items()})
-
         root = new_ring.gen(name)
         rel = root ** m
         for k, a in enumerate(monic_coeffs, start=1):
-            rel = rel + lift(a) * root ** (m - k)
-        new_polys = [lift(g) for g in self.ext.basis.polys] + [rel]
+            rel = rel + a.to_ring(new_ring) * root ** (m - k)
+        new_polys = [g.to_ring(new_ring) for g in self.ext.basis.polys] + [rel]
         new_polys.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
         self.ext = QuotientRing(GroebnerBasis(new_ring, order, new_polys))
-        self.offset += 1
         return root
 
     def split(self, coeffs: list[Poly]) -> list[Poly]:
@@ -138,8 +137,8 @@ class SplitTower:
         roots: list[Poly] = []
         while len(work) > 1:
             root = self.adjoin_root(work)
-            roots = [_pad_to(r, self.ext.ring) for r in roots]
-            work = [_pad_to(c, self.ext.ring) for c in work]
+            roots = [r.to_ring(self.ext.ring) for r in roots]
+            work = [c.to_ring(self.ext.ring) for c in work]
             # divide by (t - root): quotient coefficients by Horner
             quotient = []
             prev = self.ext.ring.one()
@@ -177,23 +176,15 @@ def divisor_mul(D: DivisorPoly, E: DivisorPoly) -> DivisorPoly:
     if E.coeffs == D.coeffs:
         roots_e = roots_d
     else:
-        roots_e = tower.split([_pad_to(c, tower.ext.ring) for c in E.coeffs])
-    # pad everything to the final extension (variables are prepended)
-    roots_d = [tower.ext.reduce(_pad_to(r, tower.ext.ring)) for r in roots_d]
-    roots_e = [tower.ext.reduce(_pad_to(r, tower.ext.ring)) for r in roots_e]
+        roots_e = tower.split([c.to_ring(tower.ext.ring) for c in E.coeffs])
+    # move every root into the final extension
+    roots_d = [tower.ext.reduce(r.to_ring(tower.ext.ring)) for r in roots_d]
+    roots_e = [tower.ext.reduce(r.to_ring(tower.ext.ring)) for r in roots_e]
     sums = []
     for r in roots_d:
         for s in roots_e:
             sums.append(law.add_in_ring(r, s, tower.ext))
     return _extract_divisor(D.qring, law, tower, sums)
-
-
-def _pad_to(p: Poly, ring: PolyRing) -> Poly:
-    diff = ring.nvars - p.ring.nvars
-    if diff == 0:
-        return Poly(ring, dict(p.terms))
-    pad = (0,) * diff
-    return Poly(ring, {pad + e: c for e, c in p.terms.items()})
 
 
 def divisor_lambda(D: DivisorPoly, r: int) -> DivisorPoly:

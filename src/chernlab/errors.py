@@ -45,12 +45,12 @@ class NonIntegralCoefficient(ChernlabError):
     pass
 
 
-class PrecisionExceeded(ChernlabError):
-    pass
+class PrecisionExceeded(ValidationError):
+    """A computation needs more of a formal group law than its precision holds."""
 
 
-class DegreeCeiling(ChernlabError):
-    pass
+class DegreeCeiling(ResourceLimit):
+    """A divisor or presentation degree above the supported ceiling."""
 
 
 class LambdaOutOfRange(ChernlabError):

@@ -277,6 +277,14 @@ def _series_inverse(log: dict, prec: int) -> dict:
     raise ResourceLimit("series inversion did not converge")
 
 
+def _check_precision(prec: int) -> None:
+    """2 <= prec <= PREC_CEILING, the precisions a law may be built to."""
+    if prec > PREC_CEILING:
+        raise ResourceLimit(f"precision {prec} exceeds ceiling {PREC_CEILING}")
+    if prec < 2:
+        raise ValidationError(f"precision {prec} is below 2")
+
+
 @lru_cache(maxsize=None)
 def honda_fgl(p: int, n: int, prec: int = 32) -> FGL:
     """Height-n formal group law at p with [p](x) = x^{p^n}, to precision prec.
@@ -284,10 +292,9 @@ def honda_fgl(p: int, n: int, prec: int = 32) -> FGL:
     Built as F = l^{-1}(l(x) + l(y)) over the rationals; construction fails
     loudly if any coefficient is not p-integral.
     """
-    if prec > PREC_CEILING:
-        raise ResourceLimit(f"precision {prec} exceeds ceiling {PREC_CEILING}")
-    if n < 1 or prec < 2:
-        raise ValidationError("need height >= 1 and precision >= 2")
+    _check_precision(prec)
+    if n < 1:
+        raise ValidationError("need height >= 1")
     log = _honda_log(p, n, prec)
     log_inv = _series_inverse(log, prec)
     # s = l(x) + l(y) as a bivariate series
@@ -330,8 +337,7 @@ def _check_height(law: FGL) -> None:
 @lru_cache(maxsize=None)
 def multiplicative_fgl(p: int, prec: int = 32) -> FGL:
     """The multiplicative law x + y - xy (height one at every prime)."""
-    if prec > PREC_CEILING:
-        raise ResourceLimit(f"precision {prec} exceeds ceiling {PREC_CEILING}")
+    _check_precision(prec)
     terms = {(1, 0): 1, (0, 1): 1}
     if (p - 1) % p:
         terms[(1, 1)] = p - 1

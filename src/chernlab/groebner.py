@@ -345,12 +345,18 @@ class QuotientRing:
 
 
 def cap_ring(field, names, caps=(), total=None) -> QuotientRing:
-    """field[names]/(x_i^caps[i], every monomial of total degree ``total``)."""
+    """field[names]/(x_i^caps[i], every monomial of total degree ``total``).
+
+    With no relations this is field[names] itself: the field when ``names``
+    is empty.
+    """
     ring = PolyRing(field, names)
     gens = [ring.gen(name) ** c for name, c in zip(names, caps)]
     if total is not None:
         gens += [ring.monomial(tuple(picks.count(i) for i in range(len(names))))
                  for picks in combinations_with_replacement(range(len(names)), total)]
+    if not gens:
+        return QuotientRing(GroebnerBasis(ring, ring.lex(), []))
     return QuotientRing(buchberger(gens, ring.lex()))
 
 

@@ -10,8 +10,12 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import permutations
+from math import factorial
 
-from .errors import UnknownGroup, ValidationError
+from .errors import ResourceLimit, UnknownGroup, ValidationError
+from .field import is_prime
+
+GROUP_ORDER_CEILING = 1000  # largest order a builtin model is built for
 
 
 class GroupModel:
@@ -169,10 +173,15 @@ def _perm_mult(a: tuple, b: tuple) -> tuple:
     return tuple(a[b[i]] for i in range(len(a)))
 
 
+def _check_order(name: str, order: int) -> None:
+    """Refuse a builtin model before its N x N table is filled."""
+    if order > GROUP_ORDER_CEILING:
+        raise ResourceLimit(f"{name} is past the group-order ceiling {GROUP_ORDER_CEILING}")
+
+
 @lru_cache(maxsize=None)
 def model_symmetric(k: int) -> GroupModel:
-    if k > 7:
-        raise ValidationError("symmetric-group model capped at degree 7")
+    _check_order(f"sigma{k}", factorial(k))
     return GroupModel(f"sigma{k}", list(permutations(range(k))), _perm_mult)
 
 
@@ -183,11 +192,13 @@ def model_trivial() -> GroupModel:
 
 @lru_cache(maxsize=None)
 def model_cyclic(m: int) -> GroupModel:
+    _check_order(f"c{m}", m)
     return GroupModel(f"c{m}", list(range(m)), lambda a, b: (a + b) % m)
 
 
 @lru_cache(maxsize=None)
 def model_cyclic_product(m: int, k: int) -> GroupModel:
+    _check_order(f"c{m}xc{k}", m * k)
     elems = [(a, b) for a in range(m) for b in range(k)]
     return GroupModel(
         f"c{m}xc{k}", elems, lambda x, y: ((x[0] + y[0]) % m, (x[1] + y[1]) % k)
@@ -219,12 +230,12 @@ def symplectic_form(d: int):
 def model_extraspecial(p: int, d: int) -> GroupModel:
     """Order p^{2d+1}, exponent p: F_p x F_p^{2d} with multiplication twisted
     by the standard symplectic form."""
-    if p == 2:
-        raise ValidationError("extraspecial model requires an odd prime")
     if d < 1:
         raise ValidationError("extraspecial model requires d >= 1")
-    if p ** (2 * d + 1) > 100000:
-        raise ValidationError("extraspecial model too large")
+    # 3^21 is past the ceiling, so capping d at 10 changes no verdict for p >= 3
+    _check_order(f"extraspecial({p},{d})", p ** (2 * min(d, 10) + 1))
+    if p == 2 or not is_prime(p):
+        raise ValidationError("extraspecial model requires an odd prime")
     b = symplectic_form(d)
     vecs = [()]
     for _ in range(2 * d):

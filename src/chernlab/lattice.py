@@ -10,7 +10,9 @@ from __future__ import annotations
 import re
 from itertools import combinations
 
-from .errors import InexactDivision, LambdaOutOfRange, ValidationError
+from .errors import InexactDivision, LambdaOutOfRange, ResourceLimit, ValidationError
+
+THETA_POINTS_CEILING = 1 << 20
 
 
 class Theta:
@@ -38,6 +40,9 @@ class Theta:
         return tuple((k * x) % self.modulus for x in a)
 
     def points(self):
+        # exact test: a modulus >= 2 to the 21st, or 2^21 to any n >= 1, is past it
+        if min(self.modulus, 2 << 20) ** min(self.n, 21) > THETA_POINTS_CEILING:
+            raise ResourceLimit(f"{self} has more than {THETA_POINTS_CEILING} points")
         out = [()]
         for _ in range(self.n):
             out = [pt + (x,) for pt in out for x in range(self.modulus)]
@@ -253,7 +258,7 @@ def fourier_inverse(theta: Theta, cy, rows) -> list[LatticeDivisor]:
 
 # -- Newton conversion between lambda and psi sequences ----------------------
 
-def newton_lambda_to_psi(lams: list, count: int, one=None):
+def newton_lambda_to_psi(lams: list, count: int):
     """psi_1..psi_count from lambda_1..; Newton's identity
     psi_k = lam_1 psi_{k-1} - lam_2 psi_{k-2} + ... + (-1)^{k-1} k lam_k.
 

@@ -20,9 +20,9 @@ from .errors import (
 )
 from .groups import GroupModel
 from .lattice import LatticeDivisor, Theta, fourier, fourier_inverse
-from .repring import CharacterTable, RepRing, RestrictionResult
+from .repring import CharacterTable, RepRing
 
-OMEGA_GROUP_CEILING = 10000
+OMEGA_TUPLE_ENTRIES = 1 << 24  # tuple entries written by one commuting-tuple search
 OMEGA_CH_NODES = 10000  # search nodes of one OmegaCh enumeration
 OMEGA_DPRIME_VISITS = 1 << 20  # search nodes x |Theta| of one Omega'' enumeration
 
@@ -42,21 +42,22 @@ def group_p_valuation(model: GroupModel, p: int) -> int:
 # -- Hom enumeration -----------------------------------------------------------
 
 def commuting_tuples(model: GroupModel, p: int, n: int) -> list[tuple[int, ...]]:
-    if model.size > OMEGA_GROUP_CEILING:
-        raise ResourceLimit(f"group of order {model.size} exceeds the ceiling")
+    """Commuting n-tuples of p-power elements, in lexicographic order."""
     pelems = model.p_power_elements(p)
     table = model.table
     out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...]):
+    stack: list[tuple[int, ...]] = [()]
+    entries = 0
+    while stack:
+        prefix = stack.pop()
+        entries += len(prefix) + 1
+        if entries > OMEGA_TUPLE_ENTRIES:
+            raise ResourceLimit(f"commuting-tuple search exceeds {OMEGA_TUPLE_ENTRIES} entries")
         if len(prefix) == n:
             out.append(prefix)
-            return
-        for x in pelems:
-            if all(table[x][y] == table[y][x] for y in prefix):
-                extend(prefix + (x,))
-
-    extend(())
+            continue
+        stack.extend(prefix + (x,) for x in reversed(pelems)
+                     if all(table[x][y] == table[y][x] for y in prefix))
     return out
 
 
@@ -256,29 +257,11 @@ def kappa(
         raise NonIntegralMultiplicity(str(exc)) from exc
 
 
-def _linear_rules(ring: RepRing, restriction: RestrictionResult):
-    """Forced assignments D_j = sum a_i D_i from Sylow-kernel vectors with a
-    single +1 coefficient (after normalization) and nonpositive others."""
-    rules = []
-    for vec in restriction.kernel_basis:
-        coeffs = list(vec.coeffs)
-        for sign in (1, -1):
-            cs = [sign * c for c in coeffs]
-            plus = [i for i, c in enumerate(cs) if c > 0]
-            if len(plus) == 1 and cs[plus[0]] == 1:
-                j = plus[0]
-                rhs = {i: -c for i, c in enumerate(cs) if c < 0}
-                rules.append((j, rhs))
-                break
-    return rules
-
-
 def enumerate_omega_ch(
     ring: RepRing,
     p: int,
     n: int,
     v: int | None = None,
-    sylow_restriction: RestrictionResult | None = None,
 ) -> list[OmegaChElem]:
     """All Lambda-semiring homomorphisms into N[Theta(v)], by depth-first
     assignment in increasing dimension order with constraint propagation.
@@ -304,7 +287,6 @@ def enumerate_omega_ch(
     for i in range(1, h):
         for r in range(2, dims[i] + 1):
             lambda_relations.append((i, r, ring.lam_irreducible(i, r).coeffs))
-    rules = _linear_rules(ring, sylow_restriction) if sylow_restriction else []
 
     zero_div = LatticeDivisor(theta, [theta.zero()])
 
@@ -373,13 +355,6 @@ def enumerate_omega_ch(
                     if forced and forced[0] not in assign:
                         assign[forced[0]] = forced[1]
                         changed = True
-            for j, rhs in rules:
-                if j not in assign and all(k in assign for k in rhs):
-                    div = divisor_of_vec(assign, [rhs.get(k, 0) for k in range(h)])
-                    if div.dim() != dims[j]:
-                        return None
-                    assign[j] = div
-                    changed = True
         return assign
 
     results: list[OmegaChElem] = []

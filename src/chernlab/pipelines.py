@@ -11,7 +11,14 @@ Gorenstein socle, and the Klein-subgroup restriction of c_3).
 from __future__ import annotations
 
 from .cert import Certificate
-from .divisor import DivisorPoly, divisor_from_roots, divisor_lambda, divisor_mul, divisor_psi
+from .divisor import (
+    DivisorPoly,
+    divisor_from_roots,
+    divisor_lambda,
+    divisor_mul,
+    divisor_psi,
+    tpoly_mul,
+)
 from .errors import ValidationError
 from .fgl import honda_fgl
 from .field import GF
@@ -27,7 +34,7 @@ from .groebner import (
 from .groups import model_symmetric
 from .lattice import LatticeDivisor, Theta
 from .omega import enumerate_omega, enumerate_omega_ch, kappa
-from .poly import Poly, PolyRing, parse_poly
+from .poly import PolyRing, parse_poly
 from .presentation import build_presentation
 from .repring import RepRing, table_sigma3
 from .symfunc import symmetrize
@@ -64,24 +71,24 @@ def sigma3_pipeline() -> Certificate:
     x = U.gen("x")
     two_x = law.mul_in_ring(2, x, U)
     expect_2x = U.reduce(-x + U.pow(x, 9))
-    trunc12 = cap_ring(GF(3), ["x"], [12])
+    trunc12 = cap_ring(GF(3), ["x"], [12])  # U and trunc12 share the ring F_3[x]
     cert.add(
         "mul2_series_matches_mod_x12",
-        trunc12.reduce(_transport(two_x, trunc12)) == trunc12.reduce(_transport(expect_2x, trunc12)),
+        trunc12.reduce(two_x) == trunc12.reduce(expect_2x),
         {"[2](x)": two_x.text(U.order)},
     )
     D = divisor_from_roots(U, law, [x, law.mul_in_ring(-1, x, U)])
     y = D.coeffs[1]
     psiD = divisor_psi(D, 2)
     y_psi = psiD.coeffs[1]
-    lhs = trunc12.reduce(_transport(y_psi, trunc12))
+    lhs = trunc12.reduce(y_psi)
     minus_x2_minus_x10 = trunc12.reduce(
         -trunc12.pow(trunc12.gen("x"), 2) - trunc12.pow(trunc12.gen("x"), 10)
     )
     cert.add("psi2_y_expansion_mod_y6", lhs == minus_x2_minus_x10,
              {"y(psi2 D) mod x^12": lhs.text(trunc12.order)})
-    delta = trunc12.reduce(lhs - trunc12.reduce(_transport(y, trunc12)))
-    y5 = trunc12.reduce(trunc12.pow(_transport(y, trunc12), 5))
+    delta = trunc12.reduce(lhs - y)
+    y5 = trunc12.pow(trunc12.reduce(y), 5)
     cert.add("psi2_y_minus_y_is_unit_times_y5", delta == y5,
              {"difference": delta.text(trunc12.order), "y^5": y5.text(trunc12.order),
               "unit": 1})
@@ -93,18 +100,6 @@ def sigma3_pipeline() -> Certificate:
     kimg = {kappa(rep.table, model_symmetric(3), r, 3, 2) for r in om.reps}
     cert.add("kappa_bijective", kimg == set(och), {})
     return cert
-
-
-def _transport(p: Poly, target: QuotientRing) -> Poly:
-    """Move a polynomial between rings with identically named variables."""
-    out = {}
-    for e, c in p.terms.items():
-        exps = [0] * target.ring.nvars
-        for i, a in enumerate(e):
-            if a:
-                exps[target.ring.var_index(p.ring.variables[i])] = a
-        out[tuple(exps)] = c
-    return target.reduce(Poly(target.ring, out))
 
 
 # ---------------------------------------------------------------------------
@@ -322,11 +317,8 @@ def sigma4_pipeline() -> Certificate:
     fD = D.poly_coeffs()
     fpsi = psiD.poly_coeffs()
     fdD = dD.poly_coeffs()
-    lhs = _tpoly_mul(A, fD, fpsi)
-    shift = _tpoly_mul(A, [A.ring.one(), w], fdD)  # (t+w) f_{[d]D}
-    rhs = [A.ring.zero()] * 7
-    for i, cc in enumerate(shift):
-        rhs[i] = cc  # multiply by t^2: degree 4+2 = 6
+    lhs = tpoly_mul(A, fD, fpsi)
+    rhs = tpoly_mul(A, [A.ring.one(), w, A.ring.zero(), A.ring.zero()], fdD)  # t^2 (t+w)
     g = [A.reduce(a - b) for a, b in zip(lhs, rhs)]
     cert.add("g_t6_vanishes", g[0].is_zero(), {})
     rvals = {}
@@ -420,17 +412,6 @@ def r2p_closed_poly(ring):
 
 def r4p_closed_poly(ring):
     return parse_poly(ring, "w*c2^3 + w^2*c2 + w*c3")
-
-
-def _tpoly_mul(q: QuotientRing, a: list[Poly], b: list[Poly]) -> list[Poly]:
-    out = [q.ring.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = q.reduce(out[i + j] + x * y)
-    return out
 
 
 def _jointly_independent(pairs, field) -> bool:

@@ -237,6 +237,28 @@ class Poly:
             return self
         return self.scale(self.ring.field.inv(lt[1]))
 
+    def to_ring(self, ring: PolyRing) -> "Poly":
+        """The same polynomial in ``ring``, variables matched by name.
+
+        ``ring`` must be over the same field and hold every variable that
+        occurs in self.
+        """
+        if ring.field != self.ring.field:
+            raise IncompatibleRing(f"{self.ring} and {ring} have different fields")
+        slots = [ring._index.get(v) for v in self.ring.variables]
+        out = {}
+        for e, c in self.terms.items():
+            exps = list(ring._zero_exp)
+            for i, a in enumerate(e):
+                if a:
+                    if slots[i] is None:
+                        raise ValidationError(
+                            f"variable {self.ring.variables[i]!r} is not in {ring}"
+                        )
+                    exps[slots[i]] = a
+            out[tuple(exps)] = c
+        return Poly(ring, out)
+
     def substitute(self, assignment: dict) -> "Poly":
         """Ring homomorphism sending each variable to a polynomial.
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from math import comb
 
-from .divisor import DivisorPoly, divisor_lambda, divisor_mul
+from .divisor import DivisorPoly, divisor_lambda, divisor_mul, tpoly_mul
 from .errors import DegreeCeiling, ValidationError
 from .fgl import FGL
 from .field import GF, FiniteField
-from .groebner import GroebnerBasis, QuotientRing, buchberger
-from .poly import Poly, PolyRing, lex_order
+from .groebner import QuotientRing, buchberger, cap_ring
+from .poly import Poly
 from .repring import RepRing
 from .omega import p_part_exponent
 
@@ -72,15 +72,7 @@ def _product_coeffs(ambient_q: QuotientRing, divisors, mults) -> list[Poly]:
     coeffs = [ambient_q.ring.one()]
     for div, m in zip(divisors, mults):
         for _ in range(m):
-            f = div.poly_coeffs()
-            new = [ambient_q.ring.zero()] * (len(coeffs) + len(f) - 1)
-            for i, a in enumerate(coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(f):
-                    if b:
-                        new[i + j] = ambient_q.reduce(new[i + j] + a * b)
-            coeffs = new
+            coeffs = tpoly_mul(ambient_q, coeffs, div.poly_coeffs())
     return coeffs
 
 
@@ -130,17 +122,10 @@ def build_presentation(
             name = f"c{i+1}_{k}"
             var_of[(i, k)] = name
             var_names.append(name)
-    ambient = PolyRing(field, var_names)
-    order = lex_order(ambient.nvars)
-
     killed: set[str] = set()
 
     def make_quotient():
-        gens = [ambient.gen(nm) ** trunc for nm in var_names if nm not in killed]
-        gens += [ambient.gen(nm) for nm in killed]
-        if not gens:
-            return QuotientRing(GroebnerBasis(ambient, order, []))
-        return QuotientRing(buchberger(gens, order))
+        return cap_ring(field, var_names, [1 if nm in killed else trunc for nm in var_names])
 
     def tautological(q: QuotientRing):
         divs = [DivisorPoly(q, law, [q.ring.zero()])]  # trivial representation
@@ -198,13 +183,9 @@ def build_presentation(
             raise DegreeCeiling("lambda degree exceeds ceiling")
     rels = relations_for(ambient_q, divs, pairs, lambda_targets)
 
-    all_gens = [ambient.gen(nm) ** trunc for nm in var_names]
-    all_gens += [ambient.gen(nm) for nm in killed]
-    all_gens += rels
-    if all_gens:
-        final_q = QuotientRing(buchberger(all_gens, order))
-    else:
-        final_q = QuotientRing(GroebnerBasis(ambient, order, []))
+    final_q = ambient_q
+    if rels:
+        final_q = QuotientRing(buchberger(ambient_q.basis.polys + rels, ambient_q.order))
     final_q.std_monomials()
     return Presentation(
         rep, law, v, trunc, final_q, var_names, rels, sorted(killed)

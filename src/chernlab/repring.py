@@ -8,7 +8,6 @@ constants are computed by exact cyclotomic inner products.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -444,42 +443,25 @@ class RestrictionResult:
 
 
 def _solve_integer_combination(rows: list[list[int]], target: list[int]):
-    """Integer solution x of x . rows = target, or None (exact, Fraction-based
-    elimination plus integrality check)."""
-    nrows, ncols = len(rows), len(target)
-    mat = [[Fraction(rows[r][c]) for r in range(nrows)] for c in range(ncols)]
-    rhs = [Fraction(t) for t in target]
-    piv_cols: list[tuple[int, int]] = []
-    row = 0
-    for col in range(nrows):
-        piv = next((r for r in range(row, ncols) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        rhs[row], rhs[piv] = rhs[piv], rhs[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        rhs[row] = rhs[row] * inv
-        for r in range(ncols):
-            if r != row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[row])]
-                rhs[r] = rhs[r] - f * rhs[row]
-        piv_cols.append((row, col))
-        row += 1
-    for r in range(row, ncols):
-        if rhs[r]:
+    """Integer solution x of x . rows = target, or None: the target is reduced
+    against the echelon rows of [rows | I]."""
+    aug, rank = _integer_echelon(rows)
+    m = len(target)
+    rest = list(target)
+    sol = [0] * len(rows)
+    for row in aug[:rank]:
+        col = next(k for k in range(m) if row[k])
+        q, r = divmod(rest[col], row[col])
+        if r:
             return None
-    sol = [Fraction(0)] * nrows
-    for r, col in piv_cols:
-        sol[col] = rhs[r]
-    if any(s.denominator != 1 for s in sol):
-        return None
-    return [int(s) for s in sol]
+        rest = [a - q * b for a, b in zip(rest, row)]
+        sol = [a + q * b for a, b in zip(sol, row[m:])]
+    return None if any(rest) else sol
 
 
-def _integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
-    """Basis of {x in Z^n : x.M = 0} via unimodular row reduction of [M | I]."""
+def _integer_echelon(matrix: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Unimodular row reduction of [M | I] and the rank of M: the first rank
+    rows are in echelon form in their M part, the others have M part 0."""
     n = len(matrix)
     m = len(matrix[0]) if matrix else 0
     aug = [list(matrix[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
@@ -502,7 +484,14 @@ def _integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
             if done:
                 row += 1
                 break
-    return [r[m:] for r in aug[row:]]
+    return aug, row
+
+
+def _integer_kernel(matrix: list[list[int]]) -> list[list[int]]:
+    """Basis of {x in Z^n : x.M = 0}: the transforms of the zero rows."""
+    aug, rank = _integer_echelon(matrix)
+    m = len(matrix[0]) if matrix else 0
+    return [r[m:] for r in aug[rank:]]
 
 
 def restriction_kernel(

@@ -82,7 +82,7 @@ def c_alpha(alpha, theta: Theta) -> LatticeDivisor:
     return LatticeDivisor.from_counts(theta, counts)
 
 
-def enumerate_U(p: int, d: int, n: int, verify: bool = True) -> list[UPair]:
+def enumerate_U(p: int, d: int, n: int) -> list[UPair]:
     """All pairs from the coset classification: for rank e <= d, one u per
     coset of the image, with multiplicity p^{d-e}; empty for e > d."""
     if p == 2:
@@ -105,11 +105,9 @@ def enumerate_U(p: int, d: int, n: int, verify: bool = True) -> list[UPair]:
             seen.add(coset)
             u = LatticeDivisor.from_counts(theta, {pt: mult for pt in coset})
             pairs.append(UPair(alpha, u, rank))
-    if verify:
-        for pair in pairs:
-            lhs = pair.u * pair.u.psi(p - 1)
-            if lhs != c_alpha(pair.alpha, theta):
-                raise ValidationError("enumerated pair fails the defining equation")
+    for pair in pairs:
+        if pair.u * pair.u.psi(p - 1) != c_alpha(pair.alpha, theta):
+            raise ValidationError("enumerated pair fails the defining equation")
     return pairs
 
 

@@ -152,6 +152,19 @@ def test_extraspecial_table_check(capsys):
     "omega --group c8 --p 2 --n 2 --variant dprime",
     "omega --group trivial --p 3 --n 3 --v 3 --variant dprime",
     "omega --group sigma3 --p 3 --n 2 --v 3 --variant ch",
+    "omega --group c2 --p 2 --n 1500",
+    "omega --group c2 --p 2 --n 40 --variant dprime",
+    # degree and precision ceilings of the Chern-ring presentation and the laws
+    "chern --group extraspecial(5,1) --p 5 --n 1",
+    "chern --group c2 --p 2 --n 2 --prec 2",
+    "chern --group sigma4 --p 3 --n 1 --prec 8",
+    "fgl --multiplicative --p 2 --n 1 --prec 0 --series 2",
+    # group orders past the ceiling are refused before any table is built
+    "omega --group c100000 --p 2 --n 1",
+    "export-table --group c100000",
+    "omega --group sigma7 --p 3 --n 2 --variant plain",
+    "omega --group extraspecial(3,1000000000) --p 3 --n 1",
+    "omega --group extraspecial(9,1) --p 3 --n 1",
 ])
 def test_bad_parameters_exit_2_with_one_error_line(capsys, argv):
     assert run(argv.split()) == 2

@@ -8,6 +8,7 @@ from chernlab.divisor import (
     divisor_lambda,
     divisor_mul,
     divisor_psi,
+    tpoly_mul,
 )
 from chernlab.errors import DegreeCeiling
 from chernlab.fgl import honda_fgl, multiplicative_fgl
@@ -24,6 +25,12 @@ def law():
 @pytest.fixture()
 def Q(law):
     return cap_ring(GF(4), ["x", "y"], [4, 4])
+
+
+def test_tpoly_mul_of_two_linear_factors(Q):
+    x, y = Q.gen("x"), Q.gen("y")
+    one = Q.ring.one()
+    assert tpoly_mul(Q, [one, -x], [one, -y]) == [one, -(x + y), x * y]
 
 
 def test_degree_one_product_is_formal_sum(law, Q):

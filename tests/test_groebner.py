@@ -170,3 +170,4 @@ def test_cap_ring_dimensions():
     assert cap_ring(GF(2), ["x", "y"], [4, 4]).dimension() == 16
     assert cap_ring(GF(2), ["x", "y"], total=7).dimension() == 28
     assert cap_ring(GF(3), ["x", "y", "z"], total=7).dimension() == 84
+    assert cap_ring(GF(2), []).dimension() == 1

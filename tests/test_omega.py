@@ -1,6 +1,6 @@
 import pytest
 
-from chernlab.groups import builtin_model, model_symmetric
+from chernlab.groups import builtin_model, model_symmetric, model_trivial
 from chernlab.lattice import LatticeDivisor, Theta
 from chernlab.omega import (
     count_omega_dprime,
@@ -14,10 +14,7 @@ from chernlab.omega import (
 )
 from chernlab.repring import (
     RepRing,
-    builtin_fusion,
     builtin_group,
-    restriction_kernel,
-    table_dihedral8,
     table_sigma3,
     table_sigma4,
     table_trivial,
@@ -110,11 +107,9 @@ def test_kappa_bijective_sigma4(s4_ring):
     assert kimg == set(och)
 
 
-def test_omega_ch_with_sylow_pruning_agrees(s4_ring):
-    rd8 = RepRing(table_dihedral8())
-    res = restriction_kernel(s4_ring, rd8, builtin_fusion("sigma4", "d8"))
-    assert enumerate_omega_ch(s4_ring, 2, 2, sylow_restriction=res) == \
-        enumerate_omega_ch(s4_ring, 2, 2)
+def test_omega_trivial_group_deep_tuples():
+    # 5000 levels of tuple search: an explicit stack, not a RecursionError
+    assert enumerate_omega(model_trivial(), 2, 5000).reps == [(0,) * 5000]
 
 
 def test_omega_prime_sigma4_equals_omega():

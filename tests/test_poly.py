@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chernlab.errors import UnassignedVariable
+from chernlab.errors import IncompatibleRing, UnassignedVariable, ValidationError
 from chernlab.field import GF
 from chernlab.poly import PolyRing, grlex_order, lex_order, parse_poly
 
@@ -18,6 +18,18 @@ def random_poly(ring, rng, terms=4, deg=3):
         exps = tuple(rng.randrange(deg) for _ in range(ring.nvars))
         p = p + ring.monomial(exps, rng.randrange(1, ring.field.q))
     return p
+
+
+def test_to_ring_matches_variables_by_name():
+    small = PolyRing(GF(4), ["x", "y"])
+    big = PolyRing(GF(4), ["_s1", "x", "y"])
+    p = parse_poly(small, "x*y^2")
+    assert p.to_ring(big) == parse_poly(big, "x*y^2")
+    assert p.to_ring(big).to_ring(small) == p
+    with pytest.raises(ValidationError):
+        big.gen("_s1").to_ring(small)
+    with pytest.raises(IncompatibleRing):
+        p.to_ring(PolyRing(GF(2), ["x", "y"]))
 
 
 def test_ring_axioms_random(ring):

@@ -6,6 +6,7 @@ from chernlab.errors import InconsistentFusion, NotACharacterTable, UnknownGroup
 from chernlab.repring import (
     CharacterTable,
     RepRing,
+    _solve_integer_combination,
     builtin_fusion,
     builtin_group,
     lambda_rho_brute,
@@ -155,6 +156,14 @@ def test_quotient_psi_sigma4(r4):
     basis = [0, 1, 4, 3]  # 1, eps, tau, eps*tau = rho
     mat = res.quotient_psi(2, basis)
     assert mat[2] == [2, 1, -1, 1]
+
+
+def test_integer_combination_with_dependent_rows():
+    # 2 and 3 are dependent over Q, yet -1 * 2 + 1 * 3 = 1 over Z
+    sol = _solve_integer_combination([[2], [3]], [1])
+    assert sol is not None and 2 * sol[0] + 3 * sol[1] == 1
+    assert _solve_integer_combination([[2], [4]], [1]) is None
+    assert _solve_integer_combination([[1, 0], [0, 2]], [3, 4]) == [3, 2]
 
 
 def test_inconsistent_fusion_rejected(r4):

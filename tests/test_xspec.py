@@ -30,7 +30,7 @@ def test_surjective_alpha_gives_empty_fibre():
 
 def test_defining_equation_holds():
     theta = Theta(3, 1, 1)
-    for pair in enumerate_U(3, 1, 1, verify=False):
+    for pair in enumerate_U(3, 1, 1):
         assert pair.u * pair.u.psi(2) == c_alpha(pair.alpha, theta)
 
 
