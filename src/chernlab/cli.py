@@ -73,7 +73,7 @@ def cmd_fgl(args) -> int:
     else:
         law = honda_fgl(args.p, args.n, args.prec)
     cert = Certificate(
-        "fgl", {"p": args.p, "n": args.n, "prec": args.prec, "series": args.series}
+        "fgl", {"p": args.p, "n": law.n, "prec": args.prec, "series": args.series}
     )
     text = law.series_text(args.series)
     cert.add("series", True, {f"[{args.series}](x)": text})

@@ -61,10 +61,6 @@ class InexactDivision(ChernlabError):
     pass
 
 
-class NotAUnit(ChernlabError):
-    pass
-
-
 class NotACharacterTable(ValidationError):
     """Orthogonality or consistency failure in a character table."""
 

@@ -1,14 +1,16 @@
 """Truncated formal group laws over F_p.
 
-The height-n law is built from its logarithm l(x) = sum_i x^{p^{ni}}/p^i with
-exact rational arithmetic, checked for p-integrality and reduced mod p.  The
-multiplicative law x + y - xy is available for height-one work.  Series are
-kept modulo x^prec (total degree prec in two variables).
+The height-n law at p is F = l^{-1}(l(x) + l(y)) for the Honda logarithm
+l(x) = sum_i x^{p^{ni}}/p^i.  It is built over the integers: L(x) = l(px)/p is
+integral and starts with x, so its compositional inverse G is integral too, and
+G(L(x) + L(y)) = F(px, py)/p.  Dividing the coefficient of x^i y^j there
+exactly by p^{i+j-1} proves F p-integral; only the quotient is reduced mod p.
+The multiplicative law x + y - xy is available for height-one work.  Series
+are kept modulo x^prec (total degree prec in two variables).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -25,48 +27,40 @@ from .poly import Poly, PolyRing
 PREC_CEILING = 64
 
 
-# -- rational truncated series helpers (dicts deg -> Fraction) ---------------
+# -- truncated integer series (dicts deg -> int or (i, j) -> int) ------------
 
 def _uni_mul(a: dict, b: dict, prec: int) -> dict:
     out: dict = {}
     for i, ca in a.items():
         for j, cb in b.items():
-            k = i + j
-            if k >= prec:
-                continue
-            v = out.get(k, 0) + ca * cb
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-    return out
+            if i + j < prec:
+                out[i + j] = out.get(i + j, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
 
 
 def _bi_mul(a: dict, b: dict, prec: int) -> dict:
     out: dict = {}
     for (i1, j1), ca in a.items():
         for (i2, j2), cb in b.items():
-            i, j = i1 + i2, j1 + j2
-            if i + j >= prec:
-                continue
-            key = (i, j)
-            v = out.get(key, 0) + ca * cb
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-    return out
+            if i1 + i2 + j1 + j2 < prec:
+                key = (i1 + i2, j1 + j2)
+                out[key] = out.get(key, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
 
 
-def _add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
+def _compose(outer: dict, inner: dict, mul, prec: int, one) -> dict:
+    """outer(inner) by Horner's rule: outer maps degree -> coefficient, inner
+    is a truncated series whose product is mul and whose unit monomial is one."""
+    acc: dict = {}
+    for d in range(max(outer, default=0), -1, -1):
+        acc = mul(acc, inner, prec)
+        if outer.get(d):
+            acc[one] = acc.get(one, 0) + outer[d]
+    return acc
+
+
+def _mod(series: dict, p: int) -> dict:
+    return {k: c % p for k, c in series.items() if c % p}
 
 
 class FGL:
@@ -96,25 +90,16 @@ class FGL:
     def add_series(self, a: dict, b: dict) -> dict:
         """F(a(x), b(x)) for univariate truncated series without constant term."""
         prec = self.prec
-        p = self.p
-        max_i = max((i for i, _ in self.terms), default=0)
-        max_j = max((j for _, j in self.terms), default=0)
-        pow_a = {0: {0: 1}, 1: dict(a)}
-        pow_b = {0: {0: 1}, 1: dict(b)}
-        for k in range(2, max_i + 1):
-            pow_a[k] = _uni_mul(pow_a[k - 1], a, prec)
-        for k in range(2, max_j + 1):
-            pow_b[k] = _uni_mul(pow_b[k - 1], b, prec)
+        pa, pb = [{0: 1}], [{0: 1}]
+        for _ in range(max(i for i, _ in self.terms)):
+            pa.append(_uni_mul(pa[-1], a, prec))
+        for _ in range(max(j for _, j in self.terms)):
+            pb.append(_uni_mul(pb[-1], b, prec))
         out: dict = {}
         for (i, j), c in self.terms.items():
-            term = _uni_mul(pow_a[i], pow_b[j], prec)
-            for d, cc in term.items():
-                v = (out.get(d, 0) + c * cc) % p
-                if v:
-                    out[d] = v
-                else:
-                    out.pop(d, None)
-        return out
+            for d, v in _uni_mul(pa[i], pb[j], prec).items():
+                out[d] = out.get(d, 0) + c * v
+        return _mod(out, self.p)
 
     def negation_series(self) -> dict:
         """The series m with F(x, m(x)) = 0, solved degree by degree."""
@@ -140,17 +125,13 @@ class FGL:
         if k == -1:
             out = self.negation_series()
         elif k < 0:
-            pos = self.mul_series(-k)
-            neg = self.mul_series(-1)
-            out = _compose_uni(neg, pos, self.prec, self.p)
+            neg, pos = self.mul_series(-1), self.mul_series(-k)
+            out = _mod(_compose(neg, pos, _uni_mul, self.prec, 0), self.p)
+        elif k % 2 == 0:
+            half = self.mul_series(k // 2)
+            out = self.add_series(half, half)
         else:
-            if k == 2:
-                out = self.add_series({1: 1}, {1: 1})
-            elif k % 2 == 0:
-                half = self.mul_series(k // 2)
-                out = self.add_series(half, half)
-            else:
-                out = self.add_series(self.mul_series(k - 1), {1: 1})
+            out = self.add_series(self.mul_series(k - 1), {1: 1})
         self._mul_cache[k] = out
         return dict(out)
 
@@ -229,52 +210,41 @@ class FGL:
         return f"FGL({self.kind}, p={self.p}, n={self.n}, prec={self.prec})"
 
 
-def _compose_uni(outer: dict, inner: dict, prec: int, p: int) -> dict:
-    """outer(inner(x)) for truncated series over F_p, inner without constant term."""
-    if any(d == 0 for d in inner):
-        raise ValidationError("inner series must have no constant term")
-    max_d = max(outer, default=0)
-    powers = {0: {0: 1}}
-    for k in range(1, max_d + 1):
-        powers[k] = _uni_mul(powers[k - 1], inner, prec)
-    out: dict = {}
-    for d, c in outer.items():
-        for e, cc in powers[d].items():
-            v = (out.get(e, 0) + c * cc) % p
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _honda_log(p: int, n: int, prec: int) -> dict:
-    log = {}
-    i = 0
-    while p ** (n * i) < prec:
-        log[p ** (n * i)] = Fraction(1, p ** i)
-        i += 1
-    return log
-
-
-def _series_inverse(log: dict, prec: int) -> dict:
-    """Compositional inverse of x + higher, by fixed-point iteration."""
-    g = {1: Fraction(1)}
-    max_d = max(log)
-    for _ in range(prec + 2):
-        # g <- x - (log(g) - g); converges degree by degree
-        powers = {1: g}
-        for k in range(2, max_d + 1):
-            powers[k] = _uni_mul(powers[k - 1], g, prec)
-        lg: dict = {}
-        for d, c in log.items():
-            lg = _add(lg, {k: c * v for k, v in powers[d].items()})
-        tail = _add(lg, {k: -v for k, v in g.items()})  # log(g) - g
-        new = _add({1: Fraction(1)}, {k: -v for k, v in tail.items()})
+def _series_inverse(f: dict, prec: int) -> dict:
+    """Compositional inverse of x + (terms of degree >= 2): each pass of
+    g <- x - (f - x)(g) fixes at least one more degree."""
+    tail = {d: c for d, c in f.items() if d != 1}
+    g = {1: 1}
+    for _ in range(prec):
+        new = {1: 1, **{d: -c for d, c in _compose(tail, g, _uni_mul, prec, 0).items()}}
         if new == g:
             return g
         g = new
     raise ResourceLimit("series inversion did not converge")
+
+
+def _integral_law(log: dict, p: int, prec: int) -> dict:
+    """Terms mod p of F = l^{-1}(l(x) + l(y)), given log = L(x) = l(px)/p.
+
+    L is integral and starts with x, so G = L^{-1} is integral and
+    G(L(x) + L(y)) = F(px, py)/p; its x^i y^j coefficient must divide exactly
+    by p^{i+j-1}, else NonIntegralCoefficient.
+    """
+    s = {}
+    for d, c in log.items():
+        s[(d, 0)] = c
+        s[(0, d)] = c
+    scaled = _compose(_series_inverse(log, prec), s, _bi_mul, prec, (0, 0))
+    terms = {}
+    for (i, j), c in scaled.items():
+        q, r = divmod(c, p ** (i + j - 1))
+        if r:
+            raise NonIntegralCoefficient(
+                f"coefficient {c}/{p}^{i + j - 1} of x^{i} y^{j} is not p-integral"
+            )
+        if q % p:
+            terms[(i, j)] = q % p
+    return terms
 
 
 def _check_precision(prec: int) -> None:
@@ -289,35 +259,16 @@ def _check_precision(prec: int) -> None:
 def honda_fgl(p: int, n: int, prec: int = 32) -> FGL:
     """Height-n formal group law at p with [p](x) = x^{p^n}, to precision prec.
 
-    Built as F = l^{-1}(l(x) + l(y)) over the rationals; construction fails
-    loudly if any coefficient is not p-integral.
+    Built over the integers from L(x) = l(px)/p = sum_i p^{q^i-1-i} x^{q^i},
+    q = p^n (see the module docstring); a coefficient of F that is not
+    p-integral raises NonIntegralCoefficient.
     """
     _check_precision(prec)
     if n < 1:
         raise ValidationError("need height >= 1")
-    log = _honda_log(p, n, prec)
-    log_inv = _series_inverse(log, prec)
-    # s = l(x) + l(y) as a bivariate series
-    s = {}
-    for d, c in log.items():
-        s[(d, 0)] = c
-        s[(0, d)] = c
-    # F = log_inv(s) by Horner: acc <- acc*s + b_d for d = top..1, then *s
-    top = max(log_inv)
-    F: dict = {}
-    for d in range(top, 0, -1):
-        F = _bi_mul(F, s, prec)
-        if d in log_inv:
-            F = _add(F, {(0, 0): log_inv[d]})
-    F = _bi_mul(F, s, prec)
-    terms = {}
-    for key, c in F.items():
-        if c.denominator != 1:
-            raise NonIntegralCoefficient(f"coefficient {c} at {key} is not p-integral")
-        v = c.numerator % p
-        if v:
-            terms[key] = v
-    law = FGL(p, n, prec, terms, "honda")
+    q = p ** n
+    log = {q ** i: p ** (q ** i - 1 - i) for i in range(prec) if q ** i < prec}
+    law = FGL(p, n, prec, _integral_law(log, p, prec), "honda")
     _check_height(law)
     return law
 

@@ -158,9 +158,6 @@ class FiniteField:
             e >>= 1
         return r
 
-    def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p)
-
     def from_int(self, n: int) -> int:
         """Image of the rational integer n under Z -> F_q."""
         return n % self.p

@@ -8,7 +8,6 @@ from itertools import combinations_with_replacement
 from .errors import (
     IncompatibleRing,
     InfiniteDimensional,
-    NotAUnit,
     NotLocal,
     ResourceLimit,
     ValidationError,
@@ -256,32 +255,6 @@ class QuotientRing:
 
     def dimension(self) -> int:
         return len(self.std_monomials())
-
-    def invert(self, p: Poly) -> Poly:
-        """Inverse of a unit c + n with c nonzero and n nilpotent.
-
-        Uses the geometric series (c+n)^-1 = c^-1 sum_k (-n/c)^k, which
-        terminates in a local Artinian quotient.
-        """
-        p = self.reduce(p)
-        c = p.constant_term()
-        if not c:
-            raise NotAUnit("inverse of a non-unit")
-        fld = self.field
-        cinv = fld.inv(c)
-        n = p - self.ring.const(c)
-        result = self.ring.zero()
-        term = self.ring.const(cinv)
-        steps = 0
-        while term:
-            result = result + term
-            term = self.mul(term, n).scale(fld.neg(cinv))
-            steps += 1
-            if steps > 4096:
-                raise ResourceLimit("unit inversion did not terminate")
-        if self.mul(result, p) != self.ring.one():
-            raise NotAUnit("element is not invertible in this quotient")
-        return result
 
     # -- local-ring analysis -------------------------------------------------
     def verify_local(self) -> None:

@@ -322,12 +322,10 @@ def sigma4_pipeline() -> Certificate:
     g = [A.reduce(a - b) for a, b in zip(lhs, rhs)]
     cert.add("g_t6_vanishes", g[0].is_zero(), {})
     rvals = {}
-    ok_r = True
     for k in range(1, 5):
         rvals[k] = g[k]
         expected = A.reduce(pp(SIGMA4_R_EXPECT[k]))
         match = g[k] == expected and g[k].text(order) == expected.text(order)
-        ok_r = ok_r and match
         cert.add(f"r{k}_bytematch", match, {f"r{k}": g[k].text(order)})
     cert.add("g_low_coefficients_vanish", g[5].is_zero() and g[6].is_zero(), {})
 

@@ -15,7 +15,7 @@ from math import comb
 from .divisor import DivisorPoly, divisor_lambda, divisor_mul, tpoly_mul
 from .errors import DegreeCeiling, ValidationError
 from .fgl import FGL
-from .field import GF, FiniteField
+from .field import GF
 from .groebner import QuotientRing, buchberger, cap_ring
 from .poly import Poly
 from .repring import RepRing
@@ -95,7 +95,6 @@ def build_presentation(
     rep: RepRing,
     law: FGL,
     v: int | None = None,
-    base_field: FiniteField | None = None,
 ) -> Presentation:
     """Generators, relations and the Groebner-reduced quotient of the
     Chern-class ring of a representation ring over a finite field."""
@@ -106,9 +105,7 @@ def build_presentation(
         v = v_g
     if v < v_g:
         raise ValidationError(f"v={v} is below the p-part {v_g} of the exponent")
-    field = base_field or GF(p)
-    if field.p != p:
-        raise ValidationError("base field characteristic differs from the law")
+    field = GF(p)
     trunc = p ** (law.n * v_g)
 
     h = rep.h

@@ -410,54 +410,6 @@ class RestrictionResult:
         self.matrix = matrix
         self.rank = ring_g.h - len(kernel)
 
-    def contains(self, v: VirtualRep) -> bool:
-        """Exact membership of v in the kernel lattice."""
-        if not self.kernel_basis:
-            return all(c == 0 for c in v.coeffs)
-        rows = [list(b.coeffs) for b in self.kernel_basis]
-        target = list(v.coeffs)
-        sol = _solve_integer_combination(rows, target)
-        return sol is not None
-
-    def quotient_psi(self, k: int, basis_indices: list[int]) -> list[list[int]]:
-        """Matrix of psi^k on R(G)/I in the basis of the given irreducibles."""
-        ring = self.ring_g
-        out = []
-        for i in basis_indices:
-            target = ring.adams(ring.irreducible(i), k)
-            sol = self._express(target, basis_indices)
-            if sol is None:
-                raise ValidationError("chosen irreducibles do not span R(G)/I")
-            out.append(sol)
-        return out
-
-    def _express(self, v: VirtualRep, basis_indices: list[int]):
-        """Write v mod I as an integer combination of the chosen irreducibles."""
-        ring = self.ring_g
-        rows = [list(ring.irreducible(i).coeffs) for i in basis_indices]
-        rows += [list(b.coeffs) for b in self.kernel_basis]
-        sol = _solve_integer_combination(rows, list(v.coeffs))
-        if sol is None:
-            return None
-        return sol[: len(basis_indices)]
-
-
-def _solve_integer_combination(rows: list[list[int]], target: list[int]):
-    """Integer solution x of x . rows = target, or None: the target is reduced
-    against the echelon rows of [rows | I]."""
-    aug, rank = _integer_echelon(rows)
-    m = len(target)
-    rest = list(target)
-    sol = [0] * len(rows)
-    for row in aug[:rank]:
-        col = next(k for k in range(m) if row[k])
-        q, r = divmod(rest[col], row[col])
-        if r:
-            return None
-        rest = [a - q * b for a, b in zip(rest, row)]
-        sol = [a + q * b for a, b in zip(sol, row[m:])]
-    return None if any(rest) else sol
-
 
 def _integer_echelon(matrix: list[list[int]]) -> tuple[list[list[int]], int]:
     """Unimodular row reduction of [M | I] and the rank of M: the first rank

@@ -101,16 +101,3 @@ def symmetrize(p: Poly, block: list[str], e_ring: PolyRing, e_names: list[str]) 
             result = result + e_ring.monomial(tuple(exps), c)
     return result
 
-
-def symmetrize_check(p: Poly, block: list[str], e_ring: PolyRing, e_names: list[str]) -> Poly:
-    """symmetrize() plus an exact round-trip verification."""
-    q = symmetrize(p, block, e_ring, e_names)
-    assignment = {}
-    for k, name in enumerate(e_names):
-        assignment[name] = elementary_symmetric(p.ring, block, k + 1)
-    for i, v in enumerate(e_ring.variables):
-        if v not in e_names and v in p.ring._index:
-            assignment[v] = p.ring.gen(v)
-    if q.substitute(assignment) != p:
-        raise NotSymmetric("round-trip substitution failed")
-    return q

@@ -25,6 +25,16 @@ def test_fgl_negation_series(capsys):
     assert out.strip() == "x^22 + x^16 + x^10 + x^4 + x"
 
 
+def test_fgl_multiplicative_records_height_one(capsys):
+    # the multiplicative law has height 1 whatever --n says
+    code, out = run_capture(capsys, "fgl", "--multiplicative", "--p", "2", "--n", "3",
+                            "--series", "2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["n"] == 1
+    assert doc["clauses"][0]["witness"] == {"[2](x)": "x^2"}
+
+
 def test_groebner_subcommand(capsys):
     code, out = run_capture(
         capsys, "groebner", "--q", "3", "--vars", "x,y",

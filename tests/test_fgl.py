@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
-from chernlab.errors import PrecisionExceeded, ResourceLimit
-from chernlab.fgl import honda_fgl, multiplicative_fgl
+from chernlab.errors import NonIntegralCoefficient, PrecisionExceeded, ResourceLimit
+from chernlab.fgl import _integral_law, honda_fgl, multiplicative_fgl
 from chernlab.field import GF
 from chernlab.groebner import cap_ring
 
@@ -32,6 +34,60 @@ def test_unit_axiom_all_laws():
         assert all(c == 0 for (i, j), c in law.terms.items() if j == 0 and i != 1)
         assert all(c == 0 for (i, j), c in law.terms.items() if i == 0 and j != 1)
         assert law.terms[(1, 0)] == law.terms[(0, 1)] == 1
+
+
+# -- the integer construction against a rational oracle -------------------------
+
+def _trunc_mul(a, b, prec):
+    """Product of truncated series keyed by exponent tuples."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = tuple(u + v for u, v in zip(ka, kb))
+            if sum(k) < prec:
+                out[k] = out.get(k, 0) + ca * cb
+    return out
+
+
+def _rational_honda_terms(p, n, prec):
+    """Terms mod p of l^{-1}(l(x) + l(y)) for l(x) = sum_i x^{p^{ni}}/p^i,
+    built over the rationals from power tables."""
+    log = {p ** (n * i): Fraction(1, p ** i) for i in range(prec) if p ** (n * i) < prec}
+    inv = {(1,): Fraction(1)}
+    while True:  # inv <- x + inv - l(inv), one more correct degree per pass
+        new, power = dict(inv), {(0,): 1}
+        new[(1,)] += 1
+        for d in range(1, max(log) + 1):
+            power = _trunc_mul(power, inv, prec)
+            for k, c in power.items():
+                new[k] = new.get(k, 0) - log.get(d, 0) * c
+        new = {k: c for k, c in new.items() if c}
+        if new == inv:
+            break
+        inv = new
+    s = {}
+    for d, c in log.items():
+        s[(d, 0)] = s[(0, d)] = c
+    law, power = {}, {(0, 0): 1}
+    for d in range(1, prec):
+        power = _trunc_mul(power, s, prec)
+        for k, c in power.items():
+            law[k] = law.get(k, 0) + inv.get((d,), 0) * c
+    assert all(c.denominator == 1 for c in law.values())
+    return {k: c.numerator % p for k, c in law.items() if c.numerator % p}
+
+
+@pytest.mark.parametrize("p,n,prec", [(2, 2, 32), (3, 2, 64), (2, 3, 64), (7, 1, 64),
+                                      (2, 2, 48)])
+def test_integer_law_matches_rational_oracle(p, n, prec):
+    assert honda_fgl(p, n, prec).terms == _rational_honda_terms(p, n, prec)
+
+
+def test_non_honda_logarithm_is_not_p_integral():
+    # l(x) = x + x^3/2 at p = 2 has F = x + y - (3/2) x^2 y + ...; the integer
+    # construction takes L(x) = l(2x)/2 = x + 2x^3
+    with pytest.raises(NonIntegralCoefficient):
+        _integral_law({1: 1, 3: 2}, 2, 8)
 
 
 # -- axioms checked symbolically in capped rings ------------------------------

@@ -159,13 +159,6 @@ def test_socle_requires_finite_dimension():
         q.socle()
 
 
-def test_unit_inversion():
-    ring = PolyRing(GF(3), ["x"])
-    q = QuotientRing(gb_of(ring, ["x^5"]))
-    u = q.reduce(parse_poly(ring, "1 + x + 2*x^3"))
-    assert q.mul(u, q.invert(u)) == ring.one()
-
-
 def test_cap_ring_dimensions():
     assert cap_ring(GF(2), ["x", "y"], [4, 4]).dimension() == 16
     assert cap_ring(GF(2), ["x", "y"], total=7).dimension() == 28

@@ -64,6 +64,6 @@ def test_ingested_d8_usable_for_restriction():
     r4 = RepRing(table_sigma4())
     rd8 = RepRing(td8)
     res = restriction_kernel(r4, rd8, builtin_fusion("sigma4", "d8"))
-    assert len(res.kernel_basis) == 1
     gen = r4.by_name("sigma") - r4.one() - r4.by_name("eps")
-    assert res.contains(gen)
+    assert [b.coeffs for b in res.kernel_basis] in ([gen.coeffs], [(-1 * gen).coeffs])
+    assert res.rank == 4
