@@ -211,13 +211,19 @@ class FGL:
 
 
 def _series_inverse(f: dict, prec: int) -> dict:
-    """Compositional inverse of x + (terms of degree >= 2): each pass of
-    g <- x - (f - x)(g) fixes at least one more degree."""
+    """Compositional inverse of x + (terms of degree >= 2) by passes of
+    g <- x - (f - x)(g).  If g agrees with the inverse below degree m, the
+    next pass agrees below m + d - 1, d the lowest degree of f - x, so each
+    pass works only to that precision; a pass at prec that returns g proves
+    it the inverse."""
     tail = {d: c for d, c in f.items() if d != 1}
+    step = min(tail, default=2) - 1
     g = {1: 1}
+    work = 1 + step  # x agrees with the inverse below degree d
     for _ in range(prec):
-        new = {1: 1, **{d: -c for d, c in _compose(tail, g, _uni_mul, prec, 0).items()}}
-        if new == g:
+        work = min(prec, work + step)
+        new = {1: 1, **{d: -c for d, c in _compose(tail, g, _uni_mul, work, 0).items()}}
+        if new == g and work == prec:
             return g
         g = new
     raise ResourceLimit("series inversion did not converge")

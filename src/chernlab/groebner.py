@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import os
 from itertools import combinations_with_replacement
 
@@ -21,6 +22,12 @@ def _divides(a: tuple, b: tuple) -> bool:
 
 def _lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+# Running totals over every buchberger call in the process: pairs popped,
+# pairs skipped by the product and by the chain criterion, S-polynomials
+# reduced, and reductions to zero.  pairs == product + chain + reduced.
+COUNTS = {"pairs": 0, "product": 0, "chain": 0, "reduced": 0, "zero": 0}
 
 
 def _pair_ceiling() -> int:
@@ -51,18 +58,27 @@ class GroebnerBasis:
 
 
 def normal_form(p: Poly, basis: GroebnerBasis) -> Poly:
-    """Full reduction: no monomial of the result is divisible by a leading term."""
+    """Full reduction: no monomial of the result is divisible by a leading term.
+
+    The work terms sit in a max-heap of order keys.  Every term a reduction
+    step adds lies below the term it reduces, so each monomial enters the heap
+    once; a cancelled term keeps a zero coefficient and is skipped when popped.
+    """
     if p.ring != basis.ring:
         raise IncompatibleRing("polynomial not in the basis ring")
-    order = basis.order
+    key = basis.order.key
     fld = p.ring.field
     remainder: dict = {}
     work = dict(p.terms)
+    heap = [(tuple(-x for x in key(e)), e) for e in work]
+    heapq.heapify(heap)
     lts = basis.leading_terms
     polys = basis.polys
-    while work:
-        e = max(work, key=order.key)
+    while heap:
+        e = heapq.heappop(heap)[1]
         c = work.pop(e)
+        if not c:
+            continue
         for lt, g in zip(lts, polys):
             if _divides(lt, e):
                 shift = tuple(x - y for x, y in zip(e, lt))
@@ -71,11 +87,11 @@ def normal_form(p: Poly, basis: GroebnerBasis) -> Poly:
                     if ge == lt:
                         continue
                     me = tuple(x + y for x, y in zip(ge, shift))
-                    s = fld.sub(work.get(me, 0), fld.mul(c, gc))
-                    if s:
-                        work[me] = s
-                    else:
-                        work.pop(me, None)
+                    old = work.get(me)
+                    if old is None:
+                        old = 0
+                        heapq.heappush(heap, (tuple(-x for x in key(me)), me))
+                    work[me] = fld.sub(old, fld.mul(c, gc))
                 break
         else:
             remainder[e] = c
@@ -95,9 +111,13 @@ def _spoly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
 def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
     """Reduced Groebner basis; normal pair strategy, deterministic output.
 
-    Pairs whose leading terms are coprime are skipped (product criterion).
-    Raises ResourceLimit when the processed-pair count exceeds the
-    CHERNLAB_CEILING environment override (default 200000).
+    Pending pairs sit in a heap keyed by (deg lcm, order key of lcm, i, j).  A
+    popped pair is skipped when its leading terms are coprime (product
+    criterion) or when some other member's leading term divides their lcm and
+    neither pair with that member is still pending (chain criterion; Gebauer
+    and Moeller, J. Symbolic Comput. 6 (1988)).  Raises ResourceLimit when the
+    count of popped pairs, skipped ones included, exceeds the
+    CHERNLAB_CEILING environment override (default 200000).  Adds to COUNTS.
     """
     gens = [g for g in generators if g]
     if not gens:
@@ -107,35 +127,49 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
         if g.ring != ring:
             raise IncompatibleRing("generators in mixed rings")
     basis: list[Poly] = []
+    lts: list[tuple] = []
+    heap: list = []
+    pending: set = set()
+
+    def add(g: Poly) -> None:
+        k = len(basis)
+        basis.append(g)
+        lts.append(g.leading(order)[0])
+        for i in range(k):
+            lcm = _lcm(lts[i], lts[k])
+            heapq.heappush(heap, (sum(lcm), order.key(lcm), i, k, lcm))
+            pending.add((i, k))
+
     for g in gens:
-        basis.append(g.monic(order))
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
-
-    def pair_key(ij):
-        i, j = ij
-        lcm = _lcm(basis[i].leading(order)[0], basis[j].leading(order)[0])
-        return (sum(lcm), order.key(lcm), i, j)
-
+        add(g.monic(order))
+    view = GroebnerBasis(ring, order, basis[:])
     ceiling = _pair_ceiling()
     processed = 0
-    while pairs:
-        ij = min(pairs, key=pair_key)
-        pairs.discard(ij)
+    while heap:
+        _, _, i, j, lcm = heapq.heappop(heap)
+        pending.discard((i, j))
         processed += 1
+        COUNTS["pairs"] += 1
         if processed > ceiling:
             raise ResourceLimit(f"Buchberger pair ceiling {ceiling} exceeded")
-        i, j = ij
-        ei = basis[i].leading(order)[0]
-        ej = basis[j].leading(order)[0]
-        if all(a == 0 or b == 0 for a, b in zip(ei, ej)):
-            continue  # coprime leading terms
-        s = _spoly(basis[i], basis[j], order)
-        r = normal_form(s, GroebnerBasis(ring, order, basis))
+        if all(a == 0 or b == 0 for a, b in zip(lts[i], lts[j])):
+            COUNTS["product"] += 1
+            continue
+        if any(
+            k != i and k != j and _divides(lt, lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, lt in enumerate(lts)
+        ):
+            COUNTS["chain"] += 1
+            continue
+        COUNTS["reduced"] += 1
+        r = normal_form(_spoly(basis[i], basis[j], order), view)
         if r:
-            r = r.monic(order)
-            k = len(basis)
-            basis.append(r)
-            pairs.update((m, k) for m in range(k))
+            add(r.monic(order))
+            view = GroebnerBasis(ring, order, basis[:])
+        else:
+            COUNTS["zero"] += 1
     result = _interreduce(ring, order, basis)
     if os.environ.get("CHERNLAB_VERIFY_GB"):
         assert_groebner(result)

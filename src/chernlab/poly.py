@@ -259,49 +259,6 @@ class Poly:
             out[tuple(exps)] = c
         return Poly(ring, out)
 
-    def substitute(self, assignment: dict) -> "Poly":
-        """Ring homomorphism sending each variable to a polynomial.
-
-        Every variable occurring in self must be assigned; images must share
-        one target ring (values may also be encoded constants of its field).
-        """
-        target = None
-        for v in assignment.values():
-            if isinstance(v, Poly):
-                target = v.ring
-                break
-        if target is None:
-            target = self.ring
-        images: list = []
-        for i, name in enumerate(self.ring.variables):
-            if name in assignment:
-                val = assignment[name]
-                if not isinstance(val, Poly):
-                    val = target.const(target.field.check(val))
-                elif val.ring != target:
-                    raise IncompatibleRing("substitution images in mixed rings")
-                images.append(val)
-            else:
-                images.append(None)
-        fld = target.field
-        out = target.zero()
-        pow_cache: dict = {}
-        for e, c in self.terms.items():
-            term = target.const(fld.check(c) if fld.q == self.ring.field.q else c)
-            for i, exp in enumerate(e):
-                if not exp:
-                    continue
-                if images[i] is None:
-                    raise UnassignedVariable(
-                        f"variable {self.ring.variables[i]!r} has no assigned image"
-                    )
-                key = (i, exp)
-                if key not in pow_cache:
-                    pow_cache[key] = images[i] ** exp
-                term = term * pow_cache[key]
-            out = out + term
-        return out
-
     # -- text ----------------------------------------------------------------
     def text(self, order: MonomialOrder | None = None) -> str:
         """Canonical text: terms sorted descending in the active order."""

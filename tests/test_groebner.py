@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from chernlab.errors import InfiniteDimensional
+from chernlab import cli
+from chernlab.errors import InfiniteDimensional, ResourceLimit
 from chernlab.field import GF
 from chernlab.groebner import (
+    COUNTS,
     QuotientRing,
     assert_groebner,
     buchberger,
@@ -164,3 +166,120 @@ def test_cap_ring_dimensions():
     assert cap_ring(GF(2), ["x", "y"], total=7).dimension() == 28
     assert cap_ring(GF(3), ["x", "y", "z"], total=7).dimension() == 84
     assert cap_ring(GF(2), []).dimension() == 1
+
+
+# -- oracle: textbook Buchberger, no criteria, least pair first ---------------
+
+F7_LEX_IDEAL = ["x^2+4*y*z+4*z+6", "y^3+2*x*z+1", "z^3+3*x*y+y+6"]
+
+
+def divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def leading_exp(p, order):
+    # lex and grlex restated for the identity variable precedence
+    assert order.precedence == tuple(range(p.ring.nvars))
+    if order.kind == "grlex":
+        return max(p.terms, key=lambda e: (sum(e), e))
+    return max(p.terms)
+
+
+def textbook_reduce(p, divisors, order):
+    """Remainder of p on division by monic divisors, largest term first."""
+    ring = p.ring
+    remainder = ring.zero()
+    lts = [leading_exp(g, order) for g in divisors]
+    while p:
+        e = leading_exp(p, order)
+        c = p.terms[e]
+        for lt, g in zip(lts, divisors):
+            if divides(lt, e):
+                p = p - g * ring.monomial(tuple(x - y for x, y in zip(e, lt)), c)
+                break
+        else:
+            remainder = remainder + ring.monomial(e, c)
+            p = p - ring.monomial(e, c)
+    return remainder
+
+
+def textbook_buchberger(gens, order):
+    """Reduced Groebner basis, as the list of texts of its members, by
+    all-pairs Buchberger with no criterion and the least pending pair first."""
+    basis = [g.monic(order) for g in gens if g]
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    while pairs:
+        i, j = min(pairs)
+        pairs.discard((i, j))
+        f, g = basis[i], basis[j]
+        lf, lg = leading_exp(f, order), leading_exp(g, order)
+        lcm = tuple(max(a, b) for a, b in zip(lf, lg))
+        ring = f.ring
+        s = (f * ring.monomial(tuple(a - b for a, b in zip(lcm, lf)))
+             - g * ring.monomial(tuple(a - b for a, b in zip(lcm, lg))))
+        r = textbook_reduce(s, basis, order)
+        if r:
+            basis.append(r.monic(order))
+            pairs |= {(k, len(basis) - 1) for k in range(len(basis) - 1)}
+    minimal = []
+    for g in basis:
+        lt = leading_exp(g, order)
+        if not any(divides(leading_exp(h, order), lt) for h in minimal):
+            minimal = [h for h in minimal if not divides(lt, leading_exp(h, order))]
+            minimal.append(g)
+    reduced = [textbook_reduce(g, minimal[:k] + minimal[k + 1:], order).monic(order)
+               for k, g in enumerate(minimal)]
+    reduced.sort(key=lambda g: order.key(leading_exp(g, order)), reverse=True)
+    return [g.text(order) for g in reduced]
+
+
+def random_ideal(rng, ring):
+    gens = []
+    for _ in range(rng.randrange(2, 4)):
+        p = ring.zero()
+        for _ in range(rng.randrange(2, 4)):
+            exps = tuple(rng.randrange(6 - ring.nvars) for _ in range(ring.nvars))
+            p = p + ring.monomial(exps, rng.randrange(1, ring.field.q))
+        gens.append(p)
+    return gens
+
+
+def oracle_cases():
+    f7 = PolyRing(GF(7), ["x", "y", "z"])
+    yield [parse_poly(f7, t) for t in F7_LEX_IDEAL], f7.lex()
+    caps = PolyRing(GF(2), ["x", "y"])
+    yield [parse_poly(caps, t) for t in ["x^5", "y^4"]], caps.lex()
+    total = PolyRing(GF(3), ["x", "y", "z"])
+    yield [parse_poly(total, t) for t in ["x^3", "x^2*y", "x*y*z", "y^3", "z^3"]], total.grlex()
+    rng = random.Random(2027)
+    for k in range(20):
+        ring = PolyRing(GF((2, 3, 4)[k % 3]), ["x", "y", "z"][: 2 + k % 2])
+        order = ring.lex() if k % 4 < 2 else ring.grlex()
+        yield random_ideal(rng, ring), order
+
+
+@pytest.mark.parametrize("case", range(23))
+def test_buchberger_matches_textbook_oracle(case):
+    gens, order = list(oracle_cases())[case]
+    gb = buchberger(gens, order)
+    assert [g.text(order) for g in gb.polys] == textbook_buchberger(gens, order)
+
+
+def test_counts_add_up_and_chain_criterion_fires():
+    before = dict(COUNTS)
+    gb_of(PolyRing(GF(7), ["x", "y", "z"]), F7_LEX_IDEAL)
+    run = {key: COUNTS[key] - before[key] for key in COUNTS}
+    assert run["chain"] > 0
+    assert run["pairs"] == run["product"] + run["chain"] + run["reduced"]
+    assert 0 < run["zero"] <= run["reduced"]
+
+
+def test_pair_ceiling_raises_and_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("CHERNLAB_CEILING", "5")
+    with pytest.raises(ResourceLimit):
+        gb_of(PolyRing(GF(7), ["x", "y", "z"]), F7_LEX_IDEAL)
+    code = cli.run(["groebner", "--q", "7", "--vars", "x,y,z", "--gens", ";".join(F7_LEX_IDEAL)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: Buchberger pair ceiling 5")
+    assert captured.err.count("\n") == 1
