@@ -3,6 +3,10 @@
 Elements are int tuples of length phi(e) in the power basis 1, zeta, ...,
 zeta^{phi(e)-1}.  Conjugation is zeta -> zeta^{-1}; rational elements are
 recognized exactly (unique coordinates in the power basis).
+
+Products go through the group ring Z[C_e]: ``lift`` writes an element as
+terms (k, c) meaning c*zeta^k, ``product_sum`` adds every product of terms
+into one coefficient per exponent and reduces to the power basis once.
 """
 
 from __future__ import annotations
@@ -77,6 +81,12 @@ class CyclotomicRing:
                     vec[i] -= carry * self.phi_poly[i]
         self.zero = (0,) * self.degree
         self.one = self._root_powers[0]
+        self._root_index = {v: k for k, v in enumerate(self._root_powers)}
+        # zeta^k (k < 2e - 1) as its nonzero power-basis coordinates (i, c)
+        self._root_terms = [
+            tuple((i, c) for i, c in enumerate(self._root_powers[k % e]) if c)
+            for k in range(2 * e - 1)
+        ]
 
     def root_power(self, k: int) -> tuple[int, ...]:
         return self._root_powers[k % self.e]
@@ -96,22 +106,43 @@ class CyclotomicRing:
     def scale(self, n: int, a):
         return tuple(n * x for x in a)
 
-    def mul(self, a, b):
-        deg = self.degree
-        conv = [0] * (2 * deg - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = list(conv[:deg])
-        for k in range(deg, len(conv)):
-            c = conv[k]
+    def lift(self, a) -> tuple[tuple[int, int], ...]:
+        """a as terms (k, c) of Z[C_e], meaning c*zeta^k: a root of unity
+        zeta^k is the single term (k, 1), anything else its nonzero
+        power-basis coordinates."""
+        k = self._root_index.get(a)
+        if k is not None:
+            return ((k, 1),)
+        return tuple((i, c) for i, c in enumerate(a) if c)
+
+    def product_sum(self, weights, xs, ys):
+        """sum_c w_c*x_c*y_c in the power basis, for lifted elements xs and ys.
+
+        Each product of terms is added into one coefficient per exponent of
+        Z[C_e], and the sum is reduced once.  Exponents of xs and ys lie below e.
+        """
+        acc: dict[int, int] = {}
+        get = acc.get
+        for w, x, y in zip(weights, xs, ys):
+            for i, a in x:
+                a *= w
+                for j, b in y:
+                    k = i + j
+                    acc[k] = get(k, 0) + a * b
+        return self.reduce(acc)
+
+    def reduce(self, acc: dict[int, int]):
+        """The power-basis image of sum_k acc[k]*zeta^k, for 0 <= k < 2e - 1."""
+        out = [0] * self.degree
+        terms = self._root_terms
+        for k, c in acc.items():
             if c:
-                red = self.root_power(k)
-                for i in range(deg):
-                    out[i] += c * red[i]
+                for i, r in terms[k]:
+                    out[i] += c * r
         return tuple(out)
+
+    def mul(self, a, b):
+        return self.product_sum((1,), (self.lift(a),), (self.lift(b),))
 
     def conjugate(self, a):
         """Complex conjugation zeta -> zeta^{-1}."""
@@ -143,11 +174,7 @@ class CyclotomicRing:
         if self.e % other.e:
             raise ValidationError(f"no embedding Q(zeta_{other.e}) -> Q(zeta_{self.e})")
         step = self.e // other.e
-        out = self.zero
-        for k, c in enumerate(a):
-            if c:
-                out = self.add(out, self.scale(c, self.root_power(k * step)))
-        return out
+        return self.reduce({k * step: c for k, c in other.lift(a)})
 
     def text(self, a) -> str:
         if self.is_rational(a):

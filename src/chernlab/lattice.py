@@ -212,26 +212,21 @@ def parse_divisor(theta: Theta, text: str) -> LatticeDivisor:
 def _transform(theta: Theta, cy, functions, sign: int) -> list[list[tuple[int, ...]]]:
     """f -> (y -> sum_z f(z) w^{sign <y,z>}) for functions f on theta.points().
 
-    Values lie in cy = Z[zeta_e] and w = zeta_e^{e/p^v}; the table of pairing
-    exponents is built once per call.
+    Values lie in cy = Z[zeta_e] and w = zeta_e^{e/p^v}; the pairing table
+    is built once per call, as lifted roots of unity for cy.product_sum.
     """
     e = cy.e
     if e % theta.modulus:
         raise ValidationError(f"p^{theta.v} does not divide the exponent {e}")
     step = sign * (e // theta.modulus)
     pts = theta.points()
-    exps = [[sum(a * b for a, b in zip(y, z)) * step % e for z in pts] for y in pts]
+    pairing = [[((sum(a * b for a, b in zip(y, z)) * step % e, 1),) for z in pts]
+               for y in pts]
+    ones = [1] * len(pts)
     out = []
     for f in functions:
-        terms = [(j, i, c) for j, value in enumerate(f) for i, c in enumerate(value) if c]
-        row = []
-        for ey in exps:
-            acc = [0] * e  # coefficients of zeta^0 .. zeta^{e-1}
-            for j, i, c in terms:
-                acc[(i + ey[j]) % e] += c
-            row.append(tuple(sum(c * cy.root_power(k)[d] for k, c in enumerate(acc) if c)
-                             for d in range(cy.degree)))
-        out.append(row)
+        lifted = [cy.lift(value) for value in f]
+        out.append([cy.product_sum(ones, lifted, w) for w in pairing])
     return out
 
 

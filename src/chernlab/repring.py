@@ -35,16 +35,13 @@ from .lattice import newton_psi_to_lambda
 
 def _class_inner(cy, class_sizes, order, values, conj_row) -> int:
     """(1/|G|) sum_c |c| a(c) conj(b)(c) for class functions a = values and
-    conj(b) = conj_row over the cyclotomic ring cy.
+    conj(b) = conj_row, both lifted by cy.lift into Z[C_e].
 
     Raises InexactDivision unless the sum is |G| times a rational integer.
     """
-    zero = cy.zero
-    total = zero
-    for a, b, size in zip(values, conj_row, class_sizes):
-        if a != zero and b != zero:
-            total = cy.add(total, cy.scale(size, cy.mul(a, b)))
-    return cy.rational_value(cy.divide_exact(total, order))
+    return cy.rational_value(
+        cy.divide_exact(cy.product_sum(class_sizes, values, conj_row), order)
+    )
 
 
 class CharacterTable:
@@ -77,7 +74,10 @@ class CharacterTable:
         self.validate()
 
     def identity_class(self) -> int:
-        return next(i for i, o in enumerate(self.class_orders) if o == 1)
+        for i, o in enumerate(self.class_orders):
+            if o == 1:
+                return i
+        raise NotACharacterTable("no class of element order 1")
 
     def power_map(self, k: int) -> list[int]:
         k %= self.exponent
@@ -86,13 +86,15 @@ class CharacterTable:
         return self.power_maps[k]
 
     # -- exact inner products -------------------------------------------------
-    def _conj_rows(self):
-        if not hasattr(self, "_conj_rows_cache"):
+    def _lifted(self):
+        """The rows and their conjugates lifted into Z[C_e], once per table."""
+        if not hasattr(self, "_lifted_cache"):
             cy = self.cyclo
-            self._conj_rows_cache = [
-                [cy.conjugate(v) for v in row] for row in self.rows
-            ]
-        return self._conj_rows_cache
+            conj = [[cy.conjugate(v) for v in row] for row in self.rows]
+            self._lifted_cache = tuple(
+                [[cy.lift(v) for v in row] for row in rows] for rows in (self.rows, conj)
+            )
+        return self._lifted_cache
 
     def _row_index(self):
         if not hasattr(self, "_row_index_cache"):
@@ -112,7 +114,9 @@ class CharacterTable:
         hit = self._row_index().get(tuple(values))
         if hit is not None:
             return [1 if i == hit else 0 for i in range(len(self.rows))]
-        return [self._inner_conj(values, cr) for cr in self._conj_rows()]
+        lift = self.cyclo.lift
+        values = [lift(v) for v in values]
+        return [self._inner_conj(values, cr) for cr in self._lifted()[1]]
 
     def validate(self) -> None:
         if sum(self.class_sizes) != self.order:
@@ -126,21 +130,21 @@ class CharacterTable:
             for v in self.rows[0]
         ):
             raise NotACharacterTable("first irreducible must be the trivial character")
-        conj = self._conj_rows()
-        for i in range(len(self.rows)):
-            for j in range(i, len(self.rows)):
+        rows, conj = self._lifted()
+        for i in range(len(rows)):
+            for j in range(i, len(rows)):
                 expected = 1 if i == j else 0
-                if self._inner_conj(self.rows[i], conj[j]) != expected:
+                if self._inner_conj(rows[i], conj[j]) != expected:
                     raise NotACharacterTable(
                         f"row orthogonality fails at ({i},{j})"
                     )
         # column orthogonality: sum_i chi_i(c) conj(chi_i(c')) = |G|/|class| delta
         cy = self.cyclo
+        ones = [1] * len(rows)
+        cols, conj_cols = list(zip(*rows)), list(zip(*conj))
         for c in range(self.nclasses):
             for c2 in range(c, self.nclasses):
-                total = cy.zero
-                for row, crow in zip(self.rows, conj):
-                    total = cy.add(total, cy.mul(row[c], crow[c2]))
+                total = cy.product_sum(ones, cols[c], conj_cols[c2])
                 if c == c2:
                     expected = cy.from_int(self.order // self.class_sizes[c])
                 else:
@@ -465,16 +469,21 @@ def restriction_kernel(
         for hc in range(th.nclasses):
             if fusion[th.power_map(k)[hc]] != tg.power_map(k)[fusion[hc]]:
                 raise InconsistentFusion(f"fusion does not commute with power map {k}")
-    # decompose inside one cyclotomic ring large enough for both tables
+    # decompose inside one cyclotomic ring large enough for both tables: a
+    # term c*zeta_f^k of Z[C_f] is c*zeta_e^(k*e/f) in Z[C_e]
     from math import lcm
 
     cy = Cyclo(lcm(tg.exponent, th.exponent))
-    hconj = [[cy.embed_from(th.cyclo, v) for v in row] for row in th._conj_rows()]
+
+    def embed(lifted, f):
+        step = cy.e // f
+        return [tuple((k * step, c) for k, c in v) for v in lifted]
+
+    hconj = [embed(row, th.exponent) for row in th._lifted()[1]]
+    grows = tg._lifted()[0]
     matrix = []
     for i in range(ring_g.h):
-        restricted = [
-            cy.embed_from(tg.cyclo, tg.rows[i][fusion[hc]]) for hc in range(th.nclasses)
-        ]
+        restricted = embed([grows[i][gc] for gc in fusion], tg.exponent)
         try:
             coeffs = [_class_inner(cy, th.class_sizes, th.order, restricted, cr)
                       for cr in hconj]

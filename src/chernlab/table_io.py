@@ -8,8 +8,10 @@ Schema (the version tag is cert.SCHEMA):
   "irreducibles": [{"dim": int, "values": [[conductor, c0, c1, ...], ...]}, ...]
 }
 Values are coordinates in the power basis of Z[zeta_conductor]; each
-conductor must divide the exponent.  Unknown fields are rejected; the table
-is fully validated (orthogonality, power maps) on ingest.
+conductor must divide the exponent.  Sizes, element orders, dims and
+conductors are integers >= 1 (JSON true is not an integer here), and exactly
+one class has element order 1.  Unknown fields are rejected; the table is
+fully validated (orthogonality, power maps) on ingest.
 """
 
 from __future__ import annotations
@@ -29,6 +31,15 @@ _IRR_KEYS = {"dim", "values"}
 def _require(cond: bool, path: str, msg: str):
     if not cond:
         raise SchemaError(f"{path}: {msg}")
+
+
+def _is_int(x) -> bool:
+    """A JSON integer: bool is an int subclass in Python, but not one here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _positive(x) -> bool:
+    return _is_int(x) and x >= 1
 
 
 def table_to_dict(table: CharacterTable) -> dict:
@@ -71,8 +82,8 @@ def table_from_dict(doc: dict) -> CharacterTable:
     name = doc["name"]
     order = doc["order"]
     e = doc["exponent"]
-    _require(isinstance(order, int) and order >= 1, "$.order", "positive integer required")
-    _require(isinstance(e, int) and e >= 1, "$.exponent", "positive integer required")
+    _require(_positive(order), "$.order", "positive integer required")
+    _require(_positive(e), "$.exponent", "positive integer required")
 
     classes = doc["classes"]
     _require(isinstance(classes, list) and classes, "$.classes", "nonempty list required")
@@ -85,17 +96,24 @@ def table_from_dict(doc: dict) -> CharacterTable:
         extra = set(cls) - _CLASS_KEYS
         _require(not extra, path, f"unknown fields {sorted(extra)}")
         _require(_CLASS_KEYS <= set(cls), path, "size, elt_order, power required")
+        for key in ("size", "elt_order"):
+            _require(_positive(cls[key]), f"{path}.{key}", "positive integer required")
+        _require(cls["elt_order"] != 1 or 1 not in orders, f"{path}.elt_order",
+                 "a second class of element order 1")
         sizes.append(cls["size"])
         orders.append(cls["elt_order"])
+        _require(isinstance(cls["power"], dict), f"{path}.power", "object required")
         for k in range(2, e):
             key = str(k)
             _require(key in cls["power"], f"{path}.power", f"missing exponent {k}")
             idx = cls["power"][key]
-            _require(isinstance(idx, int) and 0 <= idx < nclasses,
+            _require(_is_int(idx) and 0 <= idx < nclasses,
                      f"{path}.power.{key}", "class index out of range")
             power_maps[k].append(idx)
         extra_pows = set(cls["power"]) - {str(k) for k in range(2, e)}
         _require(not extra_pows, f"{path}.power", f"unknown exponents {sorted(extra_pows)}")
+    _require(1 in orders, "$.classes", "no class of element order 1")
+    identity = orders.index(1)
 
     irr = doc["irreducibles"]
     _require(isinstance(irr, list) and len(irr) == nclasses,
@@ -117,17 +135,18 @@ def table_from_dict(doc: dict) -> CharacterTable:
             _require(isinstance(val, list) and len(val) >= 2, vpath,
                      "[conductor, coeffs...] required")
             conductor = val[0]
-            _require(isinstance(conductor, int) and conductor >= 1 and e % conductor == 0,
+            _require(_positive(conductor) and e % conductor == 0,
                      vpath, "conductor must divide the exponent")
             coeffs = val[1:]
             degree = len(cyclotomic_polynomial(conductor)) - 1
             _require(len(coeffs) == degree, vpath,
                      f"need {degree} coordinates for conductor {conductor}")
-            _require(all(isinstance(c, int) for c in coeffs), vpath, "integer coordinates")
+            _require(all(_is_int(c) for c in coeffs), vpath, "integer coordinates")
             small = Cyclo(conductor)
             row.append(cy.embed_from(small, tuple(coeffs)))
-        dim = cy.rational_value(row[orders.index(1)]) if 1 in orders else None
-        _require(dim == item["dim"], f"{path}.dim", "dim disagrees with the identity value")
+        _require(_positive(item["dim"]), f"{path}.dim", "positive integer required")
+        _require(row[identity] == cy.from_int(item["dim"]), f"{path}.dim",
+                 "dim disagrees with the identity value")
         rows.append(row)
     # NotACharacterTable propagates as the validation verdict
     return CharacterTable(name, order, e, sizes, orders, power_maps, rows)

@@ -6,6 +6,88 @@ from chernlab.cyclotomic import Cyclo, cyclotomic_polynomial
 from chernlab.errors import InexactDivision
 
 
+def schoolbook_mul(cy, a, b):
+    """The power-basis product: convolve, then reduce x^k = zeta^(k mod e)."""
+    deg = cy.degree
+    conv = [0] * (2 * deg - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    conv[i + j] += x * y
+    out = list(conv[:deg])
+    for k in range(deg, len(conv)):
+        c = conv[k]
+        if c:
+            red = cy.root_power(k)
+            for i in range(deg):
+                out[i] += c * red[i]
+    return tuple(out)
+
+
+KERNEL_CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 9, 12, 36)
+
+
+def random_elements(cy, rng, count):
+    """Roots of unity c*zeta^k for c = +-1, +-2, +-3 and every k < e (so k >=
+    phi(e) too, which spreads over several coordinates), zero, and random
+    non-monomials."""
+    out = [cy.zero, cy.one]
+    for _ in range(count):
+        kind = rng.randrange(3)
+        if kind == 0:
+            out.append(cy.root_power(rng.randrange(cy.e)))
+        elif kind == 1:
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            out.append(cy.scale(c, cy.root_power(rng.randrange(cy.e))))
+        else:
+            out.append(tuple(rng.randint(-4, 4) for _ in range(cy.degree)))
+    return out
+
+
+@pytest.mark.parametrize("e", KERNEL_CONDUCTORS)
+def test_kernel_matches_schoolbook_oracle(e):
+    cy = Cyclo(e)
+    rng = random.Random(e)
+    xs = random_elements(cy, rng, 40)
+    ys = random_elements(cy, rng, 40)
+    for a, b in zip(xs, ys):
+        assert cy.mul(a, b) == schoolbook_mul(cy, a, b)
+    for _ in range(20):
+        n = rng.randint(0, len(xs))
+        weights = [rng.randint(-5, 5) for _ in range(n)]
+        expected = cy.zero
+        for w, a, b in zip(weights, xs, ys):
+            expected = cy.add(expected, cy.scale(w, schoolbook_mul(cy, a, b)))
+        lifted_x = [cy.lift(a) for a in xs[:n]]
+        lifted_y = [cy.lift(b) for b in ys[:n]]
+        assert cy.product_sum(weights, lifted_x, lifted_y) == expected
+
+
+@pytest.mark.parametrize("e", KERNEL_CONDUCTORS)
+def test_lift_reduce_and_conjugate(e):
+    cy = Cyclo(e)
+    rng = random.Random(100 + e)
+    for k in range(e):
+        assert cy.lift(cy.root_power(k)) == ((k, 1),)
+    for a in random_elements(cy, rng, 60):
+        lifted = cy.lift(a)
+        assert all(0 <= k < e and c for k, c in lifted)
+        assert cy.reduce(dict(lifted)) == a
+        assert cy.reduce({-k % e: c for k, c in lifted}) == cy.conjugate(a)
+
+
+@pytest.mark.parametrize("e", [e for e in KERNEL_CONDUCTORS if 36 % e == 0])
+def test_embedding_is_exponent_scaling(e):
+    small, big = Cyclo(e), Cyclo(36)
+    rng = random.Random(200 + e)
+    for a in random_elements(small, rng, 30):
+        expected = big.zero
+        for k, c in enumerate(a):
+            expected = big.add(expected, big.scale(c, big.root_power(k * 36 // e)))
+        assert big.embed_from(small, a) == expected
+
+
 def test_known_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)

@@ -170,15 +170,45 @@ def test_builtin_groups():
         builtin_group("m11")
 
 
-def test_corrupted_table_rejected():
-    t = table_sigma3()
+# (group, row, class, new value from (ring, old value), verdict): each
+# verdict is the message the power-basis inner product gave before the
+# Z[C_e] kernel, so the kernel keeps every check and its order
+CORRUPTIONS = [
+    ("sigma3", 2, 1, lambda cy, v: cy.from_int(1),
+     "non-integral inner product: 3 not divisible by 6"),
+    ("c6", 1, 1, lambda cy, v: cy.root_power(2),
+     "non-integral inner product: 1 not divisible by 6"),
+    ("c6", 3, 2, lambda cy, v: cy.add(cy.root_power(1), cy.root_power(2)),
+     "non-integral inner product: -2 not divisible by 6"),
+    ("c3xc3", 4, 3, lambda cy, v: cy.scale(2, cy.root_power(1)),
+     "non-integral inner product: -1 not divisible by 9"),
+    ("sigma4", 3, 2, lambda cy, v: cy.neg(v),
+     "non-integral inner product: -12 not divisible by 24"),
+    # row 1 becomes row 0
+    ("c2", 1, 1, lambda cy, v: cy.one, "row orthogonality fails at (0,1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "group,i,c,value,verdict", CORRUPTIONS,
+    ids=["sigma3", "c6-zeta2", "c6-zeta-plus-zeta2", "c3xc3", "sigma4", "c2-equal-rows"],
+)
+def test_corrupted_table_rejected(group, i, c, value, verdict):
+    t = builtin_group(group)
     rows = [list(r) for r in t.rows]
-    rows[2][1] = t.cyclo.from_int(1)  # corrupt a character value
-    with pytest.raises(NotACharacterTable):
+    rows[i][c] = value(t.cyclo, rows[i][c])
+    with pytest.raises(NotACharacterTable) as info:
         CharacterTable(
             "bad", t.order, t.exponent, t.class_sizes, t.class_orders,
             t.power_maps, rows,
         )
+    assert str(info.value) == verdict
+
+
+def test_table_without_identity_class_rejected():
+    t = table_cyclic(2)
+    with pytest.raises(NotACharacterTable, match="no class of element order 1"):
+        CharacterTable("bad", 2, 2, [1, 1], [2, 2], {}, t.rows)
 
 
 def test_cyclic_product_table():

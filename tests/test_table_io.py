@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from chernlab.cli import run
 from chernlab.errors import NotACharacterTable, SchemaError
 from chernlab.repring import (
     RepRing,
@@ -46,6 +48,59 @@ def test_corrupted_value_fails_validation():
     doc["irreducibles"][2]["values"][1] = [6, 1, 0]  # sigma(transposition) = 1
     with pytest.raises(NotACharacterTable):
         table_from_json(json.dumps(doc))
+
+
+def _set(*path_and_value):
+    """An edit of the exported c2 table: the value at a path of keys."""
+    *path, value = path_and_value
+
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+def _no_identity_class(doc):
+    doc["classes"][0]["elt_order"] = 2
+    for item in doc["irreducibles"]:
+        item["dim"] = None
+
+
+# (edit of the c2 table, the path the SchemaError names)
+BAD_FIELDS = [
+    (_set("classes", 0, "size", "1"), "$.classes[0].size"),
+    (_set("classes", 1, "elt_order", "2"), "$.classes[1].elt_order"),
+    (_set("classes", 0, "size", 1.0), "$.classes[0].size"),
+    (_set("classes", 1, "elt_order", 2.0), "$.classes[1].elt_order"),
+    (_set("classes", 1, "elt_order", 0), "$.classes[1].elt_order"),
+    (_set("classes", 1, "elt_order", 1), "$.classes[1].elt_order"),
+    (_set("classes", 0, "size", True), "$.classes[0].size"),
+    (_set("irreducibles", 0, "dim", True), "$.irreducibles[0].dim"),
+    (_set("irreducibles", 1, "dim", 0), "$.irreducibles[1].dim"),
+    (_set("order", True), "$.order"),
+    (_set("classes", 0, "power", 5), "$.classes[0].power"),
+    (_no_identity_class, "$.classes"),
+]
+
+
+@pytest.mark.parametrize("edit,path", BAD_FIELDS, ids=[
+    "size-string", "elt_order-string", "size-float", "elt_order-float", "elt_order-zero",
+    "two-identity-classes", "size-bool", "dim-bool", "dim-zero", "order-bool",
+    "power-not-object", "no-identity-class",
+])
+def test_bad_field_is_a_schema_error(tmp_path, capsys, edit, path):
+    doc = table_to_dict(builtin_group("c2"))
+    edit(doc)
+    with pytest.raises(SchemaError, match="^" + re.escape(f"{path}: ")):
+        table_from_json(json.dumps(doc))
+    table = tmp_path / "bad.json"
+    table.write_text(json.dumps(doc))
+    assert run(["table-check", "--table", str(table)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
 
 
 def test_bad_conductor_rejected():
