@@ -1,28 +1,40 @@
 """The lattice model of divisors: the Lambda-semiring N[Theta(v)].
 
-Theta(v) = (Z/p^v)^n.  A divisor is a multiset of lattice points, stored as a
-canonically sorted tuple of (point, multiplicity) pairs, so divisors are
-hashable values with multiset equality.
+Theta(v) = (Z/p^v)^n.  A divisor is a multiset of lattice points, stored as
+its count vector: a tuple of multiplicities indexed by Theta.points(), which
+is in lexicographic order.  Divisors are hashable values with multiset
+equality, and the semiring operations are index arithmetic on the vectors,
+through the translation and scaling rows that Theta builds on first use.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import combinations
+from itertools import combinations, compress
 
 from .errors import InexactDivision, LambdaOutOfRange, ResourceLimit, ValidationError
 
 THETA_POINTS_CEILING = 1 << 20
+ROW_ENTRIES_KEPT = 1 << 20  # index-row entries one Theta keeps per kind of row
 
 
 class Theta:
-    """The parameter triple (p, v, n) for the lattice (Z/p^v)^n."""
+    """The parameter triple (p, v, n) for the lattice (Z/p^v)^n.
+
+    A point's index is its base-p^v numeral, so points() is in lexicographic
+    order.  The point list and the translation and scaling rows of the
+    index arithmetic are built on first use and kept.
+    """
 
     def __init__(self, p: int, v: int, n: int):
         self.p = p
         self.v = v
         self.n = n
         self.modulus = p ** v
+        self._points = None
+        self._indices: tuple[int, ...] = ()
+        self._shifts: dict[int, tuple[int, ...]] = {}
+        self._scales: dict[int, tuple[int, ...]] = {}
 
     def reduce(self, point) -> tuple[int, ...]:
         pt = tuple(x % self.modulus for x in point)
@@ -39,14 +51,56 @@ class Theta:
     def scale(self, k: int, a) -> tuple[int, ...]:
         return tuple((k * x) % self.modulus for x in a)
 
-    def points(self):
-        # exact test: a modulus >= 2 to the 21st, or 2^21 to any n >= 1, is past it
-        if min(self.modulus, 2 << 20) ** min(self.n, 21) > THETA_POINTS_CEILING:
-            raise ResourceLimit(f"{self} has more than {THETA_POINTS_CEILING} points")
-        out = [()]
-        for _ in range(self.n):
-            out = [pt + (x,) for pt in out for x in range(self.modulus)]
-        return [tuple(p) for p in out]
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        """Every point, in lexicographic order; index 0 is the origin."""
+        if self._points is None:
+            # exact test: a modulus >= 2 to the 21st, or 2^21 to any n >= 1, is past it
+            if min(self.modulus, 2 << 20) ** min(self.n, 21) > THETA_POINTS_CEILING:
+                raise ResourceLimit(f"{self} has more than {THETA_POINTS_CEILING} points")
+            out = [()]
+            for _ in range(self.n):
+                out = [pt + (x,) for pt in out for x in range(self.modulus)]
+            self._points = tuple(out)
+            self._indices = tuple(range(len(out)))
+        return self._points
+
+    def index(self, point) -> int:
+        """The position of a point (reduced first) in points()."""
+        idx = 0
+        for x in self.reduce(point):
+            idx = idx * self.modulus + x
+        return idx
+
+    def _row(self, cache: dict, key: int, columns) -> tuple[int, ...]:
+        """cache[key], built on first use from the coordinate maps
+        f_0, ..., f_{n-1} that ``columns()`` lists: the index of
+        (f_0[y_0], ..., f_{n-1}[y_{n-1}]) for each point (y_0, ..., y_{n-1}),
+        in point order.  A cache that holds ROW_ENTRIES_KEPT entries is
+        emptied before it takes another row."""
+        row = cache.get(key)
+        if row is None:
+            if len(cache) * len(self.points()) >= ROW_ENTRIES_KEPT:
+                cache.clear()
+            m = self.modulus
+            out = [0]
+            for column in columns():
+                out = [m * s + d for s in out for d in column]
+            # one int object per index, shared by all rows
+            row = cache[key] = tuple(map(self._indices.__getitem__, out))
+        return row
+
+    def shift(self, i: int) -> tuple[int, ...]:
+        """Translation by point i: shift(i)[j] is the index of pts[i] + pts[j]."""
+        m = self.modulus
+        return self._row(self._shifts, i, lambda: [
+            [(x + y) % m for y in range(m)] for x in self.points()[i]
+        ])
+
+    def scaling(self, k: int) -> tuple[int, ...]:
+        """Multiplication by k: scaling(k)[j] is the index of k * pts[j]."""
+        m = self.modulus
+        k %= m
+        return self._row(self._scales, k, lambda: [[k * y % m for y in range(m)]] * self.n)
 
     def __eq__(self, other):
         return (
@@ -64,37 +118,54 @@ class Theta:
 class LatticeDivisor:
     """A finite multiset over Theta(v); the additive monoid is multiset union.
 
-    Multiplication is the convolution [a][b] = [a+b]; lambda^k sums over
-    k-element sub-multisets; psi^k multiplies every point by k.
+    ``vec[i]`` is the multiplicity of ``theta.points()[i]``.  Multiplication
+    is the convolution [a][b] = [a+b]; lambda^k sums over k-element
+    sub-multisets; psi^k multiplies every point by k.
     """
 
-    __slots__ = ("theta", "pairs")
+    __slots__ = ("theta", "vec")
 
-    def __init__(self, theta: Theta, points=(), pairs=None):
+    def __init__(self, theta: Theta, points=()):
         self.theta = theta
-        if pairs is not None:
-            self.pairs = pairs
-            return
-        counts: dict = {}
+        counts = [0] * len(theta.points())
         for pt in points:
-            pt = theta.reduce(pt)
-            counts[pt] = counts.get(pt, 0) + 1
-        self.pairs = tuple(sorted(counts.items()))
+            counts[theta.index(pt)] += 1
+        self.vec = tuple(counts)
+
+    @classmethod
+    def of_vec(cls, theta: Theta, vec: tuple[int, ...]) -> "LatticeDivisor":
+        """The divisor with count vector ``vec``, taken as it is: the caller
+        supplies a tuple of len(theta.points()) nonnegative integers."""
+        self = object.__new__(cls)
+        self.theta = theta
+        self.vec = vec
+        return self
 
     @classmethod
     def from_counts(cls, theta: Theta, counts: dict) -> "LatticeDivisor":
-        pairs = tuple(
-            sorted((theta.reduce(pt), m) for pt, m in counts.items() if m)
-        )
-        if any(m < 0 for _, m in pairs):
-            raise ValidationError("negative multiplicity")
-        return cls(theta, pairs=pairs)
+        vec = [0] * len(theta.points())
+        for pt, m in counts.items():
+            if m < 0:
+                raise ValidationError("negative multiplicity")
+            vec[theta.index(pt)] += m
+        return cls.of_vec(theta, tuple(vec))
+
+    def support(self) -> list[tuple[int, int]]:
+        """The (index, multiplicity) pairs of nonzero multiplicity."""
+        vec = self.vec
+        return [(i, vec[i]) for i in compress(range(len(vec)), vec)]
+
+    @property
+    def pairs(self) -> tuple:
+        """The (point, multiplicity) pairs of the support, in point order."""
+        pts = self.theta.points()
+        return tuple((pts[i], m) for i, m in self.support())
 
     def counts(self) -> dict:
         return dict(self.pairs)
 
     def dim(self) -> int:
-        return sum(m for _, m in self.pairs)
+        return sum(self.vec)
 
     def points_with_multiplicity(self):
         for pt, m in self.pairs:
@@ -102,38 +173,38 @@ class LatticeDivisor:
                 yield pt
 
     def is_zero(self) -> bool:
-        return not self.pairs
+        return not any(self.vec)
 
     def __eq__(self, other):
         return (
             isinstance(other, LatticeDivisor)
+            and self.vec == other.vec
             and self.theta == other.theta
-            and self.pairs == other.pairs
         )
 
     def __hash__(self):
-        return hash((self.theta, self.pairs))
+        return hash((self.theta, self.vec))
 
     def __add__(self, other):
         self._check(other)
-        counts = self.counts()
-        for pt, m in other.pairs:
-            counts[pt] = counts.get(pt, 0) + m
-        return LatticeDivisor.from_counts(self.theta, counts)
+        return LatticeDivisor.of_vec(
+            self.theta, tuple([a + b for a, b in zip(self.vec, other.vec)])
+        )
 
     def __mul__(self, other):
         if isinstance(other, int):
             if other < 0:
                 raise ValidationError("negative integer multiple")
-            counts = {pt: m * other for pt, m in self.pairs}
-            return LatticeDivisor.from_counts(self.theta, counts)
+            return LatticeDivisor.of_vec(self.theta, tuple([m * other for m in self.vec]))
         self._check(other)
-        counts: dict = {}
-        for pa, ma in self.pairs:
-            for pb, mb in other.pairs:
-                key = self.theta.add(pa, pb)
-                counts[key] = counts.get(key, 0) + ma * mb
-        return LatticeDivisor.from_counts(self.theta, counts)
+        theta = self.theta
+        out = [0] * len(self.vec)
+        right = other.support()
+        for i, ma in self.support():
+            row = theta.shift(i)
+            for j, mb in right:
+                out[row[j]] += ma * mb
+        return LatticeDivisor.of_vec(theta, tuple(out))
 
     __rmul__ = __mul__
 
@@ -142,45 +213,49 @@ class LatticeDivisor:
             raise ValidationError("mixed lattice parameters")
 
     def psi(self, k: int) -> "LatticeDivisor":
-        counts: dict = {}
-        for pt, m in self.pairs:
-            key = self.theta.scale(k, pt)
-            counts[key] = counts.get(key, 0) + m
-        return LatticeDivisor.from_counts(self.theta, counts)
+        row = self.theta.scaling(k)
+        out = [0] * len(self.vec)
+        for i, m in self.support():
+            out[row[i]] += m
+        return LatticeDivisor.of_vec(self.theta, tuple(out))
 
     def lam(self, k: int) -> "LatticeDivisor":
         """lambda^k: sum over k-element sub-multisets of the sum of points.
 
         k > dim gives the empty divisor; negative k is an error.  Computed by
         iterating the two-term addition law: adding a point [pt] updates
-        lambda^j <- lambda^j + [pt] * lambda^{j-1}, levels 0..k.
+        lambda^j <- lambda^j + [pt] * lambda^{j-1}, levels k..1 in turn.
         """
         if k < 0:
             raise LambdaOutOfRange(f"lambda^{k}")
-        if k == 0:
-            return LatticeDivisor(self.theta, [self.theta.zero()])
-        if k > self.dim():
-            return LatticeDivisor(self.theta)
         theta = self.theta
-        series: list[dict] = [{theta.zero(): 1}]
-        for pt in self.points_with_multiplicity():
-            new = [dict(level) for level in series]
-            if len(new) <= k:
-                new.append({})
-            for lvl in range(min(len(new) - 1, k), 0, -1):
-                target = new[lvl]
-                for s, m in series[lvl - 1].items():
-                    key = theta.add(s, pt)
-                    target[key] = target.get(key, 0) + m
-            series = new
-        return LatticeDivisor.from_counts(self.theta, series[k])
+        size = len(self.vec)
+        if k > self.dim():
+            return LatticeDivisor.of_vec(theta, (0,) * size)
+        # series[j] is lambda^j of the points added so far, as {index: mult}
+        series: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(k)]
+        added = 0
+        for i, m in self.support():
+            row = theta.shift(i)
+            for _ in range(m):
+                added += 1
+                for lvl in range(min(added, k), 0, -1):
+                    target = series[lvl]
+                    for s, c in series[lvl - 1].items():
+                        t = row[s]
+                        target[t] = target.get(t, 0) + c
+        out = [0] * size
+        for s, c in series[k].items():
+            out[s] = c
+        return LatticeDivisor.of_vec(theta, tuple(out))
 
     # -- text form: 2[0,0] + [1,0] ------------------------------------------
     def text(self) -> str:
-        if not self.pairs:
+        pairs = self.pairs
+        if not pairs:
             return "0"
         parts = []
-        for pt, m in self.pairs:
+        for pt, m in pairs:
             body = "[" + ",".join(str(x) for x in pt) + "]"
             parts.append(body if m == 1 else f"{m}{body}")
         return " + ".join(parts)
@@ -232,9 +307,7 @@ def _transform(theta: Theta, cy, functions, sign: int) -> list[list[tuple[int, .
 
 def fourier(theta: Theta, cy, divisors) -> list[list[tuple[int, ...]]]:
     """The transform a -> sum_x mult(x) w^{<a,x>} of each divisor."""
-    pts = theta.points()
-    counts = [d.counts() for d in divisors]
-    return _transform(theta, cy, [[cy.from_int(c.get(x, 0)) for x in pts] for c in counts], 1)
+    return _transform(theta, cy, [[cy.from_int(m) for m in d.vec] for d in divisors], 1)
 
 
 def fourier_inverse(theta: Theta, cy, rows) -> list[LatticeDivisor]:
@@ -243,11 +316,13 @@ def fourier_inverse(theta: Theta, cy, rows) -> list[LatticeDivisor]:
     Raises InexactDivision unless every multiplicity is a rational integer,
     and ValidationError when one is negative.
     """
-    pts = theta.points()
+    size = len(theta.points())
     divisors = []
     for row in _transform(theta, cy, rows, -1):
-        mults = [cy.rational_value(cy.divide_exact(value, len(pts))) for value in row]
-        divisors.append(LatticeDivisor.from_counts(theta, dict(zip(pts, mults))))
+        mults = tuple(cy.rational_value(cy.divide_exact(value, size)) for value in row)
+        if min(mults) < 0:
+            raise ValidationError("negative multiplicity")
+        divisors.append(LatticeDivisor.of_vec(theta, mults))
     return divisors
 
 

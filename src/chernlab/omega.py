@@ -24,7 +24,12 @@ from .repring import CharacterTable, RepRing
 
 OMEGA_TUPLE_ENTRIES = 1 << 24  # tuple entries written by one commuting-tuple search
 OMEGA_CH_NODES = 10000  # search nodes of one OmegaCh enumeration
+OMEGA_CH_MEMO = 1 << 16  # multiplicities of the left-hand sides one OmegaCh search keeps
 OMEGA_DPRIME_VISITS = 1 << 20  # search nodes x |Theta| of one Omega'' enumeration
+
+# running totals over the process: OmegaCh search nodes, values forced by a
+# relation, and nodes cut by a contradiction
+COUNTS = {"nodes": 0, "forced": 0, "pruned": 0}
 
 
 def p_part_exponent(order_like: int, p: int) -> int:
@@ -216,8 +221,12 @@ class OmegaChElem:
     def __hash__(self):
         return hash(self.divisors)
 
+    def sort_key(self) -> list:
+        """The point-sorted pairs of each divisor: the certificate order."""
+        return [d.pairs for d in self.divisors]
+
     def __lt__(self, other):
-        return [d.pairs for d in self.divisors] < [d.pairs for d in other.divisors]
+        return self.sort_key() < other.sort_key()
 
     def text(self) -> str:
         return "; ".join(d.text() for d in self.divisors)
@@ -266,132 +275,137 @@ def enumerate_omega_ch(
     """All Lambda-semiring homomorphisms into N[Theta(v)], by depth-first
     assignment in increasing dimension order with constraint propagation.
 
-    A relation with a single unassigned divisor forces its value (multiset
-    subtraction and exact division); every relation is re-checked once all
-    its participants are assigned.
+    Each relation D_i D_j = sum c_k D_k and lambda^r(D_i) = sum c_k D_k is
+    watched by its participants and counts those still unassigned.  When
+    only one is left and it is not on the left-hand side, the relation
+    forces its value (exact multiset subtraction and division, and the
+    dimension check); when none is left, it is checked.  So each relation
+    is solved or checked once per search path, and every leaf is re-checked
+    against all relations.  Adds to COUNTS.
     """
     table = ring.table
     if v is None:
         v = p_part_exponent(table.exponent, p)
     theta = Theta(p, v, n)
-    points = theta.points()
+    size = len(theta.points())
     h = ring.h
     dims = ring.dims
     order = sorted(range(1, h), key=lambda i: (dims[i], i))
 
-    product_relations = []
-    for i in range(1, h):
-        for j in range(i, h):
-            product_relations.append((i, j, ring.mijk[i][j]))
-    lambda_relations = []
-    for i in range(1, h):
-        for r in range(2, dims[i] + 1):
-            lambda_relations.append((i, r, ring.lam_irreducible(i, r).coeffs))
+    def nonzero(coeffs):
+        return [(k, c) for k, c in enumerate(coeffs) if c]
 
-    zero_div = LatticeDivisor(theta, [theta.zero()])
+    # (i, j, r, terms): D_i * D_j when r == 0, else lambda^r(D_i); the
+    # right-hand side is sum c * D_k over terms (k, c)
+    relations = [(i, j, 0, nonzero(ring.mijk[i][j])) for i in range(1, h) for j in range(i, h)]
+    relations += [(i, i, r, nonzero(ring.lam_irreducible(i, r).coeffs))
+                  for i in range(1, h) for r in range(2, dims[i] + 1)]
+    participants = [sorted({i, j} | {k for k, _ in terms}) for i, j, _, terms in relations]
+    watch: list[list[int]] = [[] for _ in range(h)]
+    for rel, parts in enumerate(participants):
+        for x in parts:
+            watch[x].append(rel)
 
-    def divisor_of_vec(assign, coeffs):
-        """sum of c_k * D_k for an assigned nonnegative vector, or None."""
-        counts: dict = {}
-        for k, c in enumerate(coeffs):
-            if not c:
+    lhs_memo: dict = {}
+
+    def lhs_vec(values, rel):
+        """The left-hand side's count vector, memoised on its inputs (the
+        memo is emptied when full, so it stays small on any search)."""
+        i, j, r, _ = relations[rel]
+        key = (r, values[i].vec, values[j].vec)
+        out = lhs_memo.get(key)
+        if out is None:
+            if len(lhs_memo) * size >= OMEGA_CH_MEMO:
+                lhs_memo.clear()
+            out = lhs_memo[key] = (values[i].lam(r) if r else values[i] * values[j]).vec
+        return out
+
+    def combination(values, terms):
+        acc = [0] * size
+        for k, c in terms:
+            for x, m in values[k].support():
+                acc[x] += c * m
+        return acc
+
+    def assign(values, left, queue, k, div):
+        values[k] = div
+        for rel in watch[k]:
+            left[rel] -= 1
+            if 0 <= left[rel] <= 1:
+                queue.append(rel)
+
+    def settle(values, left, queue) -> bool:
+        """Solve or check the queued relations until none is left; False on
+        a contradiction.  A finished relation's count goes negative."""
+        while queue:
+            rel = queue.pop()
+            if left[rel] < 0:
                 continue
-            if k not in assign:
-                return None
-            for pt, m in assign[k].pairs:
-                counts[pt] = counts.get(pt, 0) + c * m
-        return LatticeDivisor.from_counts(theta, counts)
-
-    def check_or_solve(assign, lhs_div, coeffs):
-        """Compare lhs with sum c_k D_k; if exactly one D_k missing, solve it.
-
-        Returns (ok, forced) where forced is None or (k, divisor)."""
-        missing = [k for k, c in enumerate(coeffs) if c and k not in assign]
-        if not missing:
-            rhs = divisor_of_vec(assign, coeffs)
-            return (rhs == lhs_div), None
-        if len(missing) > 1:
-            return True, None
-        k = missing[0]
-        m = coeffs[k]
-        counts = lhs_div.counts()
-        for k2, c in enumerate(coeffs):
-            if not c or k2 == k:
+            i, j, _, terms = relations[rel]
+            if left[rel] == 0:
+                left[rel] = -1
+                if list(lhs_vec(values, rel)) != combination(values, terms):
+                    return False
                 continue
-            for pt, mm in assign[k2].pairs:
-                counts[pt] = counts.get(pt, 0) - c * mm
-                if counts[pt] < 0:
-                    return False, None
-        solved: dict = {}
-        for pt, c in counts.items():
-            if c % m:
-                return False, None
-            if c // m:
-                solved[pt] = c // m
-        div = LatticeDivisor.from_counts(theta, solved)
-        if div.dim() != dims[k]:
-            return False, None
-        return True, (k, div)
-
-    def propagate(assign):
-        changed = True
-        while changed:
-            changed = False
-            for i, j, coeffs in product_relations:
-                if i in assign and j in assign:
-                    lhs = assign[i] * assign[j]
-                    ok, forced = check_or_solve(assign, lhs, coeffs)
-                    if not ok:
-                        return None
-                    if forced and forced[0] not in assign:
-                        assign[forced[0]] = forced[1]
-                        changed = True
-            for i, r, coeffs in lambda_relations:
-                if i in assign:
-                    lhs = assign[i].lam(r)
-                    ok, forced = check_or_solve(assign, lhs, coeffs)
-                    if not ok:
-                        return None
-                    if forced and forced[0] not in assign:
-                        assign[forced[0]] = forced[1]
-                        changed = True
-        return assign
-
-    results: list[OmegaChElem] = []
-
-    def full_check(assign) -> bool:
-        for i, j, coeffs in product_relations:
-            if (assign[i] * assign[j]) != divisor_of_vec(assign, coeffs):
+            k = next(x for x in participants[rel] if values[x] is None)
+            if k == i or k == j:
+                continue  # the left-hand side is not known yet
+            left[rel] = -1
+            acc = list(lhs_vec(values, rel))
+            m = 0
+            for k2, c in terms:
+                if k2 == k:
+                    m = c
+                    continue
+                for x, mm in values[k2].support():
+                    acc[x] -= c * mm
+            if min(acc) < 0 or any(a % m for a in acc):
                 return False
-        for i, r, coeffs in lambda_relations:
-            if assign[i].lam(r) != divisor_of_vec(assign, coeffs):
+            solved = tuple(a // m for a in acc)
+            if sum(solved) != dims[k]:
                 return False
+            COUNTS["forced"] += 1
+            assign(values, left, queue, k, LatticeDivisor.of_vec(theta, solved))
         return True
 
+    def full_check(values) -> bool:
+        """Every relation at a leaf, right-hand sides summed afresh."""
+        return all(
+            list(lhs_vec(values, rel)) == combination(values, relations[rel][3])
+            for rel in range(len(relations))
+        )
+
+    results: list[OmegaChElem] = []
     nodes = 0
 
-    def dfs(assign):
+    def dfs(values, left, queue):
         nonlocal nodes
         nodes += 1
+        COUNTS["nodes"] += 1
         if nodes > OMEGA_CH_NODES:
             raise ResourceLimit(f"OmegaCh search exceeds {OMEGA_CH_NODES} nodes")
-        assign = propagate(dict(assign))
-        if assign is None:
+        if not settle(values, left, queue):
+            COUNTS["pruned"] += 1
             return
-        todo = [i for i in order if i not in assign]
-        if not todo:
-            if full_check(assign):
-                results.append(OmegaChElem([assign[i] for i in range(h)]))
+        k = next((i for i in order if values[i] is None), None)
+        if k is None:
+            if full_check(values):
+                results.append(OmegaChElem(values))
             return
-        k = todo[0]
-        for combo in combinations_with_replacement(points, dims[k]):
-            child = dict(assign)
-            child[k] = LatticeDivisor(theta, combo)
-            dfs(child)
+        for combo in combinations_with_replacement(range(size), dims[k]):
+            vec = [0] * size
+            for x in combo:
+                vec[x] += 1
+            child, child_left, child_queue = list(values), list(left), []
+            assign(child, child_left, child_queue, k, LatticeDivisor.of_vec(theta, tuple(vec)))
+            dfs(child, child_left, child_queue)
 
-    dfs({0: zero_div})
-    uniq = sorted(set(results))
-    return uniq
+    values: list = [None] * h
+    left = [len(parts) for parts in participants]
+    queue: list[int] = []
+    assign(values, left, queue, 0, LatticeDivisor(theta, [theta.zero()]))
+    dfs(values, left, queue)
+    return sorted(set(results), key=OmegaChElem.sort_key)
 
 
 def xi_class_map(

@@ -89,7 +89,7 @@ def table_from_dict(doc: dict) -> CharacterTable:
     _require(isinstance(classes, list) and classes, "$.classes", "nonempty list required")
     sizes, orders = [], []
     nclasses = len(classes)
-    power_maps: dict[int, list[int]] = {k: [] for k in range(2, e)}
+    power_maps: dict[int, list[int]] = {}
     for ci, cls in enumerate(classes):
         path = f"$.classes[{ci}]"
         _require(isinstance(cls, dict), path, "object required")
@@ -102,15 +102,19 @@ def table_from_dict(doc: dict) -> CharacterTable:
                  "a second class of element order 1")
         sizes.append(cls["size"])
         orders.append(cls["elt_order"])
-        _require(isinstance(cls["power"], dict), f"{path}.power", "object required")
-        for k in range(2, e):
-            key = str(k)
-            _require(key in cls["power"], f"{path}.power", f"missing exponent {k}")
-            idx = cls["power"][key]
+        power = cls["power"]
+        _require(isinstance(power, dict), f"{path}.power", "object required")
+        # exponents 2..e-1 are looked up while present, so nothing of size e
+        # is built before the object shows e - 2 keys
+        k = 2
+        while k < e and str(k) in power:
+            idx = power[str(k)]
             _require(_is_int(idx) and 0 <= idx < nclasses,
-                     f"{path}.power.{key}", "class index out of range")
-            power_maps[k].append(idx)
-        extra_pows = set(cls["power"]) - {str(k) for k in range(2, e)}
+                     f"{path}.power.{k}", "class index out of range")
+            power_maps.setdefault(k, []).append(idx)
+            k += 1
+        _require(k >= e, f"{path}.power", f"missing exponent {k}")
+        extra_pows = set(power) - {str(k) for k in range(2, e)}
         _require(not extra_pows, f"{path}.power", f"unknown exponents {sorted(extra_pows)}")
     _require(1 in orders, "$.classes", "no class of element order 1")
     identity = orders.index(1)

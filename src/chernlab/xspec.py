@@ -43,7 +43,7 @@ class UPair:
         self.rank = rank
 
     def key(self):
-        return (self.alpha, self.u.pairs)
+        return (self.alpha, self.u.vec)
 
     def __eq__(self, other):
         return isinstance(other, UPair) and self.key() == other.key()
@@ -71,15 +71,12 @@ def _span(points, theta: Theta):
 
 
 def c_alpha(alpha, theta: Theta) -> LatticeDivisor:
-    counts: dict = {}
-    p = theta.p
-    d2 = len(alpha)
-    for coeffs in iproduct(range(p), repeat=d2):
-        pt = theta.zero()
-        for c, col in zip(coeffs, alpha):
-            pt = theta.add(pt, theta.scale(c, col))
-        counts[pt] = counts.get(pt, 0) + 1
-    return LatticeDivisor.from_counts(theta, counts)
+    """sum over c in F_p^{2d} of [sum_i c_i alpha_i]: the product over the
+    columns of the divisors [0] + [alpha_i] + ... + [(p-1) alpha_i]."""
+    out = LatticeDivisor(theta, [theta.zero()])
+    for col in alpha:
+        out = out * LatticeDivisor(theta, [theta.scale(c, col) for c in range(theta.p)])
+    return out
 
 
 def enumerate_U(p: int, d: int, n: int) -> list[UPair]:
@@ -97,6 +94,7 @@ def enumerate_U(p: int, d: int, n: int) -> list[UPair]:
         if rank > d:
             continue
         mult = p ** (d - rank)
+        target = c_alpha(alpha, theta)
         seen = set()
         for base in pts:
             coset = frozenset(theta.add(base, s) for s in span)
@@ -104,10 +102,9 @@ def enumerate_U(p: int, d: int, n: int) -> list[UPair]:
                 continue
             seen.add(coset)
             u = LatticeDivisor.from_counts(theta, {pt: mult for pt in coset})
+            if u * u.psi(p - 1) != target:
+                raise ValidationError("enumerated pair fails the defining equation")
             pairs.append(UPair(alpha, u, rank))
-    for pair in pairs:
-        if pair.u * pair.u.psi(p - 1) != c_alpha(pair.alpha, theta):
-            raise ValidationError("enumerated pair fails the defining equation")
     return pairs
 
 

@@ -4,7 +4,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from chernlab.cyclotomic import Cyclo
-from chernlab.errors import InexactDivision, LambdaOutOfRange
+from chernlab.errors import InexactDivision, LambdaOutOfRange, ValidationError
 from chernlab.lattice import (
     LatticeDivisor,
     Theta,
@@ -15,6 +15,7 @@ from chernlab.lattice import (
     parse_divisor,
     unit_elementary,
 )
+from chernlab.omega import OmegaChElem
 
 
 @pytest.fixture
@@ -170,3 +171,127 @@ def test_fourier_inverse_rejects_a_non_transform(theta):
     row = [cy.one if a == theta.zero() else cy.zero for a in theta.points()]
     with pytest.raises(InexactDivision):
         fourier_inverse(theta, cy, [row])
+
+
+# -- oracle: the algebra on sorted (point, multiplicity) pairs ----------------
+# Divisors were stored as sorted pairs before the count vectors; these are
+# those operations, kept to check the vector arithmetic against.
+
+def oracle_from_counts(theta, counts):
+    pairs = tuple(sorted((theta.reduce(pt), m) for pt, m in counts.items() if m))
+    if any(m < 0 for _, m in pairs):
+        raise ValidationError("negative multiplicity")
+    return pairs
+
+
+def oracle_add(theta, a, b):
+    counts = dict(a)
+    for pt, m in b:
+        counts[pt] = counts.get(pt, 0) + m
+    return oracle_from_counts(theta, counts)
+
+
+def oracle_mul(theta, a, b):
+    if isinstance(b, int):
+        return oracle_from_counts(theta, {pt: m * b for pt, m in a})
+    counts = {}
+    for pa, ma in a:
+        for pb, mb in b:
+            key = theta.add(pa, pb)
+            counts[key] = counts.get(key, 0) + ma * mb
+    return oracle_from_counts(theta, counts)
+
+
+def oracle_psi(theta, a, k):
+    counts = {}
+    for pt, m in a:
+        key = theta.scale(k, pt)
+        counts[key] = counts.get(key, 0) + m
+    return oracle_from_counts(theta, counts)
+
+
+def oracle_lam(theta, a, k):
+    if k == 0:
+        return ((theta.zero(), 1),)
+    if k > sum(m for _, m in a):
+        return ()
+    series = [{theta.zero(): 1}]
+    for pt, mult in a:
+        for _ in range(mult):
+            new = [dict(level) for level in series]
+            if len(new) <= k:
+                new.append({})
+            for lvl in range(min(len(new) - 1, k), 0, -1):
+                target = new[lvl]
+                for s, m in series[lvl - 1].items():
+                    key = theta.add(s, pt)
+                    target[key] = target.get(key, 0) + m
+            series = new
+    return oracle_from_counts(theta, series[k])
+
+
+def oracle_text(pairs):
+    if not pairs:
+        return "0"
+    return " + ".join(
+        ("" if m == 1 else str(m)) + "[" + ",".join(str(x) for x in pt) + "]"
+        for pt, m in pairs
+    )
+
+
+ORACLE_THETAS = [(2, 1, 2), (2, 2, 2), (3, 1, 2), (5, 1, 1), (2, 1, 3)]
+
+
+def _random_divisor(theta, rng, top=6):
+    """A seeded divisor and its oracle pairs, built from the same points."""
+    pts = theta.points()
+    chosen = [rng.choice(pts) for _ in range(rng.randint(0, top))]
+    counts = {}
+    for pt in chosen:
+        counts[pt] = counts.get(pt, 0) + 1
+    return LatticeDivisor(theta, chosen), oracle_from_counts(theta, counts)
+
+
+@pytest.mark.parametrize("pvn", ORACLE_THETAS, ids=str)
+def test_vector_algebra_matches_pair_oracle(pvn):
+    theta = Theta(*pvn)
+    rng = random.Random(sum(pvn) * 1000 + pvn[0])
+    for _ in range(40):
+        (D, d), (E, e) = _random_divisor(theta, rng), _random_divisor(theta, rng)
+        assert D.pairs == d and D.text() == oracle_text(d)
+        assert D.counts() == dict(d) and D.dim() == sum(m for _, m in d)
+        assert LatticeDivisor.from_counts(theta, dict(d)) == D
+        assert (D + E).pairs == oracle_add(theta, d, e)
+        assert (D * E).pairs == oracle_mul(theta, d, e)
+        c = rng.randint(0, 3)
+        assert (D * c).pairs == (c * D).pairs == oracle_mul(theta, d, c)
+        for k in (-1, 0, 1, 2, 3, theta.modulus + 1):
+            assert D.psi(k).pairs == oracle_psi(theta, d, k)
+        for k in range(0, D.dim() + 2):
+            assert D.lam(k).pairs == oracle_lam(theta, d, k)
+        assert (D == E) == (d == e)
+        if d == e:
+            assert hash(D) == hash(E)
+
+
+@pytest.mark.parametrize("pvn", ORACLE_THETAS, ids=str)
+def test_from_counts_reduces_and_rejects_negatives(pvn):
+    theta = Theta(*pvn)
+    far = tuple(x + theta.modulus for x in theta.points()[-1])
+    counts = {theta.zero(): 2, far: 1}
+    assert LatticeDivisor.from_counts(theta, counts).pairs == oracle_from_counts(theta, counts)
+    with pytest.raises(ValidationError):
+        LatticeDivisor.from_counts(theta, {theta.zero(): -1})
+
+
+@pytest.mark.parametrize("pvn", ORACLE_THETAS, ids=str)
+def test_omega_ch_order_matches_pair_oracle(pvn):
+    theta = Theta(*pvn)
+    rng = random.Random(7 * sum(pvn))
+    elems, keys = [], {}
+    for _ in range(30):
+        drawn = [_random_divisor(theta, rng, top=3) for _ in range(3)]
+        elem = OmegaChElem([D for D, _ in drawn])
+        elems.append(elem)
+        keys[elem] = [d for _, d in drawn]
+    assert sorted(elems) == sorted(elems, key=keys.__getitem__)

@@ -1,5 +1,7 @@
 import pytest
 
+from chernlab import omega
+from chernlab.errors import ResourceLimit
 from chernlab.groups import builtin_model, model_symmetric, model_trivial
 from chernlab.lattice import LatticeDivisor, Theta
 from chernlab.omega import (
@@ -172,3 +174,26 @@ def test_abelian_identification():
         assert d.dim() == 1
         gens.add(d.pairs[0][0])
     assert len(och) == 16 and gens == set(points)
+
+
+# search nodes of one enumerate_omega_ch call at n = 2: propagation reaches
+# the same fixpoint in whatever order the relations are visited, so these
+# counts depend only on the search order of the branching divisors
+NODES = [("c2xc4", 2, 273), ("c3xc6", 3, 91), ("sigma4", 2, 3825), ("d8", 2, 2257),
+         ("c3xc3", 3, 91)]
+
+
+@pytest.mark.parametrize("group,p,nodes", NODES, ids=[g for g, _, _ in NODES])
+def test_omega_ch_node_count_pinned(group, p, nodes):
+    ring = RepRing(builtin_group(group))
+    before = dict(omega.COUNTS)
+    enumerate_omega_ch(ring, p, 2)
+    assert omega.COUNTS["nodes"] - before["nodes"] == nodes
+    assert 0 <= omega.COUNTS["pruned"] - before["pruned"] <= nodes
+    assert omega.COUNTS["forced"] > before["forced"]
+
+
+def test_omega_ch_node_ceiling(monkeypatch, s4_ring):
+    monkeypatch.setattr(omega, "OMEGA_CH_NODES", 100)
+    with pytest.raises(ResourceLimit, match="100 nodes"):
+        enumerate_omega_ch(s4_ring, 2, 2)

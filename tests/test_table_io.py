@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -122,3 +123,37 @@ def test_ingested_d8_usable_for_restriction():
     gen = r4.by_name("sigma") - r4.one() - r4.by_name("eps")
     assert [b.coeffs for b in res.kernel_basis] in ([gen.coeffs], [(-1 * gen).coeffs])
     assert res.rank == 4
+
+
+def test_huge_exponent_costs_the_input_size(tmp_path, capsys):
+    # a 267-byte c2 table claiming exponent 10^6: the power objects are
+    # short, so the table is refused before anything of size e is built
+    doc = table_to_dict(builtin_group("c2"))
+    doc["exponent"] = 10 ** 6
+    table = tmp_path / "huge.json"
+    table.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        code = run(["table-check", "--table", str(table)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == "error: $.classes[0].power: missing exponent 2\n"
+    assert peak < 4 << 20  # bytes; building the power maps first took 130 MB
+
+
+@pytest.mark.parametrize("power,message", [
+    ({"2": 0, "3": 1}, "unknown exponents ['3']"),
+    ({"2": 0, "02": 0}, "unknown exponents ['02']"),
+    ({}, "missing exponent 2"),
+    ({"2": 5}, "class index out of range"),
+])
+def test_power_keys_are_exactly_two_to_e_minus_one(power, message):
+    doc = table_to_dict(builtin_group("c2"))
+    doc["exponent"] = 3
+    doc["classes"][0]["power"] = power
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        table_from_json(json.dumps(doc))
