@@ -20,11 +20,12 @@ from .lattice import (
     fourier_inverse,
     newton_lambda_to_psi,
     newton_psi_to_lambda,
+    unit_elementary,
 )
 from .omega import (
-    count_omega_dprime,
     enumerate_omega,
     enumerate_omega_ch,
+    enumerate_omega_dprime,
     enumerate_omega_prime,
     hom_image,
     kappa,
@@ -410,8 +411,6 @@ def criterion_11_properties(seed: int = 20260811) -> Certificate:
             # units are 1 - root; xi of the lambda divisor is
             # C(d,j) - e_1(lambda roots) = C(d,j) + c_1(lambda^j D)
             xi_route = A.reduce(A.ring.from_int(comb(d, j)) + lam.coeffs[0])
-            from .lattice import unit_elementary
-
             aj = A.reduce(unit_elementary(units, j))
             ok = ok and aj == xi_route
     cert.add("unit_symmetric_functions_match_lambda", ok, {})
@@ -435,7 +434,7 @@ def criterion_11_properties(seed: int = 20260811) -> Certificate:
             och_count = len(enumerate_U(3, 1, 1))
         else:
             och_count = len(enumerate_omega_ch(RepRing(builtin_group(name)), p, n))
-        dp_count = count_omega_dprime(model, p, n)
+        dp_count = len(enumerate_omega_dprime(model, p, n)[1])
         chain_witness[name] = [len(om), len(sigs), och_count, dp_count]
         ok = ok and len(om) >= len(sigs) <= och_count <= dp_count
     cert.add("cardinality_chain", ok, {"counts": chain_witness})

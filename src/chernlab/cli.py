@@ -141,15 +141,12 @@ def cmd_omega(args) -> int:
             model = None
         if model is not None and ring.table.model is not None:
             om = enumerate_omega(model, args.p, args.n)
-            kmap = []
-            elems = sorted(och)
-            for rep in om.reps:
-                kmap.append(elems.index(kappa(ring.table, model, rep, args.p, args.n,
-                                              args.v)))
+            position = {e: i for i, e in enumerate(och)}
             witness["maps"] = {
-                "kappa": kmap,
+                "kappa": [position[kappa(ring.table, model, rep, args.p, args.n, args.v)]
+                          for rep in om.reps],
                 "xi": [list(xi_class_map(e, ring.table, model, args.p, args.n))
-                       for e in elems],
+                       for e in och],
             }
         cert.add("census", True, witness)
         return _finish(cert, args)

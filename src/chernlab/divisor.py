@@ -16,6 +16,7 @@ from itertools import combinations
 from .errors import DegreeCeiling, IncompatibleRing, ValidationError
 from .fgl import FGL
 from .groebner import GroebnerBasis, QuotientRing
+from .groups import p_part_exponent
 from .poly import Poly, PolyRing, lex_order
 
 DEGREE_CEILING = 9
@@ -214,13 +215,10 @@ def divisor_psi(D: DivisorPoly, k: int) -> DivisorPoly:
     if k == 1:
         return D
     law = D.law
+    # k > 1 also keeps k = 0 out of p_part_exponent, whose loop never ends there
     if law.kind == "honda" and k > 1:
-        m = 0
-        kk = k
-        while kk % law.p == 0:
-            kk //= law.p
-            m += 1
-        if kk == 1:
+        m = p_part_exponent(k, law.p)
+        if k == law.p ** m:
             q = law.p ** (law.n * m)
             return DivisorPoly(D.qring, law, [D.qring.pow(c, q) for c in D.coeffs])
     _check_ceiling(D.degree)

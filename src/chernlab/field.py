@@ -59,8 +59,9 @@ def _is_irreducible(modulus: list[int], p: int) -> bool:
 class FiniteField:
     """F_{p^k} defined by an irreducible monic modulus over F_p.
 
-    For the field sizes used here (q <= 81) full addition/multiplication
-    tables are precomputed, so element operations are list lookups.
+    For the field sizes GF builds (p and p^2 with p <= 13, so q <= 169) full
+    addition/multiplication tables are precomputed, so element operations
+    are list lookups.
     """
 
     def __init__(self, p: int, modulus: list[int] | None = None):

@@ -29,9 +29,7 @@ def _lcm(a: tuple, b: tuple) -> tuple:
 # reduced, and reductions to zero.  pairs == product + chain + reduced.
 COUNTS = {"pairs": 0, "product": 0, "chain": 0, "reduced": 0, "zero": 0}
 
-
-def _pair_ceiling() -> int:
-    return int(os.environ.get("CHERNLAB_CEILING", "200000"))
+BUCHBERGER_PAIRS = 200000  # pairs one buchberger call may pop, skipped ones included
 
 
 class GroebnerBasis:
@@ -116,8 +114,8 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
     criterion) or when some other member's leading term divides their lcm and
     neither pair with that member is still pending (chain criterion; Gebauer
     and Moeller, J. Symbolic Comput. 6 (1988)).  Raises ResourceLimit when the
-    count of popped pairs, skipped ones included, exceeds the
-    CHERNLAB_CEILING environment override (default 200000).  Adds to COUNTS.
+    count of popped pairs, skipped ones included, exceeds BUCHBERGER_PAIRS.
+    Adds to COUNTS.
     """
     gens = [g for g in generators if g]
     if not gens:
@@ -143,15 +141,14 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
     for g in gens:
         add(g.monic(order))
     view = GroebnerBasis(ring, order, basis[:])
-    ceiling = _pair_ceiling()
     processed = 0
     while heap:
         _, _, i, j, lcm = heapq.heappop(heap)
         pending.discard((i, j))
         processed += 1
         COUNTS["pairs"] += 1
-        if processed > ceiling:
-            raise ResourceLimit(f"Buchberger pair ceiling {ceiling} exceeded")
+        if processed > BUCHBERGER_PAIRS:
+            raise ResourceLimit(f"Buchberger pair ceiling {BUCHBERGER_PAIRS} exceeded")
         if all(a == 0 or b == 0 for a, b in zip(lts[i], lts[j])):
             COUNTS["product"] += 1
             continue

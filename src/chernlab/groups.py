@@ -18,6 +18,15 @@ from .field import is_prime
 GROUP_ORDER_CEILING = 1000  # largest order a builtin model is built for
 
 
+def p_part_exponent(m: int, p: int) -> int:
+    """The exponent of the prime p in the integer m != 0."""
+    v = 0
+    while m % p == 0:
+        m //= p
+        v += 1
+    return v
+
+
 class GroupModel:
     def __init__(self, name: str, elements: list, mult_fn):
         self.name = name
@@ -108,25 +117,11 @@ class GroupModel:
         return self.class_of(self.power(rep, k))
 
     def p_power_class_indices(self, p: int) -> list[int]:
-        out = []
-        for ci, cls in enumerate(self.conjugacy_classes()):
-            o = self.element_order(cls[0])
-            while o % p == 0:
-                o //= p
-            if o == 1:
-                out.append(ci)
-        return out
+        return [ci for ci, cls in enumerate(self.conjugacy_classes())
+                if (o := self.element_order(cls[0])) == p ** p_part_exponent(o, p)]
 
     def p_power_elements(self, p: int) -> list[int]:
-        orders = self.orders()
-        out = []
-        for i in range(self.size):
-            o = orders[i]
-            while o % p == 0:
-                o //= p
-            if o == 1:
-                out.append(i)
-        return out
+        return [i for i, o in enumerate(self.orders()) if o == p ** p_part_exponent(o, p)]
 
     def closure(self, indices) -> set[int]:
         """The subgroup generated by the given element indices."""

@@ -100,7 +100,10 @@ class Theta:
         """Multiplication by k: scaling(k)[j] is the index of k * pts[j]."""
         m = self.modulus
         k %= m
-        return self._row(self._scales, k, lambda: [[k * y % m for y in range(m)]] * self.n)
+        # one column per coordinate, so at n = 0 no residue is listed (p^v is unbounded there)
+        return self._row(self._scales, k, lambda: [
+            [k * y % m for y in range(m)] for _ in range(self.n)
+        ])
 
     def __eq__(self, other):
         return (

@@ -3,8 +3,11 @@
 Omega(G): conjugacy classes of n-tuples of commuting p-power-order elements
 (images of the standard topological generators).  Omega'(G) quotients by
 pointwise conjugacy; Omega''(G) is the set of Z-equivariant maps from the
-dual lattice to p-power conjugacy classes; OmegaCh(G) is enumerated by
-constraint search over lattice divisors.
+dual lattice to p-power conjugacy classes, found by depth-first search
+with Z-equivariant propagation; OmegaCh(G) is enumerated by constraint
+search over lattice divisors against the Lambda-semiring relations of
+RepRing.relations().  Class-valued maps on Theta are tuples indexed like
+Theta.points(), and their Z-equivariance is read off Theta's rows.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .errors import (
     ResourceLimit,
     ValidationError,
 )
-from .groups import GroupModel
+from .groups import GroupModel, p_part_exponent
 from .lattice import LatticeDivisor, Theta, fourier, fourier_inverse
 from .repring import CharacterTable, RepRing
 
@@ -28,20 +31,9 @@ OMEGA_CH_MEMO = 1 << 16  # multiplicities of the left-hand sides one OmegaCh sea
 OMEGA_DPRIME_VISITS = 1 << 20  # search nodes x |Theta| of one Omega'' enumeration
 
 # running totals over the process: OmegaCh search nodes, values forced by a
-# relation, and nodes cut by a contradiction
-COUNTS = {"nodes": 0, "forced": 0, "pruned": 0}
-
-
-def p_part_exponent(order_like: int, p: int) -> int:
-    v = 0
-    while order_like % p == 0:
-        order_like //= p
-        v += 1
-    return v
-
-
-def group_p_valuation(model: GroupModel, p: int) -> int:
-    return p_part_exponent(model.exponent(), p)
+# relation, and nodes cut by a contradiction; Omega'' point visits (the
+# search nodes x |Theta| that OMEGA_DPRIME_VISITS bounds)
+COUNTS = {"nodes": 0, "forced": 0, "pruned": 0, "visits": 0}
 
 
 # -- Hom enumeration -----------------------------------------------------------
@@ -119,7 +111,7 @@ def enumerate_omega_prime(model: GroupModel, p: int, n: int, w: int | None = Non
     """Omega'(G) as distinct pointwise-class signatures, plus the projection
     from Omega(G) as an index map."""
     if w is None:
-        w = group_p_valuation(model, p)
+        w = p_part_exponent(model.exponent(), p)
     om = enumerate_omega(model, p, n)
     pts = Theta(p, w, n).points()
     sig_index: dict[tuple[int, ...], int] = {}
@@ -137,72 +129,70 @@ def enumerate_omega_prime(model: GroupModel, p: int, n: int, w: int | None = Non
 def enumerate_omega_dprime(model: GroupModel, p: int, n: int, w: int | None = None):
     """Omega''(G): Z-equivariant maps Theta(w)* -> p-power classes.
 
-    Returned as tuples of class indices over the sorted point list; DFS with
-    propagation f(k a) = f(a)^k.
+    Returned as the point list and the sorted maps, each a tuple of class
+    indices indexed like Theta.points().  Depth-first search over the points
+    in decreasing order (read off the scaling rows by p^t): assigning class
+    c to a point sets f(k a) = c^k on its multiples, which its translation
+    row walks.  Each search node costs |Theta| visits, added to COUNTS.
     """
     if w is None:
-        w = group_p_valuation(model, p)
+        w = p_part_exponent(model.exponent(), p)
     theta = Theta(p, w, n)
     pts = theta.points()
-    pt_index = {a: i for i, a in enumerate(pts)}
+    size = len(pts)
     classes = model.p_power_class_indices(p)
     class_orders = {c: model.element_order(model.conjugacy_classes()[c][0]) for c in classes}
-    modulus = p ** w
-
-    def point_order(a):
-        o = 1
-        while any(theta.scale(o, a)):
-            o *= p
-        return o
-
-    orders = [point_order(a) for a in pts]
+    # a point's order is p to the number of t < w with p^t a != 0
+    orders = [1] * size
+    for t in range(w):
+        orders = [o * p if x else o for o, x in zip(orders, theta.scaling(p ** t))]
     # process points in decreasing order so multiples propagate
-    seq = sorted(range(len(pts)), key=lambda i: -orders[i])
+    seq = sorted(range(size), key=lambda i: -orders[i])
     results: list[tuple[int, ...]] = []
+    stack: list = []
+    visits = 0
 
-    def assign(state: dict[int, int], i: int, cls: int) -> dict[int, int] | None:
-        new = dict(state)
-        a = pts[i]
-        for k in range(modulus):
-            j = pt_index[theta.scale(k, a)]
+    def assign(state: list, i: int, cls: int) -> list | None:
+        """state with f(k a) = cls^k for k < ord(a), a = pts[i] (the order
+        of cls divides ord(a), so larger k repeat these); None on a clash."""
+        step = theta.shift(i)
+        j, settled = 0, []
+        for k in range(orders[i]):
             target = model.class_power(cls, k)
-            if j in new and new[j] != target:
+            if state[j] is not None and state[j] != target:
                 return None
+            settled.append((j, target))
+            j = step[j]
+        new = list(state)
+        for j, target in settled:
             new[j] = target
         return new
 
-    stack: list[tuple[dict[int, int], int]] = [({}, 0)]
-    visits = 0
-    while stack:
-        state, pos = stack.pop()
-        visits += len(pts)
+    def visit(state: list, pos: int) -> None:
+        """Charge one search node; keep a complete map or queue its children
+        (built when popped, so only the states on the current path are held)."""
+        nonlocal visits
+        visits += size
+        COUNTS["visits"] += size
         if visits > OMEGA_DPRIME_VISITS:
             raise ResourceLimit(f"Omega'' search exceeds {OMEGA_DPRIME_VISITS} point visits")
-        while pos < len(seq) and seq[pos] in state:
+        while pos < size and state[seq[pos]] is not None:
             pos += 1
-        if pos == len(seq):
-            results.append(tuple(state[i] for i in range(len(pts))))
-            continue
+        if pos == size:
+            results.append(tuple(state))
+            return
         i = seq[pos]
-        for cls in classes:
-            if orders[i] % class_orders[cls]:
-                continue
-            new = assign(state, i, cls)
-            if new is not None:
-                stack.append((new, pos + 1))
+        stack.extend((state, pos + 1, i, cls) for cls in classes
+                     if not orders[i] % class_orders[cls])
+
+    visit([None] * size, 0)
+    while stack:
+        state, pos, i, cls = stack.pop()
+        new = assign(state, i, cls)
+        if new is not None:
+            visit(new, pos)
     results.sort()
     return pts, results
-
-
-def count_omega_dprime(model: GroupModel, p: int, n: int, w: int | None = None) -> int:
-    """|Omega''(G)| without enumeration when the group has exponent p."""
-    if w is None:
-        w = group_p_valuation(model, p)
-    if w == 1:
-        nlines = (p ** n - 1) // (p - 1)
-        nclasses = len(model.p_power_class_indices(p))
-        return nclasses ** nlines
-    return len(enumerate_omega_dprime(model, p, n, w)[1])
 
 
 # -- OmegaCh: Lambda-semiring homomorphisms into the lattice model --------------
@@ -224,9 +214,6 @@ class OmegaChElem:
     def sort_key(self) -> list:
         """The point-sorted pairs of each divisor: the certificate order."""
         return [d.pairs for d in self.divisors]
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
 
     def text(self) -> str:
         return "; ".join(d.text() for d in self.divisors)
@@ -258,7 +245,7 @@ def kappa(
     if table.exponent % modulus:
         raise ValidationError("group exponent not divisible by p^v")
     theta = Theta(p, v, n)
-    classes = [model.class_of(hom_image(model, hom, a)) for a in theta.points()]
+    classes = pointwise_signature(model, hom, theta.points())
     rows = [[row[c] for c in classes] for row in table.rows]
     try:
         return OmegaChElem(fourier_inverse(theta, table.cyclo, rows))
@@ -275,13 +262,14 @@ def enumerate_omega_ch(
     """All Lambda-semiring homomorphisms into N[Theta(v)], by depth-first
     assignment in increasing dimension order with constraint propagation.
 
-    Each relation D_i D_j = sum c_k D_k and lambda^r(D_i) = sum c_k D_k is
-    watched by its participants and counts those still unassigned.  When
-    only one is left and it is not on the left-hand side, the relation
-    forces its value (exact multiset subtraction and division, and the
-    dimension check); when none is left, it is checked.  So each relation
-    is solved or checked once per search path, and every leaf is re-checked
-    against all relations.  Adds to COUNTS.
+    Each relation of ring.relations(), D_i D_j = sum c_k D_k or
+    lambda^r(D_i) = sum c_k D_k, is watched by its participants and counts
+    those still unassigned.  When only one is left and it is not on the
+    left-hand side, the relation forces its value (exact multiset
+    subtraction and division, and the dimension check); when none is left,
+    it is checked.  So each relation is solved or checked once per search
+    path, and every leaf is re-checked against all relations.  Adds to
+    COUNTS.
     """
     table = ring.table
     if v is None:
@@ -292,14 +280,10 @@ def enumerate_omega_ch(
     dims = ring.dims
     order = sorted(range(1, h), key=lambda i: (dims[i], i))
 
-    def nonzero(coeffs):
-        return [(k, c) for k, c in enumerate(coeffs) if c]
-
     # (i, j, r, terms): D_i * D_j when r == 0, else lambda^r(D_i); the
     # right-hand side is sum c * D_k over terms (k, c)
-    relations = [(i, j, 0, nonzero(ring.mijk[i][j])) for i in range(1, h) for j in range(i, h)]
-    relations += [(i, i, r, nonzero(ring.lam_irreducible(i, r).coeffs))
-                  for i in range(1, h) for r in range(2, dims[i] + 1)]
+    relations = [(i, j, r, [(k, c) for k, c in enumerate(coeffs) if c])
+                 for i, j, r, coeffs in ring.relations()]
     participants = [sorted({i, j} | {k for k, _ in terms}) for i, j, _, terms in relations]
     watch: list[list[int]] = [[] for _ in range(h)]
     for rel, parts in enumerate(participants):
@@ -429,10 +413,7 @@ def xi_class_map(
             raise NoMatchingClass(f"{len(matches)} classes match at {a}")
         out.append(matches[0])
     result = tuple(out)
-    pt_index = {a: i for i, a in enumerate(pts)}
-    for i, a in enumerate(pts):
-        for k in range(theta.modulus):
-            j = pt_index[theta.scale(k, a)]
-            if result[j] != model.class_power(result[i], k):
-                raise NoMatchingClass("xi image is not Z-equivariant")
+    for k in range(theta.modulus):
+        if any(result[j] != model.class_power(c, k) for c, j in zip(result, theta.scaling(k))):
+            raise NoMatchingClass("xi image is not Z-equivariant")
     return result

@@ -25,6 +25,7 @@ from .field import GF
 from .groebner import (
     GroebnerBasis,
     QuotientRing,
+    _field_kernel,
     assert_groebner,
     buchberger,
     cap_ring,
@@ -229,6 +230,12 @@ SIGMA4_R_EXPECT = {
     4: "c2^8*w^3 + c2^5 + c2^2*w^3 + c2*w^2 + c3*w",
 }
 
+# the unit rescalings r2' of r2 and r4' of r4
+SIGMA4_R_PRIME = {
+    2: "c2^4 + w^2*c2^3 + w*c2^2 + w^2*c3",
+    4: "w*c2^3 + w^2*c2 + w*c3",
+}
+
 SIGMA4_STD_MONOMIALS = sorted(
     [(i, 0, k) for i in range(3) for k in range(4)]
     + [(3, 0, 0)]
@@ -297,15 +304,7 @@ def sigma4_pipeline() -> Certificate:
     D = DivisorPoly(A, law, [c1, c2, c3])
     Dd = divisor_from_roots(A, law, [w])
     dD = divisor_mul(Dd, D)
-    exp_cdD = [
-        A.reduce(c2 * c2 + A.pow(c2, 8) + w + A.mul(A.pow(c2, 4), A.pow(w, 2))),
-        A.reduce(c2 + A.mul(A.reduce(A.ring.one() + A.pow(c2, 3) + A.pow(c2, 9) + c3),
-                            A.pow(w, 2))),
-        A.reduce(c3 + c2 * w + A.mul(A.reduce(c2 * c2 + A.pow(c2, 8)), A.pow(w, 2))
-                 + A.mul(A.reduce(A.ring.one() + c3 + A.pow(c2, 3) + A.pow(c2, 9)),
-                         A.pow(w, 3))),
-    ]
-    cert.add("cdD_ambient", list(dD.coeffs) == exp_cdD,
+    cert.add("cdD_ambient", list(dD.coeffs) == _cdD_expected(A, c2, c3, w),
              {"c3([d]D)": dD.coeffs[2].text(order)})
     cert.add("cdD_alpha", _cdD_under_map(law, F4, "alpha"), {})
     cert.add("cdD_beta", _cdD_under_map(law, F4, "beta"), {})
@@ -332,15 +331,15 @@ def sigma4_pipeline() -> Certificate:
     # (f) unit rescalings and redundancy identities
     unit2 = A.reduce(A.ring.one() + A.pow(c2, 6) + A.pow(c2, 12) + A.pow(w, 3))
     r2p = A.mul(unit2, rvals[2])
-    r2p_closed = A.reduce(pp("c2^4 + w^2*c2^3 + w*c2^2 + w^2*c3"))
+    r2p_closed = A.reduce(pp(SIGMA4_R_PRIME[2]))
     cert.add("r2_rescaled", r2p == r2p_closed, {"r2'": r2p.text(order)})
     mult4 = A.reduce(c2 + A.pow(w, 2) + A.mul(A.pow(c2, 4), A.pow(w, 3)))
     r4p = A.reduce(rvals[4] + A.mul(mult4, r2p))
-    r4p_closed = A.reduce(pp("w*c2^3 + w^2*c2 + w*c3"))
+    r4p_closed = A.reduce(pp(SIGMA4_R_PRIME[4]))
     cert.add("r4_rescaled", r4p == r4p_closed, {"r4'": r4p.text(order)})
 
     B4 = QuotientRing(buchberger([pp("w^4")], order))
-    r2pB = B4.reduce(pp("c2^4 + w^2*c2^3 + w*c2^2 + w^2*c3"))
+    r2pB = B4.reduce(pp(SIGMA4_R_PRIME[2]))
     r1B = B4.reduce(pp(SIGMA4_R_EXPECT[1]))
     cert.add("r2prime_squared_is_r1", B4.mul(r2pB, r2pB) == r1B, {})
     cert.add("r2prime_fourth_is_c2_16",
@@ -362,7 +361,7 @@ def sigma4_pipeline() -> Certificate:
              {"r3": r3A.text(order), "combination": combo.text(order)})
 
     # (g) the Groebner basis, standard monomials, socle
-    five = [pp("w^4"), pp("c3^2"), pp("c2*c3"), r2p_closed_poly(ring), r4p_closed_poly(ring)]
+    five = [pp("w^4"), pp("c3^2"), pp("c2*c3"), pp(SIGMA4_R_PRIME[2]), pp(SIGMA4_R_PRIME[4])]
     five_sorted = sorted(five, key=lambda g: order.key(g.leading(order)[0]), reverse=True)
     try:
         assert_groebner(GroebnerBasis(ring, order, five_sorted))
@@ -404,14 +403,6 @@ def sigma4_pipeline() -> Certificate:
     return cert
 
 
-def r2p_closed_poly(ring):
-    return parse_poly(ring, "c2^4 + w^2*c2^3 + w*c2^2 + w^2*c3")
-
-
-def r4p_closed_poly(ring):
-    return parse_poly(ring, "w*c2^3 + w^2*c2 + w*c3")
-
-
 def _jointly_independent(pairs, field) -> bool:
     """Rank of the combined (alpha, beta) images equals the number of rows."""
     cols: dict = {}
@@ -430,8 +421,6 @@ def _jointly_independent(pairs, field) -> bool:
         for key, c in row.items():
             mat[r][cols[key]] = c
     # left kernel must be trivial
-    from .groebner import _field_kernel
-
     transpose = [[mat[r][c] for r in range(len(rows))] for c in range(len(cols))]
     return not _field_kernel(transpose, len(rows), field)
 
@@ -454,15 +443,20 @@ def _cdD_under_map(law, F4, which: str) -> bool:
         c2_img = R.reduce(xv * yv + yv * zv + zv * xv)
         c3_img = R.reduce(R.mul(R.mul(xv, yv), zv))
     D_img = divisor_from_roots(R, law, roots)
+    return list(D_img.coeffs) == _cdD_expected(R, c2_img, c3_img, wv)
+
+
+def _cdD_expected(R, c2, c3, w) -> list:
+    """The expected c_1, c_2, c_3 of [w] D (roots w +_F r_i), D having
+    coefficients c2^2 + c2^8, c2 and c3, written out over the quotient R."""
 
     def c2p(k):
-        return R.pow(c2_img, k)
+        return R.pow(c2, k)
 
     one = R.ring.one()
-    expect = [
-        R.reduce(c2p(2) + c2p(8) + wv + R.mul(c2p(4), R.pow(wv, 2))),
-        R.reduce(c2_img + R.mul(R.reduce(one + c2p(3) + c2p(9) + c3_img), R.pow(wv, 2))),
-        R.reduce(c3_img + R.mul(c2_img, wv) + R.mul(R.reduce(c2p(2) + c2p(8)), R.pow(wv, 2))
-                 + R.mul(R.reduce(one + c3_img + c2p(3) + c2p(9)), R.pow(wv, 3))),
+    return [
+        R.reduce(c2p(2) + c2p(8) + w + R.mul(c2p(4), R.pow(w, 2))),
+        R.reduce(c2 + R.mul(R.reduce(one + c2p(3) + c2p(9) + c3), R.pow(w, 2))),
+        R.reduce(c3 + R.mul(c2, w) + R.mul(R.reduce(c2p(2) + c2p(8)), R.pow(w, 2))
+                 + R.mul(R.reduce(one + c3 + c2p(3) + c2p(9)), R.pow(w, 3))),
     ]
-    return list(D_img.coeffs) == expect

@@ -3,23 +3,25 @@
 Generators c_{i,k} (one per nontrivial irreducible i and 1 <= k <= d_i) with
 relations equating the coefficients of the divisor product / exterior-power
 polynomials against the tensor / lambda decompositions of the representation
-ring, plus nilpotence truncations.  The truncation exponent is p^{n*v(G)}
-with v(G) the p-part of the group exponent, which the finiteness theory
-makes harmless; raising v cannot change the presented quotient.
+ring (RepRing.relations()), plus nilpotence truncations.  Every relation's
+degree, d_i d_j or C(d_i, r), must be at most divisor.DEGREE_CEILING; this
+is checked before any quotient is built.  The truncation exponent is
+p^{n*v(G)} with v(G) the p-part of the group exponent, which the finiteness
+theory makes harmless; raising v cannot change the presented quotient.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .divisor import DivisorPoly, divisor_lambda, divisor_mul, tpoly_mul
+from .divisor import DEGREE_CEILING, DivisorPoly, divisor_lambda, divisor_mul, tpoly_mul
 from .errors import DegreeCeiling, ValidationError
 from .fgl import FGL
 from .field import GF
 from .groebner import QuotientRing, buchberger, cap_ring
+from .groups import p_part_exponent
 from .poly import Poly
 from .repring import RepRing
-from .omega import p_part_exponent
 
 
 class Presentation:
@@ -110,8 +112,11 @@ def build_presentation(
 
     h = rep.h
     dims = rep.dims
-    if max(d * d for d in dims) > 9 and max(dims) > 3:
-        raise DegreeCeiling("irreducible dimension too large for the presentation")
+    relations = rep.relations()
+    for i, j, r, _ in relations:
+        degree = comb(dims[i], r) if r else dims[i] * dims[j]
+        if degree > DEGREE_CEILING:
+            raise DegreeCeiling(f"relation degree {degree} exceeds ceiling {DEGREE_CEILING}")
     var_names = []
     var_of = {}
     for i in range(1, h):
@@ -131,31 +136,23 @@ def build_presentation(
             divs.append(DivisorPoly(q, law, coeffs))
         return divs
 
-    def relations_for(q, divs, pairs, lambda_targets):
+    def relations_for(q, divs, relations):
         rels = []
-        for i, j in pairs:
-            lhs = divisor_mul(divs[i], divs[j])
-            rhs = _product_coeffs(q, divs, rep.mijk[i][j])
-            for k in range(1, lhs.degree + 1):
-                diff = q.reduce(lhs.coeffs[k - 1] - rhs[k])
-                if diff:
-                    rels.append(diff)
-        for i, r in lambda_targets:
-            lhs = divisor_lambda(divs[i], r)
-            rhs = _product_coeffs(q, divs, rep.lam_irreducible(i, r).coeffs)
+        for i, j, r, coeffs in relations:
+            lhs = divisor_lambda(divs[i], r) if r else divisor_mul(divs[i], divs[j])
+            rhs = _product_coeffs(q, divs, coeffs)
             for k in range(1, lhs.degree + 1):
                 diff = q.reduce(lhs.coeffs[k - 1] - rhs[k])
                 if diff:
                     rels.append(diff)
         return rels
 
-    # phase A: degree-one relations; variables forced to zero are eliminated
-    # before the heavy product relations are computed.
-    line_idx = [i for i in range(1, h) if dims[i] == 1]
+    # phase A: products of two line characters; variables forced to zero are
+    # eliminated before the heavy relations are computed.
     ambient_q = make_quotient()
     divs = tautological(ambient_q)
-    pairs_a = [(i, j) for i in line_idx for j in line_idx if i <= j]
-    rels_a = relations_for(ambient_q, divs, pairs_a, [])
+    line_products = [rel for rel in relations if dims[rel[0]] == dims[rel[1]] == 1]
+    rels_a = relations_for(ambient_q, divs, line_products)
     changed = True
     while changed:
         changed = False
@@ -167,18 +164,10 @@ def build_presentation(
         if changed:
             ambient_q = make_quotient()
             divs = tautological(ambient_q)
-            rels_a = relations_for(ambient_q, divs, pairs_a, [])
+            rels_a = relations_for(ambient_q, divs, line_products)
 
     # phase B: every product and lambda relation
-    pairs = [(i, j) for i in range(1, h) for j in range(i, h)]
-    lambda_targets = [(i, r) for i in range(1, h) for r in range(2, dims[i] + 1)]
-    for i, j in pairs:
-        if dims[i] * dims[j] > 9:
-            raise DegreeCeiling(f"product degree {dims[i]*dims[j]} exceeds ceiling")
-    for i, r in lambda_targets:
-        if comb(dims[i], r) > 9:
-            raise DegreeCeiling("lambda degree exceeds ceiling")
-    rels = relations_for(ambient_q, divs, pairs, lambda_targets)
+    rels = relations_for(ambient_q, divs, relations)
 
     final_q = ambient_q
     if rels:

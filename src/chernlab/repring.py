@@ -368,6 +368,17 @@ class RepRing:
             return self.zero()
         return self.lam_tables[i][r]
 
+    def relations(self) -> list[tuple[int, int, int, tuple[int, ...]]]:
+        """The Lambda-semiring relations among the nontrivial irreducibles,
+        as (i, j, r, c) with right-hand side sum_k c[k] V_k: first
+        (i, j, 0, c) for V_i (x) V_j with 1 <= i <= j < h, then (i, i, r, c)
+        for lambda^r V_i with 2 <= r <= dim V_i."""
+        h = self.h
+        rels = [(i, j, 0, tuple(self.mijk[i][j])) for i in range(1, h) for j in range(i, h)]
+        rels += [(i, i, r, self.lam_tables[i][r].coeffs)
+                 for i in range(1, h) for r in range(2, self.dims[i] + 1)]
+        return rels
+
     def lambda_series(self, v: VirtualRep) -> list[VirtualRep]:
         """lambda^0..lambda^dim of a positive representation, via the
         addition law lambda_t(V+W) = lambda_t(V) lambda_t(W)."""

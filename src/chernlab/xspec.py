@@ -26,6 +26,8 @@ from .repring import (
     table_extraspecial,
 )
 
+ALPHA_CEILING = 10 ** 6  # homomorphisms alpha: F_p^{2d} -> Theta(1) that enumerate_U tries
+
 
 @lru_cache(maxsize=None)
 def _extraspecial_ring(p: int, d: int) -> RepRing:
@@ -84,7 +86,7 @@ def enumerate_U(p: int, d: int, n: int) -> list[UPair]:
     coset of the image, with multiplicity p^{d-e}; empty for e > d."""
     if p == 2:
         raise ValidationError("odd primes only")
-    if p ** (2 * d * n) > 10 ** 6:
+    if p ** (2 * d * n) > ALPHA_CEILING:
         raise ResourceLimit("too many homomorphisms alpha")
     theta = Theta(p, 1, n)
     pts = theta.points()
@@ -137,8 +139,7 @@ def _pair_from_omega_ch(elem: OmegaChElem, p: int, d: int) -> UPair:
             raise ValidationError("linear character image is not a point")
         alpha.append(div.pairs[0][0])
     u = elem.divisors[p ** (2 * d)]  # the first degree-p^d character
-    theta = u.theta
-    span, rank = _span(alpha, theta)
+    _, rank = _span(alpha, u.theta)
     return UPair(tuple(alpha), u, rank)
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from chernlab import cli
+from chernlab import cli, groebner
 from chernlab.errors import InfiniteDimensional, ResourceLimit
 from chernlab.field import GF
 from chernlab.groebner import (
@@ -275,7 +275,7 @@ def test_counts_add_up_and_chain_criterion_fires():
 
 
 def test_pair_ceiling_raises_and_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("CHERNLAB_CEILING", "5")
+    monkeypatch.setattr(groebner, "BUCHBERGER_PAIRS", 5)
     with pytest.raises(ResourceLimit):
         gb_of(PolyRing(GF(7), ["x", "y", "z"]), F7_LEX_IDEAL)
     code = cli.run(["groebner", "--q", "7", "--vars", "x,y,z", "--gens", ";".join(F7_LEX_IDEAL)])

@@ -294,4 +294,4 @@ def test_omega_ch_order_matches_pair_oracle(pvn):
         elem = OmegaChElem([D for D, _ in drawn])
         elems.append(elem)
         keys[elem] = [d for _, d in drawn]
-    assert sorted(elems) == sorted(elems, key=keys.__getitem__)
+    assert sorted(elems, key=OmegaChElem.sort_key) == sorted(elems, key=keys.__getitem__)

@@ -5,7 +5,6 @@ from chernlab.errors import ResourceLimit
 from chernlab.groups import builtin_model, model_symmetric, model_trivial
 from chernlab.lattice import LatticeDivisor, Theta
 from chernlab.omega import (
-    count_omega_dprime,
     enumerate_omega,
     enumerate_omega_ch,
     enumerate_omega_dprime,
@@ -128,9 +127,22 @@ def test_omega_dprime_sigma4_count():
 
 
 def test_omega_dprime_closed_count_exponent_p():
+    # exponent p: a map is one of the 11 p-power classes per line of F_3^n
     model = builtin_model("extraspecial(3,1)")
-    assert count_omega_dprime(model, 3, 1) == 11
-    assert count_omega_dprime(model, 3, 2) == 11 ** 4
+    assert len(enumerate_omega_dprime(model, 3, 1)[1]) == 11
+    assert len(enumerate_omega_dprime(model, 3, 2)[1]) == 11 ** 4
+
+
+# point visits (search nodes x |Theta|) of one enumerate_omega_dprime call
+VISITS = [("sigma4", 2, 2, 26320), ("sigma3", 3, 2, 279), ("c4", 2, 2, 15696),
+          ("d8", 2, 2, 111024), ("extraspecial(3,1)", 3, 2, 144945), ("c2xc2", 2, 2, 340)]
+
+
+@pytest.mark.parametrize("group,p,n,visits", VISITS, ids=[g for g, *_ in VISITS])
+def test_omega_dprime_visit_count_pinned(group, p, n, visits):
+    before = omega.COUNTS["visits"]
+    enumerate_omega_dprime(builtin_model(group), p, n)
+    assert omega.COUNTS["visits"] - before == visits
 
 
 def test_xi_injective_on_sigma3(s3_ring):
@@ -197,3 +209,9 @@ def test_omega_ch_node_ceiling(monkeypatch, s4_ring):
     monkeypatch.setattr(omega, "OMEGA_CH_NODES", 100)
     with pytest.raises(ResourceLimit, match="100 nodes"):
         enumerate_omega_ch(s4_ring, 2, 2)
+
+
+def test_omega_dprime_one_point_lattice_with_huge_modulus():
+    # n = 0: Theta(2, 40, 0) is one point, and no row lists the 2^40 residues
+    pts, maps = enumerate_omega_dprime(builtin_model("c2"), 2, 0, 40)
+    assert pts == ((),) and maps == [(0,)]

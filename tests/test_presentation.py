@@ -1,6 +1,7 @@
 import pytest
 
-from chernlab.errors import ValidationError
+from chernlab import groebner
+from chernlab.errors import DegreeCeiling, ValidationError
 from chernlab.fgl import honda_fgl
 from chernlab.field import GF
 from chernlab.groebner import cap_ring
@@ -9,6 +10,7 @@ from chernlab.repring import (
     RepRing,
     table_cyclic,
     table_cyclic_product,
+    table_extraspecial,
     table_sigma3,
     table_trivial,
 )
@@ -68,3 +70,12 @@ def test_z_vd_dimensions():
     for (p, n, v, d) in ((2, 2, 1, 1), (2, 2, 1, 2), (3, 2, 1, 1)):
         names = [f"c{i}" for i in range(1, d + 1)]
         assert cap_ring(GF(p), names, [p ** (n * v)] * d).dimension() == p ** (n * d * v)
+
+
+def test_relation_degree_ceiling_before_any_quotient():
+    # the 5-dim irreducibles of 5^{1+2} give rho rho of degree 25
+    ring = RepRing(table_extraspecial(5, 1))
+    pairs = groebner.COUNTS["pairs"]
+    with pytest.raises(DegreeCeiling, match="degree 25 "):
+        build_presentation(ring, honda_fgl(5, 1, 32))
+    assert groebner.COUNTS["pairs"] == pairs

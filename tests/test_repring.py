@@ -72,6 +72,23 @@ def test_sigma4_full_table(r4):
     assert r4.lam_irreducible(4, 3) == one
 
 
+def test_sigma4_relations_in_order(r4):
+    rels = r4.relations()
+    assert [(i, j, r) for i, j, r, _ in rels] == [
+        (1, 1, 0), (1, 2, 0), (1, 3, 0), (1, 4, 0), (2, 2, 0), (2, 3, 0), (2, 4, 0),
+        (3, 3, 0), (3, 4, 0), (4, 4, 0),
+        (2, 2, 2), (3, 3, 2), (3, 3, 3), (4, 4, 2), (4, 4, 3),
+    ]
+    by_key = {(i, j, r): c for i, j, r, c in rels}
+    assert by_key[(3, 3, 0)] == (1, 0, 1, 1, 1)  # rho rho = 1 + sigma + rho + eps rho
+    assert by_key[(2, 2, 2)] == (0, 1, 0, 0, 0)  # lambda^2 sigma = eps
+    assert by_key[(3, 3, 3)] == (0, 1, 0, 0, 0)  # lambda^3 rho = eps
+    assert by_key[(4, 4, 3)] == (1, 0, 0, 0, 0)  # lambda^3 (eps rho) = 1
+    for i, j, r, c in rels:
+        vi = r4.irreducible(i)
+        assert c == (r4.lam(vi, r) if r else vi * r4.irreducible(j)).coeffs
+
+
 def test_psi_identity_and_composition(r4):
     rng = random.Random(6)
     e = r4.table.exponent
