@@ -170,11 +170,6 @@ class LatticeDivisor:
     def dim(self) -> int:
         return sum(self.vec)
 
-    def points_with_multiplicity(self):
-        for pt, m in self.pairs:
-            for _ in range(m):
-                yield pt
-
     def is_zero(self) -> bool:
         return not any(self.vec)
 
@@ -286,46 +281,93 @@ def parse_divisor(theta: Theta, text: str) -> LatticeDivisor:
 
 
 # -- the Fourier pair on Theta -------------------------------------------------
+# A transform depends only on (p, v, n, e), its sign and the function, so the
+# pair keeps one memo for every caller: the pairing tables, the values of each
+# count vector sent forward and the checked count vector of each row sent back.
+# A memo that would pass FOURIER_MEMO_ENTRIES is emptied first; a pairing table
+# counts |Theta|^2 entries and a stored function |Theta|.
 
-def _transform(theta: Theta, cy, functions, sign: int) -> list[list[tuple[int, ...]]]:
-    """f -> (y -> sum_z f(z) w^{sign <y,z>}) for functions f on theta.points().
+FOURIER_MEMO_ENTRIES = 1 << 20
+COUNTS = {"transforms": 0}  # functions transformed, memo hits not counted
 
-    Values lie in cy = Z[zeta_e] and w = zeta_e^{e/p^v}; the pairing table
-    is built once per call, as lifted roots of unity for cy.product_sum.
-    """
+_memo: dict = {}
+_memo_entries = 0
+
+
+def _remember(key, value, entries: int):
+    """_memo[key] = value, counted as ``entries``; returns value.  A value
+    larger than the whole bound is returned and not kept."""
+    global _memo_entries
+    if _memo_entries + entries > FOURIER_MEMO_ENTRIES:
+        _memo.clear()
+        _memo_entries = 0
+    if entries <= FOURIER_MEMO_ENTRIES:
+        _memo[key] = value
+        _memo_entries += entries
+    return value
+
+
+def _pairing(theta: Theta, cy, sign: int) -> tuple[tuple, list]:
+    """The memo key (p, v, n, e, sign) and the table of w^{sign <y,z>} as
+    lifted roots of unity for cy.product_sum, where w = zeta_e^{e/p^v}."""
     e = cy.e
     if e % theta.modulus:
         raise ValidationError(f"p^{theta.v} does not divide the exponent {e}")
-    step = sign * (e // theta.modulus)
-    pts = theta.points()
-    pairing = [[((sum(a * b for a, b in zip(y, z)) * step % e, 1),) for z in pts]
-               for y in pts]
-    ones = [1] * len(pts)
-    out = []
-    for f in functions:
-        lifted = [cy.lift(value) for value in f]
-        out.append([cy.product_sum(ones, lifted, w) for w in pairing])
-    return out
+    key = (theta.p, theta.v, theta.n, e, sign)
+    pairing = _memo.get(key)
+    if pairing is None:
+        step = sign * (e // theta.modulus)
+        pts = theta.points()
+        roots = [((k, 1),) for k in range(e)]  # one lifted root per exponent, shared
+        pairing = _remember(key, [
+            [roots[sum(a * b for a, b in zip(y, z)) * step % e] for z in pts] for y in pts
+        ], len(pts) ** 2)
+    return key, pairing
+
+
+def _transform(cy, pairing, f) -> list[tuple[int, ...]]:
+    """y -> sum_z f(z) w^{sign <y,z>}, summed in Z[C_e] and reduced once per y."""
+    COUNTS["transforms"] += 1
+    lifted = [cy.lift(value) for value in f]
+    ones = [1] * len(lifted)
+    return [cy.product_sum(ones, lifted, w) for w in pairing]
 
 
 def fourier(theta: Theta, cy, divisors) -> list[list[tuple[int, ...]]]:
     """The transform a -> sum_x mult(x) w^{<a,x>} of each divisor."""
-    return _transform(theta, cy, [[cy.from_int(m) for m in d.vec] for d in divisors], 1)
+    key, pairing = _pairing(theta, cy, 1)
+    out = []
+    for d in divisors:
+        vec_key = key + (d.vec,)
+        values = _memo.get(vec_key)
+        if values is None:
+            values = _remember(vec_key, tuple(
+                _transform(cy, pairing, [cy.from_int(m) for m in d.vec])), len(d.vec))
+        out.append(list(values))
+    return out
 
 
 def fourier_inverse(theta: Theta, cy, rows) -> list[LatticeDivisor]:
     """The divisor mult(x) = p^{-vn} sum_a f(a) w^{-<a,x>} of each row f.
 
     Raises InexactDivision unless every multiplicity is a rational integer,
-    and ValidationError when one is negative.
+    and ValidationError when one is negative.  Rows are taken in order, and
+    a row not seen before is checked in full before its count vector is
+    kept, so the first failing row raises, on every call.
     """
-    size = len(theta.points())
+    key, pairing = _pairing(theta, cy, -1)
+    size = len(pairing)
     divisors = []
-    for row in _transform(theta, cy, rows, -1):
-        mults = tuple(cy.rational_value(cy.divide_exact(value, size)) for value in row)
-        if min(mults) < 0:
-            raise ValidationError("negative multiplicity")
-        divisors.append(LatticeDivisor.of_vec(theta, mults))
+    for row in rows:
+        row_key = key + (tuple(row),)
+        vec = _memo.get(row_key)
+        if vec is None:
+            vec = tuple(cy.rational_value(cy.divide_exact(value, size))
+                        for value in _transform(cy, pairing, row))
+            if min(vec) < 0:
+                raise ValidationError("negative multiplicity")
+            _remember(row_key, vec, size)
+        divisors.append(LatticeDivisor.of_vec(theta, vec))
     return divisors
 
 

@@ -246,7 +246,7 @@ def kappa(
         raise ValidationError("group exponent not divisible by p^v")
     theta = Theta(p, v, n)
     classes = pointwise_signature(model, hom, theta.points())
-    rows = [[row[c] for c in classes] for row in table.rows]
+    rows = [tuple(row[c] for c in classes) for row in table.rows]
     try:
         return OmegaChElem(fourier_inverse(theta, table.cyclo, rows))
     except (InexactDivision, ValidationError) as exc:
@@ -400,15 +400,14 @@ def xi_class_map(
     Uniqueness of h and Z-equivariance of the result are asserted.
     """
     theta = f.divisors[0].theta
-    pts = theta.points()
     values = fourier(theta, table.cyclo, f.divisors)
-    pclasses = model.p_power_class_indices(p)
+    # the p-power classes by their column of character values
+    classes_of: dict = {}
+    for c in model.p_power_class_indices(p):
+        classes_of.setdefault(tuple(row[c] for row in table.rows), []).append(c)
     out = []
-    for j, a in enumerate(pts):
-        matches = [
-            c for c in pclasses
-            if all(row[c] == value[j] for row, value in zip(table.rows, values))
-        ]
+    for a, column in zip(theta.points(), zip(*values)):
+        matches = classes_of.get(column, [])
         if len(matches) != 1:
             raise NoMatchingClass(f"{len(matches)} classes match at {a}")
         out.append(matches[0])

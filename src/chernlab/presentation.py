@@ -4,24 +4,30 @@ Generators c_{i,k} (one per nontrivial irreducible i and 1 <= k <= d_i) with
 relations equating the coefficients of the divisor product / exterior-power
 polynomials against the tensor / lambda decompositions of the representation
 ring (RepRing.relations()), plus nilpotence truncations.  Every relation's
-degree, d_i d_j or C(d_i, r), must be at most divisor.DEGREE_CEILING; this
-is checked before any quotient is built.  The truncation exponent is
+degree, d_i d_j or C(d_i, r), must be at most divisor.DEGREE_CEILING, and
+every product's splitting tower must be within TOWER_WORK_CEILING; both are
+checked before any quotient is built.  The truncation exponent is
 p^{n*v(G)} with v(G) the p-part of the group exponent, which the finiteness
 theory makes harmless; raising v cannot change the presented quotient.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 
 from .divisor import DEGREE_CEILING, DivisorPoly, divisor_lambda, divisor_mul, tpoly_mul
-from .errors import DegreeCeiling, ValidationError
+from .errors import DegreeCeiling, ResourceLimit, ValidationError
 from .fgl import FGL
 from .field import GF
 from .groebner import QuotientRing, buchberger, cap_ring
 from .groups import p_part_exponent
 from .poly import Poly
 from .repring import RepRing
+
+# D_i * D_j splits in a tower free of rank d_i! d_j! over the cap_ring on the
+# d_i + d_j generators of D_i and D_j (d_i when i = j), each capped at the
+# truncation exponent; the work is that dimension times the rank
+TOWER_WORK_CEILING = 1 << 14
 
 
 class Presentation:
@@ -117,6 +123,15 @@ def build_presentation(
         degree = comb(dims[i], r) if r else dims[i] * dims[j]
         if degree > DEGREE_CEILING:
             raise DegreeCeiling(f"relation degree {degree} exceeds ceiling {DEGREE_CEILING}")
+    for i, j, r, _ in relations:
+        rank = factorial(dims[i]) * factorial(dims[j])
+        # a product of two line characters splits at once: it adjoins no root
+        if not r and rank > 1:
+            work = trunc ** (dims[i] + (dims[j] if j != i else 0)) * rank
+            if work > TOWER_WORK_CEILING:
+                raise ResourceLimit(
+                    f"splitting tower of V{i + 1}*V{j + 1} has work {work}, "
+                    f"over ceiling {TOWER_WORK_CEILING}")
     var_names = []
     var_of = {}
     for i in range(1, h):

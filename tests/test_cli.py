@@ -166,6 +166,7 @@ def test_extraspecial_table_check(capsys):
     "omega --group c2 --p 2 --n 40 --variant dprime",
     # degree and precision ceilings of the Chern-ring presentation and the laws
     "chern --group extraspecial(5,1) --p 5 --n 1",
+    "chern --group extraspecial(3,1) --p 3 --n 1",
     "chern --group c2 --p 2 --n 2 --prec 2",
     "chern --group sigma4 --p 3 --n 1 --prec 8",
     "fgl --multiplicative --p 2 --n 1 --prec 0 --series 2",

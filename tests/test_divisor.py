@@ -121,21 +121,21 @@ def test_split_divisor_oracle_exhaustive(law):
             prod_lat = D_lat * E_lat
             prod_sch = divisor_mul(D_sch, E_sch)
             expected = divisor_from_roots(
-                Q, law, [coord[p] for p in prod_lat.points_with_multiplicity()]
+                Q, law, [coord[p] for p, m in prod_lat.pairs for _ in range(m)]
             )
             assert prod_sch == expected
         for r in range(0, 3):
             lam_lat = D_lat.lam(r)
             lam_sch = divisor_lambda(D_sch, r)
             expected = divisor_from_roots(
-                Q, law, [coord[p] for p in lam_lat.points_with_multiplicity()]
+                Q, law, [coord[p] for p, m in lam_lat.pairs for _ in range(m)]
             )
             assert lam_sch == expected
         for k in (2, 3):
             psi_lat = D_lat.psi(k)
             psi_sch = divisor_psi(D_sch, k)
             expected = divisor_from_roots(
-                Q, law, [coord[p] for p in psi_lat.points_with_multiplicity()]
+                Q, law, [coord[p] for p, m in psi_lat.pairs for _ in range(m)]
             )
             assert psi_sch == expected
 

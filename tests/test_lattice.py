@@ -3,6 +3,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
+from chernlab import lattice
 from chernlab.cyclotomic import Cyclo
 from chernlab.errors import InexactDivision, LambdaOutOfRange, ValidationError
 from chernlab.lattice import (
@@ -53,7 +54,7 @@ def test_lambda_out_of_range(theta):
 def lam_by_enumeration(D, k):
     """lambda^k straight from the definition: one point per k-subset."""
     theta = D.theta
-    pts = list(D.points_with_multiplicity())
+    pts = [pt for pt, m in D.pairs for _ in range(m)]
     counts: dict = {}
     for subset in combinations(range(len(pts)), k):
         s = theta.zero()
@@ -172,6 +173,83 @@ def test_fourier_inverse_rejects_a_non_transform(theta):
     with pytest.raises(InexactDivision):
         fourier_inverse(theta, cy, [row])
 
+
+
+# -- the Fourier memo: each distinct function is transformed and checked once --
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    monkeypatch.setattr(lattice, "_memo", {})
+    monkeypatch.setattr(lattice, "_memo_entries", 0)
+
+
+def delta_row(theta, cy, m):
+    """m at the origin and 0 elsewhere: the inverse transform is m/|Theta| everywhere."""
+    return [cy.from_int(m) if a == theta.zero() else cy.zero for a in theta.points()]
+
+
+def test_fourier_inverse_of_a_repeated_row_is_equal(theta):
+    cy = Cyclo(2)
+    D = LatticeDivisor(theta, [(1, 0), (1, 1), (1, 1)])
+    row = fourier(theta, cy, [D])[0]
+    first, second = fourier_inverse(theta, cy, [row, row])
+    assert first == second == D
+    assert fourier_inverse(theta, cy, [row]) == [D]
+
+
+def test_a_non_transform_raises_on_every_call(theta):
+    cy = Cyclo(2)
+    bad = delta_row(theta, cy, 1)
+    good = fourier(theta, cy, [LatticeDivisor(theta, [(0, 1)])])[0]
+    negative = [cy.neg(value) for value in good]  # the transform of -[(0, 1)]
+    for _ in range(2):
+        with pytest.raises(InexactDivision):
+            fourier_inverse(theta, cy, [bad])
+        with pytest.raises(ValidationError, match="negative multiplicity"):
+            fourier_inverse(theta, cy, [negative])
+        assert fourier_inverse(theta, cy, [good]) == [LatticeDivisor(theta, [(0, 1)])]
+        with pytest.raises(InexactDivision):
+            fourier_inverse(theta, cy, [good, bad])
+
+
+def test_the_first_failing_row_raises_cold_and_warm(theta, cold_memo):
+    cy = Cyclo(2)
+    good = fourier(theta, cy, [LatticeDivisor(theta, [(1, 0)])])[0]
+    bad1, bad2 = delta_row(theta, cy, 1), delta_row(theta, cy, 2)
+    with pytest.raises(InexactDivision) as alone:
+        fourier_inverse(theta, cy, [bad1])
+    with pytest.raises(InexactDivision) as other:
+        fourier_inverse(theta, cy, [bad2])
+    assert str(other.value) != str(alone.value)
+    lattice._memo.clear()
+    lattice._memo_entries = 0
+    for _ in range(2):  # a cold memo, then one that holds good
+        with pytest.raises(InexactDivision) as exc:
+            fourier_inverse(theta, cy, [good, bad1, bad2])
+        assert str(exc.value) == str(alone.value)
+
+
+def test_the_fourier_memo_stays_within_its_bound(theta, cold_memo, monkeypatch):
+    size = len(theta.points())
+    bound = size * size + 3 * size  # one pairing table and three functions
+    monkeypatch.setattr(lattice, "FOURIER_MEMO_ENTRIES", bound)
+    cy = Cyclo(2)
+    divisors = [LatticeDivisor(theta, [pt] * k) for pt in theta.points() for k in (1, 2)]
+    for _ in range(2):
+        assert fourier_inverse(theta, cy, fourier(theta, cy, divisors)) == divisors
+        kept = sum(size * size if len(key) == 5 else size for key in lattice._memo)
+        assert kept == lattice._memo_entries <= bound
+
+
+def test_transforms_count_distinct_functions(theta, cold_memo):
+    cy = Cyclo(2)
+    rows = fourier(theta, cy, [LatticeDivisor(theta, [(1, 0)] * 3)] * 2)
+    before = lattice.COUNTS["transforms"]
+    fourier_inverse(theta, cy, rows)
+    assert lattice.COUNTS["transforms"] - before == 1
+    before = lattice.COUNTS["transforms"]
+    fourier_inverse(theta, cy, rows)
+    assert lattice.COUNTS["transforms"] == before
 
 # -- oracle: the algebra on sorted (point, multiplicity) pairs ----------------
 # Divisors were stored as sorted pairs before the count vectors; these are

@@ -1,7 +1,7 @@
 import pytest
 
 from chernlab import omega
-from chernlab.errors import ResourceLimit
+from chernlab.errors import NonIntegralMultiplicity, ResourceLimit
 from chernlab.groups import builtin_model, model_symmetric, model_trivial
 from chernlab.lattice import LatticeDivisor, Theta
 from chernlab.omega import (
@@ -98,6 +98,19 @@ def test_kappa_constant_on_conjugacy_orbits(s4_ring):
         s4_ring.table, model, conj, 2, 2
     )
 
+
+def test_kappa_raises_the_same_error_on_every_call(s3_ring):
+    # two transpositions that do not commute: the 2-dimensional character
+    # restricts to (2, 0, 0, -1) on Theta(2, 1, 2), which no divisor has as
+    # its transform; the rows before it are kept by the first call
+    model = model_symmetric(3)
+    hom = (model.index[(1, 0, 2)], model.index[(2, 1, 0)])
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NonIntegralMultiplicity) as exc:
+            kappa(s3_ring.table, model, hom, 2, 2)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 def test_kappa_bijective_sigma4(s4_ring):
     model = model_symmetric(4)

@@ -1,7 +1,7 @@
 import pytest
 
 from chernlab import groebner
-from chernlab.errors import DegreeCeiling, ValidationError
+from chernlab.errors import DegreeCeiling, ResourceLimit, ValidationError
 from chernlab.fgl import honda_fgl
 from chernlab.field import GF
 from chernlab.groebner import cap_ring
@@ -78,4 +78,14 @@ def test_relation_degree_ceiling_before_any_quotient():
     pairs = groebner.COUNTS["pairs"]
     with pytest.raises(DegreeCeiling, match="degree 25 "):
         build_presentation(ring, honda_fgl(5, 1, 32))
+    assert groebner.COUNTS["pairs"] == pairs
+
+
+def test_tower_work_ceiling_before_any_quotient():
+    # the two 3-dim irreducibles of 3^{1+2}: a tower of rank 3! 3! over the
+    # cap_ring on their six generators, each capped at 3
+    ring = RepRing(table_extraspecial(3, 1))
+    pairs = groebner.COUNTS["pairs"]
+    with pytest.raises(ResourceLimit, match=f"work {3 ** 6 * 36}, over ceiling"):
+        build_presentation(ring, honda_fgl(3, 1, 32))
     assert groebner.COUNTS["pairs"] == pairs
