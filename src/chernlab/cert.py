@@ -3,28 +3,27 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .errors import CertificateMismatch
 
 SCHEMA = "chernlab/1"
 
 
-@dataclass
 class Clause:
-    name: str
-    status: str
-    witness: dict
+    def __init__(self, name: str, status: str, witness: dict):
+        self.name = name
+        self.status = status
+        self.witness = witness
 
     def as_dict(self):
         return {"name": self.name, "status": self.status, "witness": self.witness}
 
 
-@dataclass
 class Certificate:
-    pipeline: str
-    params: dict
-    clauses: list[Clause] = field(default_factory=list)
+    def __init__(self, pipeline: str, params: dict):
+        self.pipeline = pipeline
+        self.params = params
+        self.clauses: list[Clause] = []
 
     def add(self, name: str, ok: bool, witness: dict | None = None) -> bool:
         self.clauses.append(Clause(name, "pass" if ok else "fail", witness or {}))

@@ -3,15 +3,18 @@
 The height-n law at p is F = l^{-1}(l(x) + l(y)) for the Honda logarithm
 l(x) = sum_i x^{p^{ni}}/p^i.  It is built over the integers: L(x) = l(px)/p is
 integral and starts with x, so its compositional inverse G is integral too, and
-G(L(x) + L(y)) = F(px, py)/p.  Dividing the coefficient of x^i y^j there
-exactly by p^{i+j-1} proves F p-integral; only the quotient is reduced mod p.
-The multiplicative law x + y - xy is available for height-one work.  Series
-are kept modulo x^prec (total degree prec in two variables).
+G(L(x) + L(y)) = F(px, py)/p.  One table of the powers L^k gives both G, by a
+triangular solve, and that law, as a bilinear sum over rows L^k(x).  Dividing
+the coefficient of x^i y^j there exactly by p^{i+j-1} proves F p-integral;
+only the quotient is reduced mod p.  The multiplicative law x + y - xy is
+available for height-one work.  Series are kept modulo x^prec (total degree
+prec in two variables).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 
 from .errors import (
     IncompatibleRing,
@@ -38,24 +41,13 @@ def _uni_mul(a: dict, b: dict, prec: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _bi_mul(a: dict, b: dict, prec: int) -> dict:
-    out: dict = {}
-    for (i1, j1), ca in a.items():
-        for (i2, j2), cb in b.items():
-            if i1 + i2 + j1 + j2 < prec:
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
-def _compose(outer: dict, inner: dict, mul, prec: int, one) -> dict:
-    """outer(inner) by Horner's rule: outer maps degree -> coefficient, inner
-    is a truncated series whose product is mul and whose unit monomial is one."""
+def _compose(outer: dict, inner: dict, prec: int) -> dict:
+    """outer(inner) by Horner's rule for univariate truncated series."""
     acc: dict = {}
     for d in range(max(outer, default=0), -1, -1):
-        acc = mul(acc, inner, prec)
+        acc = _uni_mul(acc, inner, prec)
         if outer.get(d):
-            acc[one] = acc.get(one, 0) + outer[d]
+            acc[0] = acc.get(0, 0) + outer[d]
     return acc
 
 
@@ -88,17 +80,23 @@ class FGL:
 
     # -- series access -------------------------------------------------------
     def add_series(self, a: dict, b: dict) -> dict:
-        """F(a(x), b(x)) for univariate truncated series without constant term."""
+        """F(a(x), b(x)) for univariate truncated series without constant term,
+        as sum_i a^i (sum_j c_ij b^j) by Horner's rule in a: one product per
+        power of a."""
         prec = self.prec
-        pa, pb = [{0: 1}], [{0: 1}]
-        for _ in range(max(i for i, _ in self.terms)):
-            pa.append(_uni_mul(pa[-1], a, prec))
-        for _ in range(max(j for _, j in self.terms)):
-            pb.append(_uni_mul(pb[-1], b, prec))
-        out: dict = {}
+        pb = [{0: 1}]
+        rows: dict[int, dict] = {}
         for (i, j), c in self.terms.items():
-            for d, v in _uni_mul(pa[i], pb[j], prec).items():
-                out[d] = out.get(d, 0) + c * v
+            while len(pb) <= j:
+                pb.append(_uni_mul(pb[-1], b, prec))
+            row = rows.setdefault(i, {})
+            for d, v in pb[j].items():
+                row[d] = row.get(d, 0) + c * v
+        out: dict = {}
+        for i in range(max(rows), -1, -1):
+            out = _uni_mul(out, a, prec)
+            for d, v in rows.get(i, {}).items():
+                out[d] = out.get(d, 0) + v
         return _mod(out, self.p)
 
     def negation_series(self) -> dict:
@@ -126,7 +124,7 @@ class FGL:
             out = self.negation_series()
         elif k < 0:
             neg, pos = self.mul_series(-1), self.mul_series(-k)
-            out = _mod(_compose(neg, pos, _uni_mul, self.prec, 0), self.p)
+            out = _mod(_compose(neg, pos, self.prec), self.p)
         elif k % 2 == 0:
             half = self.mul_series(k // 2)
             out = self.add_series(half, half)
@@ -210,37 +208,34 @@ class FGL:
         return f"FGL({self.kind}, p={self.p}, n={self.n}, prec={self.prec})"
 
 
-def _series_inverse(f: dict, prec: int) -> dict:
-    """Compositional inverse of x + (terms of degree >= 2) by passes of
-    g <- x - (f - x)(g).  If g agrees with the inverse below degree m, the
-    next pass agrees below m + d - 1, d the lowest degree of f - x, so each
-    pass works only to that precision; a pass at prec that returns g proves
-    it the inverse."""
-    tail = {d: c for d, c in f.items() if d != 1}
-    step = min(tail, default=2) - 1
-    g = {1: 1}
-    work = 1 + step  # x agrees with the inverse below degree d
-    for _ in range(prec):
-        work = min(prec, work + step)
-        new = {1: 1, **{d: -c for d, c in _compose(tail, g, _uni_mul, work, 0).items()}}
-        if new == g and work == prec:
-            return g
-        g = new
-    raise ResourceLimit("series inversion did not converge")
-
-
 def _integral_law(log: dict, p: int, prec: int) -> dict:
     """Terms mod p of F = l^{-1}(l(x) + l(y)), given log = L(x) = l(px)/p.
 
-    L is integral and starts with x, so G = L^{-1} is integral and
-    G(L(x) + L(y)) = F(px, py)/p; its x^i y^j coefficient must divide exactly
-    by p^{i+j-1}, else NonIntegralCoefficient.
+    One table powers[k] = L^k mod x^prec serves both steps.  L^d starts with
+    x^d, so G = L^{-1} is integral: g_1 = 1, g_m = -sum_{d<m} g_d [x^m] L^d.
+    Then G(L(x) + L(y)) = F(px, py)/p has x^i y^j coefficient
+    sum_{k,l} g_{k+l} C(k+l, k) [x^i] L^k [y^j] L^l, summed one row k at a
+    time; it must divide exactly by p^{i+j-1}, else NonIntegralCoefficient.
     """
-    s = {}
-    for d, c in log.items():
-        s[(d, 0)] = c
-        s[(0, d)] = c
-    scaled = _compose(_series_inverse(log, prec), s, _bi_mul, prec, (0, 0))
+    powers = [{0: 1}]
+    for _ in range(1, prec):
+        powers.append(_uni_mul(powers[-1], log, prec))
+    g = [0, 1]
+    for m in range(2, prec):
+        g.append(-sum(g[d] * powers[d].get(m, 0) for d in range(1, m)))
+    scaled: dict = {}
+    for k in range(prec):
+        row: dict = {}  # B_k(y) = sum_l g_{k+l} C(k+l, k) L^l(y)
+        for l in range(prec - k):
+            coeff = g[k + l] * comb(k + l, k)
+            if coeff:
+                for j, c in powers[l].items():
+                    if j < prec - k:
+                        row[j] = row.get(j, 0) + coeff * c
+        for i, a in powers[k].items():
+            for j, b in row.items():
+                if i + j < prec:
+                    scaled[(i, j)] = scaled.get((i, j), 0) + a * b
     terms = {}
     for (i, j), c in scaled.items():
         q, r = divmod(c, p ** (i + j - 1))

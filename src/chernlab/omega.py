@@ -200,16 +200,18 @@ def enumerate_omega_dprime(model: GroupModel, p: int, n: int, w: int | None = No
 class OmegaChElem:
     """One divisor of dimension d_i per irreducible; hashable and canonical."""
 
-    __slots__ = ("divisors",)
+    __slots__ = ("divisors", "_hash")
 
     def __init__(self, divisors):
         self.divisors = tuple(divisors)
+        self._hash = hash(self.divisors)
 
     def __eq__(self, other):
-        return isinstance(other, OmegaChElem) and self.divisors == other.divisors
+        return (isinstance(other, OmegaChElem) and self._hash == other._hash
+                and self.divisors == other.divisors)
 
     def __hash__(self):
-        return hash(self.divisors)
+        return self._hash
 
     def sort_key(self) -> list:
         """The point-sorted pairs of each divisor: the certificate order."""

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from chernlab.errors import NonIntegralCoefficient, PrecisionExceeded, ResourceLimit
-from chernlab.fgl import _integral_law, honda_fgl, multiplicative_fgl
+from chernlab.fgl import _integral_law, _uni_mul, honda_fgl, multiplicative_fgl
 from chernlab.field import GF
 from chernlab.groebner import cap_ring
 
@@ -78,9 +78,31 @@ def _rational_honda_terms(p, n, prec):
 
 
 @pytest.mark.parametrize("p,n,prec", [(2, 2, 32), (3, 2, 64), (2, 3, 64), (7, 1, 64),
-                                      (2, 2, 48)])
+                                      (2, 2, 48), (2, 1, 32), (3, 1, 40), (5, 1, 64)])
 def test_integer_law_matches_rational_oracle(p, n, prec):
     assert honda_fgl(p, n, prec).terms == _rational_honda_terms(p, n, prec)
+
+
+def _termwise_add_series(law, a, b):
+    """F(a, b) mod p as the sum over terms of c_ij a^i b^j, one product each."""
+    pa, pb = [{0: 1}], [{0: 1}]
+    for _ in range(max(i for i, _ in law.terms)):
+        pa.append(_uni_mul(pa[-1], a, law.prec))
+    for _ in range(max(j for _, j in law.terms)):
+        pb.append(_uni_mul(pb[-1], b, law.prec))
+    out = {}
+    for (i, j), c in law.terms.items():
+        for d, v in _uni_mul(pa[i], pb[j], law.prec).items():
+            out[d] = out.get(d, 0) + c * v
+    return {d: c % law.p for d, c in out.items() if c % law.p}
+
+
+@pytest.mark.parametrize("p,n,prec", [(2, 2, 32), (5, 1, 64)])
+def test_add_series_matches_termwise_sum(p, n, prec):
+    law = honda_fgl(p, n, prec)
+    two, neg = law.mul_series(2), law.mul_series(-1)
+    for a, b in ((two, two), (two, neg), (neg, {1: 1}), ({1: 1}, neg)):
+        assert law.add_series(a, b) == _termwise_add_series(law, a, b)
 
 
 def test_non_honda_logarithm_is_not_p_integral():
