@@ -41,20 +41,6 @@ def _uni_mul(a: dict, b: dict, prec: int) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def _compose(outer: dict, inner: dict, prec: int) -> dict:
-    """outer(inner) by Horner's rule for univariate truncated series."""
-    acc: dict = {}
-    for d in range(max(outer, default=0), -1, -1):
-        acc = _uni_mul(acc, inner, prec)
-        if outer.get(d):
-            acc[0] = acc.get(0, 0) + outer[d]
-    return acc
-
-
-def _mod(series: dict, p: int) -> dict:
-    return {k: c % p for k, c in series.items() if c % p}
-
-
 class FGL:
     """A truncated one-dimensional formal group law over F_p.
 
@@ -97,35 +83,26 @@ class FGL:
             out = _uni_mul(out, a, prec)
             for d, v in rows.get(i, {}).items():
                 out[d] = out.get(d, 0) + v
-        return _mod(out, self.p)
-
-    def negation_series(self) -> dict:
-        """The series m with F(x, m(x)) = 0, solved degree by degree."""
-        p, prec = self.p, self.prec
-        m = {1: p - 1}
-        for _ in range(prec + 2):
-            s = self.add_series({1: 1}, m)
-            if not s:
-                return m
-            d = min(s)
-            if d >= prec:
-                return m
-            # correct the lowest wrong degree: F(x, m + e x^d) = F(x,m) + e x^d + h.o.t.
-            m[d] = (m.get(d, 0) - s[d]) % p
-            if not m[d]:
-                del m[d]
-        raise ResourceLimit("negation series did not converge")
+        return {d: c % self.p for d, c in out.items() if c % self.p}
 
     def mul_series(self, k: int) -> dict:
-        """The [k]-series, cached; negative k via composition with [-1]."""
+        """The [k]-series, cached, by doubling and adding x.
+
+        A negative k is read as k mod p^N, p^N the least power of p that is
+        at least prec: over F_p, [p](x) starts in degree p or higher, so
+        [p^N](x) = 0 mod x^prec and [k] depends only on k mod p^N.  That
+        zero is checked on the same chain before it is used.
+        """
+        if k < 0:
+            period = self.p
+            while period < self.prec:
+                period *= self.p
+            if self.mul_series(period):
+                raise ValidationError(f"[{period}](x) is not 0 mod x^{self.prec}")
+            k %= period
         if k in self._mul_cache:
             return dict(self._mul_cache[k])
-        if k == -1:
-            out = self.negation_series()
-        elif k < 0:
-            neg, pos = self.mul_series(-1), self.mul_series(-k)
-            out = _mod(_compose(neg, pos, self.prec), self.p)
-        elif k % 2 == 0:
+        if k % 2 == 0:
             half = self.mul_series(k // 2)
             out = self.add_series(half, half)
         else:
@@ -267,23 +244,18 @@ def honda_fgl(p: int, n: int, prec: int = 32) -> FGL:
     _check_precision(prec)
     if n < 1:
         raise ValidationError("need height >= 1")
-    q = p ** n
-    log = {q ** i: p ** (q ** i - 1 - i) for i in range(prec) if q ** i < prec}
+    # only the powers q^i below prec count, and p^n >= 2^n passes prec once n
+    # reaches prec's bit length: a larger n builds the same law
+    q = p ** min(n, prec.bit_length())
+    log, i = {}, 0
+    while q ** i < prec:
+        log[q ** i] = p ** (q ** i - 1 - i)
+        i += 1
     law = FGL(p, n, prec, _integral_law(log, p, prec), "honda")
-    _check_height(law)
+    series = law.mul_series(p)
+    if series != ({q: 1} if q < prec else {}):
+        raise NonIntegralCoefficient(f"[p](x) != x^{{p^n}} at precision {prec}: got {series}")
     return law
-
-
-def _check_height(law: FGL) -> None:
-    series = law.mul_series(law.p)
-    expected = {}
-    q = law.p ** law.n
-    if q < law.prec:
-        expected[q] = 1
-    if series != expected:
-        raise NonIntegralCoefficient(
-            f"[p](x) != x^{{p^n}} at precision {law.prec}: got {series}"
-        )
 
 
 @lru_cache(maxsize=None)

@@ -22,14 +22,19 @@ class Theta:
     """The parameter triple (p, v, n) for the lattice (Z/p^v)^n.
 
     A point's index is its base-p^v numeral, so points() is in lexicographic
-    order.  The point list and the translation and scaling rows of the
-    index arithmetic are built on first use and kept.
+    order.  A lattice of more than THETA_POINTS_CEILING points is refused
+    here.  The point list and the translation and scaling rows of the index
+    arithmetic are built on first use and kept.
     """
 
     def __init__(self, p: int, v: int, n: int):
         self.p = p
         self.v = v
         self.n = n
+        # exponents first: p^{vn} >= 2^{vn} passes the ceiling once vn reaches
+        # its bit length, so no power of p past it is ever built
+        if v * n >= THETA_POINTS_CEILING.bit_length() or p ** (v * n) > THETA_POINTS_CEILING:
+            raise ResourceLimit(f"{self} has more than {THETA_POINTS_CEILING} points")
         self.modulus = p ** v
         self._points = None
         self._indices: tuple[int, ...] = ()
@@ -54,9 +59,6 @@ class Theta:
     def points(self) -> tuple[tuple[int, ...], ...]:
         """Every point, in lexicographic order; index 0 is the origin."""
         if self._points is None:
-            # exact test: a modulus >= 2 to the 21st, or 2^21 to any n >= 1, is past it
-            if min(self.modulus, 2 << 20) ** min(self.n, 21) > THETA_POINTS_CEILING:
-                raise ResourceLimit(f"{self} has more than {THETA_POINTS_CEILING} points")
             out = [()]
             for _ in range(self.n):
                 out = [pt + (x,) for pt in out for x in range(self.modulus)]

@@ -8,7 +8,9 @@ degree, d_i d_j or C(d_i, r), must be at most divisor.DEGREE_CEILING, and
 every product's splitting tower must be within TOWER_WORK_CEILING; both are
 checked before any quotient is built.  The truncation exponent is
 p^{n*v(G)} with v(G) the p-part of the group exponent, which the finiteness
-theory makes harmless; raising v cannot change the presented quotient.
+theory makes harmless; raising v cannot change the presented quotient.  A
+truncation past the law's precision is refused before it is built, since the
+law is unknown on a generator whose prec-th power survives.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from math import comb, factorial
 
 from .divisor import DEGREE_CEILING, DivisorPoly, divisor_lambda, divisor_mul, tpoly_mul
-from .errors import DegreeCeiling, ResourceLimit, ValidationError
+from .errors import DegreeCeiling, PrecisionExceeded, ResourceLimit, ValidationError
 from .fgl import FGL
 from .field import GF
 from .groebner import QuotientRing, buchberger, cap_ring
@@ -114,7 +116,6 @@ def build_presentation(
     if v < v_g:
         raise ValidationError(f"v={v} is below the p-part {v_g} of the exponent")
     field = GF(p)
-    trunc = p ** (law.n * v_g)
 
     h = rep.h
     dims = rep.dims
@@ -123,6 +124,11 @@ def build_presentation(
         degree = comb(dims[i], r) if r else dims[i] * dims[j]
         if degree > DEGREE_CEILING:
             raise DegreeCeiling(f"relation degree {degree} exceeds ceiling {DEGREE_CEILING}")
+    # exponents first: p^e >= 2^e passes prec once e reaches prec's bit length
+    e = law.n * v_g
+    if e >= law.prec.bit_length() or p ** e > law.prec:
+        raise PrecisionExceeded(f"truncation exponent {p}^{e} exceeds precision {law.prec}")
+    trunc = p ** e
     for i, j, r, _ in relations:
         rank = factorial(dims[i]) * factorial(dims[j])
         # a product of two line characters splits at once: it adjoins no root

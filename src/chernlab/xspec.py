@@ -26,7 +26,7 @@ from .repring import (
     table_extraspecial,
 )
 
-ALPHA_CEILING = 10 ** 6  # homomorphisms alpha: F_p^{2d} -> Theta(1) that enumerate_U tries
+XSPEC_WORK_CEILING = 1 << 22  # p^{(2d+1)n}: the alphas times the points of Theta(1)
 
 
 @lru_cache(maxsize=None)
@@ -54,22 +54,22 @@ class UPair:
         return hash(self.key())
 
 
-def _span(points, theta: Theta):
-    """The subgroup generated by the points, with its F_p-rank."""
-    span = {theta.zero()}
-    basis = []
-    for pt in points:
-        if pt in span:
+def _span(indices, theta: Theta) -> tuple[frozenset, int]:
+    """The subgroup generated by the points at these indices, as a set of
+    point indices, with its F_p-rank.  A generator outside the span so far
+    adds its p - 1 translates of the span, read off its shift row."""
+    span = {0}
+    rank = 0
+    for i in indices:
+        if i in span:
             continue
-        basis.append(pt)
-        new = set()
-        for s in span:
-            cur = s
-            for _ in range(theta.p - 1):
-                cur = theta.add(cur, pt)
-                new.add(cur)
-        span |= new
-    return span, len(basis)
+        rank += 1
+        row = theta.shift(i)
+        layer = list(span)
+        for _ in range(theta.p - 1):
+            layer = [row[s] for s in layer]
+            span.update(layer)
+    return frozenset(span), rank
 
 
 def c_alpha(alpha, theta: Theta) -> LatticeDivisor:
@@ -81,32 +81,52 @@ def c_alpha(alpha, theta: Theta) -> LatticeDivisor:
     return out
 
 
+def _cosets(span: frozenset, mult: int, theta: Theta) -> list:
+    """(u, u psi^{p-1}(u)) for each coset of the span, in the order of its
+    least point index, where u is mult times the coset's points."""
+    rows = [theta.shift(s) for s in span]
+    size = len(theta.points())
+    covered = bytearray(size)
+    out = []
+    for base in range(size):
+        if covered[base]:
+            continue
+        vec = [0] * size
+        for row in rows:
+            vec[row[base]] = mult
+            covered[row[base]] = 1
+        u = LatticeDivisor.of_vec(theta, tuple(vec))
+        out.append((u, u * u.psi(theta.p - 1)))
+    return out
+
+
 def enumerate_U(p: int, d: int, n: int) -> list[UPair]:
     """All pairs from the coset classification: for rank e <= d, one u per
-    coset of the image, with multiplicity p^{d-e}; empty for e > d."""
+    coset of the image, with multiplicity p^{d-e}; empty for e > d.  The
+    cosets of each distinct image are built once; every pair is checked
+    against its own alpha's c_alpha."""
     if p == 2:
         raise ValidationError("odd primes only")
-    if p ** (2 * d * n) > ALPHA_CEILING:
-        raise ResourceLimit("too many homomorphisms alpha")
+    # exponents first: p^e >= 2^e, which passes the ceiling once e reaches its bit length
+    e = (2 * d + 1) * n
+    if e >= XSPEC_WORK_CEILING.bit_length() or p ** e > XSPEC_WORK_CEILING:
+        raise ResourceLimit(f"p^{{(2d+1)n}} = {p}^{e} exceeds {XSPEC_WORK_CEILING}")
     theta = Theta(p, 1, n)
     pts = theta.points()
+    cosets: dict[frozenset, list] = {}
     pairs: list[UPair] = []
-    for alpha in iproduct(pts, repeat=2 * d):
+    for alpha in iproduct(range(len(pts)), repeat=2 * d):
         span, rank = _span(alpha, theta)
         if rank > d:
             continue
-        mult = p ** (d - rank)
-        target = c_alpha(alpha, theta)
-        seen = set()
-        for base in pts:
-            coset = frozenset(theta.add(base, s) for s in span)
-            if coset in seen:
-                continue
-            seen.add(coset)
-            u = LatticeDivisor.from_counts(theta, {pt: mult for pt in coset})
-            if u * u.psi(p - 1) != target:
+        if span not in cosets:
+            cosets[span] = _cosets(span, p ** (d - rank), theta)
+        cols = tuple(pts[i] for i in alpha)
+        target = c_alpha(cols, theta)
+        for u, product in cosets[span]:
+            if product != target:
                 raise ValidationError("enumerated pair fails the defining equation")
-            pairs.append(UPair(alpha, u, rank))
+            pairs.append(UPair(cols, u, rank))
     return pairs
 
 
@@ -126,21 +146,19 @@ def _dual_image_isotropic(alpha, p: int, d: int) -> bool:
 
 
 def _pair_from_omega_ch(elem: OmegaChElem, p: int, d: int) -> UPair:
-    """Translate a lattice homomorphism into its (alpha, u) pair."""
-    duals = sorted(iproduct(range(p), repeat=2 * d))
-    basis_rows = []
+    """Translate a lattice homomorphism into its (alpha, u) pair.  Column i
+    of alpha is the point of the linear character at the i-th unit vector of
+    F_p^{2d}, whose index in lexicographic order is p^{2d-1-i}."""
+    cols = []
     for i in range(2 * d):
-        w = tuple(1 if j == i else 0 for j in range(2 * d))
-        basis_rows.append(duals.index(w))
-    alpha = []
-    for row in basis_rows:
-        div = elem.divisors[row]
+        div = elem.divisors[p ** (2 * d - 1 - i)]
         if div.dim() != 1:
             raise ValidationError("linear character image is not a point")
-        alpha.append(div.pairs[0][0])
+        cols.append(div.support()[0][0])
     u = elem.divisors[p ** (2 * d)]  # the first degree-p^d character
-    _, rank = _span(alpha, u.theta)
-    return UPair(tuple(alpha), u, rank)
+    _, rank = _span(cols, u.theta)
+    pts = u.theta.points()
+    return UPair(tuple(pts[i] for i in cols), u, rank)
 
 
 def xspec_census(p: int, d: int, n: int) -> Certificate:

@@ -35,6 +35,13 @@ def test_fgl_multiplicative_records_height_one(capsys):
     assert doc["clauses"][0]["witness"] == {"[2](x)": "x^2"}
 
 
+def test_fgl_height_past_precision(capsys):
+    # 2^n reaches the precision 32 at n = 5; n = 10^9 must not build 2^n
+    code, out = run_capture(capsys, "fgl", "--p", "2", "--n", "1000000000", "--series", "2")
+    assert code == 0
+    assert json.loads(out)["clauses"][0]["witness"] == {"[2](x)": "0"}
+
+
 def test_groebner_subcommand(capsys):
     code, out = run_capture(
         capsys, "groebner", "--q", "3", "--vars", "x,y",
@@ -176,6 +183,13 @@ def test_extraspecial_table_check(capsys):
     "omega --group sigma7 --p 3 --n 2 --variant plain",
     "omega --group extraspecial(3,1000000000) --p 3 --n 1",
     "omega --group extraspecial(9,1) --p 3 --n 1",
+    # powers of p that the ceilings refuse by their exponents, before building them
+    "xspec --p 3 --d 1 --n 5",
+    "xspec --p 3 --d 1 --n 6",
+    "xspec --p 3 --d 1 --n 1000000000",
+    "chern --group c2 --p 2 --n 1000000000",
+    "witness --n 1000000000",
+    "omega --group c4 --p 2 --n 2 --variant ch --v 1000000000",
 ])
 def test_bad_parameters_exit_2_with_one_error_line(capsys, argv):
     assert run(argv.split()) == 2

@@ -2,8 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from chernlab.errors import NonIntegralCoefficient, PrecisionExceeded, ResourceLimit
-from chernlab.fgl import _integral_law, _uni_mul, honda_fgl, multiplicative_fgl
+from chernlab.errors import (
+    NonIntegralCoefficient,
+    PrecisionExceeded,
+    ResourceLimit,
+    ValidationError,
+)
+from chernlab.fgl import FGL, _integral_law, _uni_mul, honda_fgl, multiplicative_fgl
 from chernlab.field import GF
 from chernlab.groebner import cap_ring
 
@@ -77,8 +82,10 @@ def _rational_honda_terms(p, n, prec):
     return {k: c.numerator % p for k, c in law.items() if c.numerator % p}
 
 
+# (2, 9, 64) and (3, 40, 16): p^n past prec, where honda_fgl caps n
 @pytest.mark.parametrize("p,n,prec", [(2, 2, 32), (3, 2, 64), (2, 3, 64), (7, 1, 64),
-                                      (2, 2, 48), (2, 1, 32), (3, 1, 40), (5, 1, 64)])
+                                      (2, 2, 48), (2, 1, 32), (3, 1, 40), (5, 1, 64),
+                                      (2, 9, 64), (3, 40, 16)])
 def test_integer_law_matches_rational_oracle(p, n, prec):
     assert honda_fgl(p, n, prec).terms == _rational_honda_terms(p, n, prec)
 
@@ -103,6 +110,27 @@ def test_add_series_matches_termwise_sum(p, n, prec):
     two, neg = law.mul_series(2), law.mul_series(-1)
     for a, b in ((two, two), (two, neg), (neg, {1: 1}), ({1: 1}, neg)):
         assert law.add_series(a, b) == _termwise_add_series(law, a, b)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: honda_fgl(2, 1, 64), lambda: honda_fgl(2, 2, 32), lambda: honda_fgl(3, 2, 16),
+    lambda: honda_fgl(5, 1, 64), lambda: multiplicative_fgl(3, 64),
+], ids=["honda-2-1-64", "honda-2-2-32", "honda-3-2-16", "honda-5-1-64", "mult-3-64"])
+def test_negative_series_cancels(make):
+    # [-k] is read as [-k mod p^N], p^N the least power of p >= prec
+    law = make()
+    period = law.p
+    while period < law.prec:
+        period *= law.p
+    for k in (1, 2, 7, period, period + 1):
+        assert law.add_series(law.mul_series(k), law.mul_series(-k)) == {}, k
+
+
+def test_negative_series_checks_p_power_torsion():
+    # x + y + x^2 y^2 is no formal group law over F_3: [9](x) != 0 mod x^8
+    law = FGL(3, 1, 8, {(1, 0): 1, (0, 1): 1, (2, 2): 1}, "test")
+    with pytest.raises(ValidationError, match=r"\[9\]\(x\)"):
+        law.mul_series(-1)
 
 
 def test_non_honda_logarithm_is_not_p_integral():
