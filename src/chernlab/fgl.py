@@ -25,6 +25,7 @@ from .errors import (
 )
 from .field import GF
 from .groebner import QuotientRing
+from .groups import power_exceeds
 from .poly import Poly, PolyRing
 
 PREC_CEILING = 64
@@ -244,9 +245,8 @@ def honda_fgl(p: int, n: int, prec: int = 32) -> FGL:
     _check_precision(prec)
     if n < 1:
         raise ValidationError("need height >= 1")
-    # only the powers q^i below prec count, and p^n >= 2^n passes prec once n
-    # reaches prec's bit length: a larger n builds the same law
-    q = p ** min(n, prec.bit_length())
+    # only the powers q^i below prec count: any q past prec builds the same law
+    q = prec if power_exceeds(p, n, prec) else p ** n
     log, i = {}, 0
     while q ** i < prec:
         log[q ** i] = p ** (q ** i - 1 - i)

@@ -27,6 +27,12 @@ def p_part_exponent(m: int, p: int) -> int:
     return v
 
 
+def power_exceeds(p: int, e: int, bound: int) -> bool:
+    """Whether p^e > bound (p >= 2, e >= 0), never building p^e past the
+    bound: p^e >= 2^e passes it once e reaches the bound's bit length."""
+    return e >= bound.bit_length() or p ** e > bound
+
+
 class GroupModel:
     def __init__(self, name: str, elements: list, mult_fn):
         self.name = name

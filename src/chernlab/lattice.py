@@ -13,6 +13,7 @@ import re
 from itertools import combinations, compress
 
 from .errors import InexactDivision, LambdaOutOfRange, ResourceLimit, ValidationError
+from .groups import power_exceeds
 
 THETA_POINTS_CEILING = 1 << 20
 ROW_ENTRIES_KEPT = 1 << 20  # index-row entries one Theta keeps per kind of row
@@ -31,9 +32,7 @@ class Theta:
         self.p = p
         self.v = v
         self.n = n
-        # exponents first: p^{vn} >= 2^{vn} passes the ceiling once vn reaches
-        # its bit length, so no power of p past it is ever built
-        if v * n >= THETA_POINTS_CEILING.bit_length() or p ** (v * n) > THETA_POINTS_CEILING:
+        if power_exceeds(p, v * n, THETA_POINTS_CEILING):
             raise ResourceLimit(f"{self} has more than {THETA_POINTS_CEILING} points")
         self.modulus = p ** v
         self._points = None

@@ -22,7 +22,7 @@ from .errors import DegreeCeiling, PrecisionExceeded, ResourceLimit, ValidationE
 from .fgl import FGL
 from .field import GF
 from .groebner import QuotientRing, buchberger, cap_ring
-from .groups import p_part_exponent
+from .groups import p_part_exponent, power_exceeds
 from .poly import Poly
 from .repring import RepRing
 
@@ -124,9 +124,8 @@ def build_presentation(
         degree = comb(dims[i], r) if r else dims[i] * dims[j]
         if degree > DEGREE_CEILING:
             raise DegreeCeiling(f"relation degree {degree} exceeds ceiling {DEGREE_CEILING}")
-    # exponents first: p^e >= 2^e passes prec once e reaches prec's bit length
     e = law.n * v_g
-    if e >= law.prec.bit_length() or p ** e > law.prec:
+    if power_exceeds(p, e, law.prec):
         raise PrecisionExceeded(f"truncation exponent {p}^{e} exceeds precision {law.prec}")
     trunc = p ** e
     for i, j, r, _ in relations:

@@ -17,7 +17,7 @@ from math import comb
 
 from .cert import Certificate
 from .errors import ResourceLimit, ValidationError
-from .groups import model_extraspecial, symplectic_form
+from .groups import model_extraspecial, power_exceeds, symplectic_form
 from .lattice import LatticeDivisor, Theta
 from .omega import OmegaChElem, enumerate_omega, kappa
 from .repring import (
@@ -85,17 +85,15 @@ def _cosets(span: frozenset, mult: int, theta: Theta) -> list:
     """(u, u psi^{p-1}(u)) for each coset of the span, in the order of its
     least point index, where u is mult times the coset's points."""
     rows = [theta.shift(s) for s in span]
-    size = len(theta.points())
-    covered = bytearray(size)
+    pts = theta.points()
+    covered = bytearray(len(pts))
     out = []
-    for base in range(size):
+    for base in range(len(pts)):
         if covered[base]:
             continue
-        vec = [0] * size
         for row in rows:
-            vec[row[base]] = mult
             covered[row[base]] = 1
-        u = LatticeDivisor.of_vec(theta, tuple(vec))
+        u = LatticeDivisor.from_counts(theta, {pts[row[base]]: mult for row in rows})
         out.append((u, u * u.psi(theta.p - 1)))
     return out
 
@@ -107,9 +105,8 @@ def enumerate_U(p: int, d: int, n: int) -> list[UPair]:
     against its own alpha's c_alpha."""
     if p == 2:
         raise ValidationError("odd primes only")
-    # exponents first: p^e >= 2^e, which passes the ceiling once e reaches its bit length
     e = (2 * d + 1) * n
-    if e >= XSPEC_WORK_CEILING.bit_length() or p ** e > XSPEC_WORK_CEILING:
+    if power_exceeds(p, e, XSPEC_WORK_CEILING):
         raise ResourceLimit(f"p^{{(2d+1)n}} = {p}^{e} exceeds {XSPEC_WORK_CEILING}")
     theta = Theta(p, 1, n)
     pts = theta.points()
