@@ -147,32 +147,32 @@ def criterion_5_sigma4_census() -> Certificate:
     model = model_symmetric(4)
     om = enumerate_omega(model, 2, 2)
     cert.add("omega_count_17", len(om) == 17, {"count": len(om)})
-    strata = _sigma4_strata(model, om.reps)
+    strata = _sigma4_strata(model, om)
     cert.add("strata_1_3_6_1_6", strata == (1, 3, 6, 1, 6), {"strata": list(strata)})
     rep_ring = RepRing(table_sigma4())
     och = enumerate_omega_ch(rep_ring, 2, 2)
     cert.add("omega_ch_count_17", len(och) == 17, {"count": len(och)})
-    kimg = {kappa(rep_ring.table, model, r, 2, 2) for r in om.reps}
+    kimg = {kappa(rep_ring.table, model, r, 2, 2) for r in om}
     cert.add("kappa_bijective", kimg == set(och),
              {"image": len(kimg)})
+
     # the four-condition pair description: d = point of D_eps, u = D_eps_rho
-    ok = True
-    for elem in och:
+    def four_conditions(elem) -> bool:
         d_div = elem.divisors[1]
         u = elem.divisors[4]
         theta = u.theta
         d = d_div.pairs[0][0]
-        ok = ok and d_div.dim() == 1
-        ok = ok and theta.scale(2, d) == theta.zero()
-        ok = ok and u.lam(3) == LatticeDivisor(theta, [theta.zero()])
-        ok = ok and u.psi(-1) == u
-        lhs = u.psi(2) + u
-        rhs = (
-            LatticeDivisor(theta, [theta.zero(), theta.zero(), d])
+        return (
+            d_div.dim() == 1
+            and theta.scale(2, d) == theta.zero()
+            and u.lam(3) == LatticeDivisor(theta, [theta.zero()])
+            and u.psi(-1) == u
+            and u.psi(2) + u
+            == LatticeDivisor(theta, [theta.zero(), theta.zero(), d])
             + LatticeDivisor(theta, [d]) * u
         )
-        ok = ok and lhs == rhs
-    cert.add("pair_description_four_conditions", ok, {})
+
+    cert.add_cases("pair_description_four_conditions", och, four_conditions)
     return cert
 
 
@@ -276,148 +276,142 @@ def criterion_11_properties(seed: int = 20260811) -> Certificate:
         d = rng.randint(0, max_dim)
         return LatticeDivisor(theta, [rng.choice(pts) for _ in range(d)])
 
-    ok = True
-    for _ in range(200):
-        D, E, F = rand_div(), rand_div(), rand_div()
-        ok = ok and (D + E) + F == D + (E + F)
-        ok = ok and D + E == E + D
-        ok = ok and (D * E) * F == D * (E * F)
-        ok = ok and D * E == E * D
-        ok = ok and D * (E + F) == D * E + D * F
-        one = LatticeDivisor(theta, [theta.zero()])
-        ok = ok and D * one == D and D + LatticeDivisor(theta) == D
-    cert.add("semiring_axioms", ok, {"samples": 200})
+    one = LatticeDivisor(theta, [theta.zero()])
 
-    ok = True
-    dims4 = []
-    for d in range(0, 5):
-        dims4 += list(combinations_with_replacement(pts, d))
-    for _ in range(400):
-        D = LatticeDivisor(theta, rng.choice(dims4))
-        E = LatticeDivisor(theta, rng.choice(dims4))
-        k = rng.randint(0, D.dim() + E.dim())
-        total = LatticeDivisor(theta)
-        for i in range(k + 1):
-            total = total + D.lam(i) * E.lam(k - i)
-        ok = ok and (D + E).lam(k) == total
-    cert.add("lambda_addition_law", ok, {"samples": 400})
+    def semiring(case) -> bool:
+        D, E, F = case
+        return (
+            (D + E) + F == D + (E + F)
+            and D + E == E + D
+            and (D * E) * F == D * (E * F)
+            and D * E == E * D
+            and D * (E + F) == D * E + D * F
+            and D * one == D and D + LatticeDivisor(theta) == D
+        )
 
-    ok = True
-    for _ in range(200):
-        D, E = rand_div(4), rand_div(4)
-        j = rng.randint(1, 6)
-        k = rng.randint(1, 6)
-        ok = ok and (D * E).psi(k) == D.psi(k) * E.psi(k)
-        ok = ok and D.psi(j).psi(k) == D.psi(j * k)
-        r = rng.randint(0, 4)
-        ok = ok and D.lam(r).psi(k) == D.psi(k).lam(r)
-    cert.add("psi_semiring_and_commutes_with_lambda", ok, {"samples": 200})
+    triples = ((rand_div(), rand_div(), rand_div()) for _ in range(200))
+    cert.add_cases("semiring_axioms", triples, semiring, {"samples": 200})
 
-    ok = True
-    for v in (1, 2):
-        th = Theta(2, v, 2)
-        pv = th.points()
-        for _ in range(100):
-            d = rng.randint(0, 4)
-            D = LatticeDivisor(th, [rng.choice(pv) for _ in range(d)])
-            target = LatticeDivisor.from_counts(th, {th.zero(): d} if d else {})
-            ok = ok and D.psi(2 ** v) == target
-    cert.add("psi_pv_collapses_to_origin", ok, {})
+    dims4 = [c for d in range(0, 5) for c in combinations_with_replacement(pts, d)]
+
+    def lambda_cases():
+        for _ in range(400):
+            D = LatticeDivisor(theta, rng.choice(dims4))
+            E = LatticeDivisor(theta, rng.choice(dims4))
+            yield D, E, rng.randint(0, D.dim() + E.dim())
+
+    def lambda_addition(case) -> bool:
+        D, E, k = case
+        total = sum((D.lam(i) * E.lam(k - i) for i in range(k + 1)), LatticeDivisor(theta))
+        return (D + E).lam(k) == total
+
+    cert.add_cases("lambda_addition_law", lambda_cases(), lambda_addition, {"samples": 400})
+
+    def psi_cases():
+        for _ in range(200):
+            D, E = rand_div(4), rand_div(4)
+            yield D, E, rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 4)
+
+    def psi_laws(case) -> bool:
+        D, E, j, k, r = case
+        return (
+            (D * E).psi(k) == D.psi(k) * E.psi(k)
+            and D.psi(j).psi(k) == D.psi(j * k)
+            and D.lam(r).psi(k) == D.psi(k).lam(r)
+        )
+
+    cert.add_cases(
+        "psi_semiring_and_commutes_with_lambda", psi_cases(), psi_laws, {"samples": 200}
+    )
+
+    def pv_cases():
+        for v in (1, 2):
+            th = Theta(2, v, 2)
+            pv = th.points()
+            for _ in range(100):
+                d = rng.randint(0, 4)
+                yield LatticeDivisor(th, [rng.choice(pv) for _ in range(d)])
+
+    def collapses(D) -> bool:
+        th = D.theta
+        return D.psi(2 ** th.v) == LatticeDivisor.from_counts(th, {th.zero(): D.dim()})
+
+    cert.add_cases("psi_pv_collapses_to_origin", pv_cases(), collapses)
 
     # rank-one positivity, brute force over Theta(1), dims <= 3
-    ok = True
-    for d in range(1, 4):
-        for combo in combinations_with_replacement(pts, d):
-            E = LatticeDivisor(theta, combo)
-            e = d - 1
-            # D = E - e[0] has lambda^k(D) = 0 for k>1 iff
-            # lambda_t(E) = (1+t)^e (1 + t D) with D = E - e[0]
-            matches = True
-            for k in range(0, d + 1):
-                # lambda^k(D) = 0 for k > 1 with D = E - e[0] is equivalent to
-                # lambda^k(E) = C(e,k)[0] + C(e,k-1) D; compare multiset-wise
-                # after clearing the virtual part
-                lhs = E.lam(k)
-                base = comb(e, k)
-                lin = comb(e, k - 1) if k >= 1 else 0
-                # lhs == base[0] + lin*(E - e[0]) <=> lhs + lin*e[0] ==
-                # (base + ... ) handled multiset-wise:
-                left = lhs + LatticeDivisor.from_counts(
-                    theta, {theta.zero(): lin * e} if lin * e else {}
-                )
-                right = LatticeDivisor.from_counts(
-                    theta, {theta.zero(): base} if base else {}
-                ) + lin * E
-                if left != right:
-                    matches = False
-                    break
-            if matches:
-                # the virtual rank-one element must be an honest point
-                counts = E.counts()
-                counts[theta.zero()] = counts.get(theta.zero(), 0) - e
-                ok = ok and all(m >= 0 for m in counts.values())
-                ok = ok and sum(counts.values()) == 1
-    cert.add("rank_one_positivity", ok, {})
+    def rank_one_only_at_points(E) -> bool:
+        e = E.dim() - 1
+        # D = E - e[0] has lambda^k(D) = 0 for k > 1 iff lambda^k(E) =
+        # C(e,k)[0] + C(e,k-1) D for every k; compare multiset-wise after
+        # moving the virtual part C(e,k-1) e[0] left
+        for k in range(0, e + 2):
+            lin = comb(e, k - 1) if k >= 1 else 0
+            if E.lam(k) + lin * e * one != comb(e, k) * one + lin * E:
+                return True
+        # the virtual rank-one element must be an honest point
+        counts = E.counts()
+        counts[theta.zero()] = counts.get(theta.zero(), 0) - e
+        return all(m >= 0 for m in counts.values()) and sum(counts.values()) == 1
+
+    combos = (c for d in range(1, 4) for c in combinations_with_replacement(pts, d))
+    cert.add_cases("rank_one_positivity", (LatticeDivisor(theta, c) for c in combos),
+                   rank_one_only_at_points)
 
     # Newton round trips on the order-24 symmetric group ring
     ring = RepRing(table_sigma4())
-    ok = True
-    for _ in range(40):
-        coeffs = [rng.randint(0, 2) for _ in range(ring.h)]
-        if sum(c * d for c, d in zip(coeffs, ring.dims)) > 6 or not any(coeffs):
-            continue
-        v = ring.from_coeffs(coeffs)
-        series = ring.lambda_series(v)
-        lams = series[1:]
+
+    def newton_cases():
+        for _ in range(40):
+            coeffs = [rng.randint(0, 2) for _ in range(ring.h)]
+            if sum(c * d for c, d in zip(coeffs, ring.dims)) <= 6 and any(coeffs):
+                yield ring.from_coeffs(coeffs)
+
+    def newton_round_trip(v) -> bool:
+        lams = ring.lambda_series(v)[1:]
         count = len(lams)
-        psis = newton_lambda_to_psi(lams, count)
-        ok = ok and all(
-            psis[k - 1] == ring.adams(v, k) for k in range(1, count + 1)
-        )
-        back = newton_psi_to_lambda(
-            [ring.adams(v, k) for k in range(1, count + 1)],
-            count,
-            divide=lambda x, k: x.divide_exact(k),
-        )
-        ok = ok and back == lams
-    cert.add("newton_round_trips", ok, {})
+        psis = [ring.adams(v, k) for k in range(1, count + 1)]
+        return newton_lambda_to_psi(lams, count) == psis and newton_psi_to_lambda(
+            psis, count, divide=lambda x, k: x.divide_exact(k)
+        ) == lams
+
+    cert.add_cases("newton_round_trips", newton_cases(), newton_round_trip)
 
     # Frobenius: c_k(psi^p D) = c_k(D)^{p^n} for split divisors
     law = honda_fgl(2, 2, 32)
     A = cap_ring(GF(4), ["x", "y"], [4, 4])
     xs = [A.gen("x"), A.gen("y"), A.reduce(A.gen("x") * A.gen("y"))]
-    ok = True
-    for _ in range(20):
-        roots = [rng.choice(xs) for _ in range(rng.randint(1, 3))]
+
+    def rand_roots(count):
+        return ([rng.choice(xs) for _ in range(rng.randint(1, 3))] for _ in range(count))
+
+    def frobenius(roots) -> bool:
         D = divisor_from_roots(A, law, roots)
         lhs = divisor_psi(D, 2)
-        ok = ok and list(lhs.coeffs) == [A.pow(c, 4) for c in D.coeffs]
-        direct = divisor_from_roots(
-            A, law, [law.mul_in_ring(2, r, A) for r in roots]
+        return list(lhs.coeffs) == [A.pow(c, 4) for c in D.coeffs] and lhs == (
+            divisor_from_roots(A, law, [law.mul_in_ring(2, r, A) for r in roots])
         )
-        ok = ok and lhs == direct
-    cert.add("frobenius_psi_p", ok, {})
+
+    cert.add_cases("frobenius_psi_p", rand_roots(20), frobenius)
 
     # a_j(D) = xi(lambda^j D) over the multiplicative law
     mult = multiplicative_fgl(2, 32)
-    ok = True
-    for _ in range(30):
-        roots = [rng.choice(xs) for _ in range(rng.randint(1, 3))]
+
+    def units_match_lambda(roots) -> bool:
         D = divisor_from_roots(A, mult, roots)
         d = len(roots)
         units = [A.reduce(A.ring.one() - rt) for rt in roots]
-        for j in range(1, d + 1):
-            lam = divisor_lambda(D, j)
-            # units are 1 - root; xi of the lambda divisor is
-            # C(d,j) - e_1(lambda roots) = C(d,j) + c_1(lambda^j D)
-            xi_route = A.reduce(A.ring.from_int(comb(d, j)) + lam.coeffs[0])
-            aj = A.reduce(unit_elementary(units, j))
-            ok = ok and aj == xi_route
-    cert.add("unit_symmetric_functions_match_lambda", ok, {})
+        # units are 1 - root; xi of the lambda divisor is
+        # C(d,j) - e_1(lambda roots) = C(d,j) + c_1(lambda^j D)
+        return all(
+            A.reduce(unit_elementary(units, j))
+            == A.reduce(A.ring.from_int(comb(d, j)) + divisor_lambda(D, j).coeffs[0])
+            for j in range(1, d + 1)
+        )
+
+    cert.add_cases("unit_symmetric_functions_match_lambda", rand_roots(30), units_match_lambda)
 
     # cardinality chain on builtin groups
     chain_witness = {}
-    ok = True
     for name, p, n in (
         ("trivial", 2, 2),
         ("c2", 2, 2),
@@ -436,17 +430,18 @@ def criterion_11_properties(seed: int = 20260811) -> Certificate:
             och_count = len(enumerate_omega_ch(RepRing(builtin_group(name)), p, n))
         dp_count = len(enumerate_omega_dprime(model, p, n)[1])
         chain_witness[name] = [len(om), len(sigs), och_count, dp_count]
-        ok = ok and len(om) >= len(sigs) <= och_count <= dp_count
-    cert.add("cardinality_chain", ok, {"counts": chain_witness})
+    cert.add_cases("cardinality_chain", chain_witness.items(),
+                   lambda item: item[1][0] >= item[1][1] <= item[1][2] <= item[1][3],
+                   {"counts": chain_witness})
 
     # dim Z(v,d) = p^{ndv}
-    ok = True
-    for (n, v, d) in ((2, 1, 1), (2, 1, 2)):
+    def z_vd_dimension(nvd) -> bool:
+        n, v, d = nvd
         p = 2
         names = [f"c{i}" for i in range(1, d + 1)]
-        ring = cap_ring(GF(p), names, [p ** (n * v)] * d)
-        ok = ok and ring.dimension() == p ** (n * d * v)
-    cert.add("z_vd_dimension", ok, {})
+        return cap_ring(GF(p), names, [p ** (n * v)] * d).dimension() == p ** (n * d * v)
+
+    cert.add_cases("z_vd_dimension", ((2, 1, 1), (2, 1, 2)), z_vd_dimension)
 
     # xi injectivity and compatibility on the small symmetric groups
     s3 = model_symmetric(3)
@@ -456,14 +451,12 @@ def criterion_11_properties(seed: int = 20260811) -> Certificate:
     cert.add("xi_injective_sigma3", len(xis) == len(och3), {})
     s4 = model_symmetric(4)
     t4 = table_sigma4()
-    om4 = enumerate_omega(s4, 2, 2)
-    ok = True
-    for rep in om4.reps:
-        f = kappa(t4, s4, rep, 2, 2)
-        ok = ok and xi_class_map(f, t4, s4, 2, 2) == pointwise_signature(
-            s4, rep, Theta(2, 2, 2).points()
-        )
-    cert.add("xi_after_kappa_is_canonical", ok, {})
+    cert.add_cases(
+        "xi_after_kappa_is_canonical",
+        enumerate_omega(s4, 2, 2),
+        lambda rep: xi_class_map(kappa(t4, s4, rep, 2, 2), t4, s4, 2, 2)
+        == pointwise_signature(s4, rep, Theta(2, 2, 2).points()),
+    )
     return cert
 
 

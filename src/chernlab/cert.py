@@ -29,6 +29,22 @@ class Certificate:
         self.clauses.append(Clause(name, "pass" if ok else "fail", witness or {}))
         return ok
 
+    def add_cases(self, name: str, cases, holds, witness: dict | None = None) -> bool:
+        """One clause that passes when holds(case) is true for every case.
+
+        After the first failure holds is no longer called, but the remaining
+        cases are still drawn, so seeded random draws do not depend on the
+        verdict.  A failing clause's witness gains "counterexample", the repr
+        of the first failing case.
+        """
+        bad = []
+        for case in cases:
+            if not bad and not holds(case):
+                bad.append(case)
+        if bad:
+            witness = {**(witness or {}), "counterexample": repr(bad[0])}
+        return self.add(name, not bad, witness)
+
     @property
     def status(self) -> str:
         return "pass" if all(c.status == "pass" for c in self.clauses) else "fail"

@@ -117,7 +117,7 @@ def cmd_omega(args) -> int:
         if args.variant in (None, "plain"):
             om = enumerate_omega(model, args.p, args.n)
             reps = [[list(model.elements[i]) if isinstance(model.elements[i], tuple)
-                     else model.elements[i] for i in rep] for rep in om.reps]
+                     else model.elements[i] for i in rep] for rep in om]
             cert.add("census", True, {"count": len(om), "representatives": reps})
         elif args.variant == "prime":
             om, sigs, proj = enumerate_omega_prime(model, args.p, args.n, args.v)
@@ -144,7 +144,7 @@ def cmd_omega(args) -> int:
             position = {e: i for i, e in enumerate(och)}
             witness["maps"] = {
                 "kappa": [position[kappa(ring.table, model, rep, args.p, args.n, args.v)]
-                          for rep in om.reps],
+                          for rep in om],
                 "xi": [list(xi_class_map(e, ring.table, model, args.p, args.n))
                        for e in och],
             }

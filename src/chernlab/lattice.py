@@ -23,17 +23,24 @@ class Theta:
     """The parameter triple (p, v, n) for the lattice (Z/p^v)^n.
 
     A point's index is its base-p^v numeral, so points() is in lexicographic
-    order.  A lattice of more than THETA_POINTS_CEILING points is refused
-    here.  The point list and the translation and scaling rows of the index
-    arithmetic are built on first use and kept.
+    order.  A lattice of more than THETA_POINTS_CEILING points, or whose
+    modulus p^v may have more bits than that, is refused here.  The point
+    list and the translation and scaling rows of the index arithmetic are
+    built on first use and kept.
     """
 
     def __init__(self, p: int, v: int, n: int):
         self.p = p
         self.v = v
         self.n = n
-        if power_exceeds(p, v * n, THETA_POINTS_CEILING):
-            raise ResourceLimit(f"{self} has more than {THETA_POINTS_CEILING} points")
+        # at n = 0 there is one point, but the modulus p^v is still built:
+        # the ceiling also bounds v * bit_length(p), at least its bit length
+        if power_exceeds(p, v * n, THETA_POINTS_CEILING) or (
+            v * p.bit_length() > THETA_POINTS_CEILING
+        ):
+            raise ResourceLimit(
+                f"{self}: more than {THETA_POINTS_CEILING} points or modulus bits in p^v"
+            )
         self.modulus = p ** v
         self._points = None
         self._indices: tuple[int, ...] = ()
@@ -101,7 +108,7 @@ class Theta:
         """Multiplication by k: scaling(k)[j] is the index of k * pts[j]."""
         m = self.modulus
         k %= m
-        # one column per coordinate, so at n = 0 no residue is listed (p^v is unbounded there)
+        # one column per coordinate, so at n = 0 no residue is listed (p^v may be huge there)
         return self._row(self._scales, k, lambda: [
             [k * y % m for y in range(m)] for _ in range(self.n)
         ])

@@ -64,21 +64,9 @@ def _conj_tables(model: GroupModel) -> list[list[int]]:
     ]
 
 
-class OmegaSet:
-    """Conjugacy-orbit representatives of commuting tuples."""
-
-    def __init__(self, model: GroupModel, p: int, n: int, reps: list[tuple[int, ...]]):
-        self.model = model
-        self.p = p
-        self.n = n
-        self.reps = reps
-
-    def __len__(self):
-        return len(self.reps)
-
-
-def enumerate_omega(model: GroupModel, p: int, n: int) -> OmegaSet:
-    """Omega(G): canonical (lexicographically least) orbit representatives."""
+def enumerate_omega(model: GroupModel, p: int, n: int) -> list[tuple[int, ...]]:
+    """Omega(G): the canonical (lexicographically least) orbit representatives
+    of commuting tuples under conjugation, sorted."""
     tuples = commuting_tuples(model, p, n)
     ctabs = _conj_tables(model)
     seen: set[tuple[int, ...]] = set()
@@ -90,7 +78,7 @@ def enumerate_omega(model: GroupModel, p: int, n: int) -> OmegaSet:
         seen.update(orbit)
         reps.append(min(orbit))
     reps.sort()
-    return OmegaSet(model, p, n, reps)
+    return reps
 
 
 def hom_image(model: GroupModel, hom: tuple[int, ...], a: tuple[int, ...]) -> int:
@@ -117,7 +105,7 @@ def enumerate_omega_prime(model: GroupModel, p: int, n: int, w: int | None = Non
     sig_index: dict[tuple[int, ...], int] = {}
     projection = []
     sigs = []
-    for rep in om.reps:
+    for rep in om:
         sig = pointwise_signature(model, rep, pts)
         if sig not in sig_index:
             sig_index[sig] = len(sigs)
@@ -142,10 +130,15 @@ def enumerate_omega_dprime(model: GroupModel, p: int, n: int, w: int | None = No
     size = len(pts)
     classes = model.p_power_class_indices(p)
     class_orders = {c: model.element_order(model.conjugacy_classes()[c][0]) for c in classes}
-    # a point's order is p to the number of t < w with p^t a != 0
+    # a point's order is p to the number of t < w with p^t a != 0; row holds
+    # the indices of p^t a, and once they are all the origin no t adds more
     orders = [1] * size
-    for t in range(w):
-        orders = [o * p if x else o for o, x in zip(orders, theta.scaling(p ** t))]
+    row, times_p = list(range(size)), theta.scaling(p)
+    for _ in range(w):
+        if not any(row):
+            break
+        orders = [o * p if x else o for o, x in zip(orders, row)]
+        row = [times_p[x] for x in row]
     # process points in decreasing order so multiples propagate
     seq = sorted(range(size), key=lambda i: -orders[i])
     results: list[tuple[int, ...]] = []
@@ -239,13 +232,13 @@ def kappa(
     """
     if v is None:
         v = p_part_exponent(table.exponent, p)
+    elif v > p_part_exponent(table.exponent, p):
+        raise ValidationError("group exponent not divisible by p^v")
     modulus = p ** v
     for ui in hom:
         o = model.element_order(ui)
         if modulus % o:
             raise ValidationError(f"p^{v} does not annihilate an image of order {o}")
-    if table.exponent % modulus:
-        raise ValidationError("group exponent not divisible by p^v")
     theta = Theta(p, v, n)
     classes = pointwise_signature(model, hom, theta.points())
     rows = [tuple(row[c] for c in classes) for row in table.rows]

@@ -71,6 +71,13 @@ class CharacterTable:
         self.power_maps[0] = [self.identity_class()] * self.nclasses
         self.power_maps.setdefault(1, list(range(self.nclasses)))
         self.dims = [self.cyclo.rational_value(r[self.identity_class()]) for r in rows]
+        # the rows and their conjugates lifted into Z[C_e], and each row's index
+        cy = self.cyclo
+        conj = [[cy.conjugate(v) for v in row] for row in self.rows]
+        self._lifted = tuple(
+            [[cy.lift(v) for v in row] for row in rows] for rows in (self.rows, conj)
+        )
+        self._row_index = {tuple(row): i for i, row in enumerate(self.rows)}
         self.validate()
 
     def identity_class(self) -> int:
@@ -86,23 +93,6 @@ class CharacterTable:
         return self.power_maps[k]
 
     # -- exact inner products -------------------------------------------------
-    def _lifted(self):
-        """The rows and their conjugates lifted into Z[C_e], once per table."""
-        if not hasattr(self, "_lifted_cache"):
-            cy = self.cyclo
-            conj = [[cy.conjugate(v) for v in row] for row in self.rows]
-            self._lifted_cache = tuple(
-                [[cy.lift(v) for v in row] for row in rows] for rows in (self.rows, conj)
-            )
-        return self._lifted_cache
-
-    def _row_index(self):
-        if not hasattr(self, "_row_index_cache"):
-            self._row_index_cache = {
-                tuple(row): i for i, row in enumerate(self.rows)
-            }
-        return self._row_index_cache
-
     def _inner_conj(self, values, conj_row) -> int:
         try:
             return _class_inner(self.cyclo, self.class_sizes, self.order, values, conj_row)
@@ -111,12 +101,12 @@ class CharacterTable:
 
     def decompose(self, values: list[tuple]) -> list[int]:
         # exact-row fast path (products of abelian characters, Adams images)
-        hit = self._row_index().get(tuple(values))
+        hit = self._row_index.get(tuple(values))
         if hit is not None:
             return [1 if i == hit else 0 for i in range(len(self.rows))]
         lift = self.cyclo.lift
         values = [lift(v) for v in values]
-        return [self._inner_conj(values, cr) for cr in self._lifted()[1]]
+        return [self._inner_conj(values, cr) for cr in self._lifted[1]]
 
     def validate(self) -> None:
         if sum(self.class_sizes) != self.order:
@@ -130,7 +120,7 @@ class CharacterTable:
             for v in self.rows[0]
         ):
             raise NotACharacterTable("first irreducible must be the trivial character")
-        rows, conj = self._lifted()
+        rows, conj = self._lifted
         for i in range(len(rows)):
             for j in range(i, len(rows)):
                 expected = 1 if i == j else 0
@@ -490,8 +480,8 @@ def restriction_kernel(
         step = cy.e // f
         return [tuple((k * step, c) for k, c in v) for v in lifted]
 
-    hconj = [embed(row, th.exponent) for row in th._lifted()[1]]
-    grows = tg._lifted()[0]
+    hconj = [embed(row, th.exponent) for row in th._lifted[1]]
+    grows = tg._lifted[0]
     matrix = []
     for i in range(ring_g.h):
         restricted = embed([grows[i][gc] for gc in fusion], tg.exponent)

@@ -177,11 +177,11 @@ def xspec_census(p: int, d: int, n: int) -> Certificate:
 
     om = enumerate_omega(model, p, n)
     kap = {}
-    for rep in om.reps:
+    for rep in om:
         kap[rep] = kappa(table, model, rep, p, n, v=1)
     distinct = set(kap.values())
-    cert.add("kappa_injective", len(distinct) == len(om.reps),
-             {"omega": len(om.reps), "kappa_image": len(distinct)})
+    cert.add("kappa_injective", len(distinct) == len(om),
+             {"omega": len(om), "kappa_image": len(distinct)})
 
     image_pairs = {_pair_from_omega_ch(e, p, d) for e in distinct}
     all_pairs = set(pairs)
@@ -220,45 +220,39 @@ def extraspecial_table_checks(p: int, d: int) -> Certificate:
     phi = {j: ring.irreducible(nlin + j - 1) for j in range(1, p)}
     rho_v = ring.from_coeffs([1] * nlin + [0] * (p - 1))
 
-    ok = all(
-        ring.product(ring.irreducible(i), phi[1]) == phi[1] for i in range(nlin)
+    cert.add_cases(
+        "linear_times_phi_fixed",
+        range(nlin),
+        lambda i: ring.product(ring.irreducible(i), phi[1]) == phi[1],
     )
-    cert.add("linear_times_phi_fixed", ok, {})
 
-    ok = True
-    for i in range(1, p):
-        for j in range(1, p):
-            prod = ring.product(phi[i], phi[j])
-            if (i + j) % p == 0:
-                ok = ok and prod == rho_v
-            else:
-                ok = ok and prod == (p ** d) * phi[(i + j) % p]
-    cert.add("phi_products", ok, {})
+    def phi_product(ij) -> bool:
+        i, j = ij
+        prod = ring.product(phi[i], phi[j])
+        return prod == (rho_v if (i + j) % p == 0 else (p ** d) * phi[(i + j) % p])
 
-    ok = True
-    for j in range(1, p):
-        for k in range(0, 2 * p):
-            im = ring.adams(phi[j], k)
-            if k % p == 0:
-                ok = ok and im == (p ** d) * ring.one()
-            else:
-                ok = ok and im == phi[(j * k) % p]
-    cert.add("psi_on_phi", ok, {})
+    cert.add_cases("phi_products", iproduct(range(1, p), repeat=2), phi_product)
+
+    def psi_on_phi(jk) -> bool:
+        j, k = jk
+        im = ring.adams(phi[j], k)
+        return im == ((p ** d) * ring.one() if k % p == 0 else phi[(j * k) % p])
+
+    cert.add_cases("psi_on_phi", iproduct(range(1, p), range(0, 2 * p)), psi_on_phi)
 
     # lambda^k(phi) against the closed form
-    closed_ok = True
-    for k in range(0, p ** d + 1):
+    def closed_form(k) -> bool:
         got = ring.lam_irreducible(nlin, k)
         if k % p == 0:
             a = comb(p ** (d - 1), k // p)
             b, r = divmod(comb(p ** d, k) - a, p ** (2 * d))
             expected = a * ring.one() + b * rho_v
-            closed_ok = closed_ok and r == 0 and got == expected
         else:
             b, r = divmod(comb(p ** d, k), p ** d)
             expected = b * phi[k % p]
-            closed_ok = closed_ok and r == 0 and got == expected
-    cert.add("lambda_phi_closed_form", closed_ok, {})
+        return r == 0 and got == expected
+
+    cert.add_cases("lambda_phi_closed_form", range(0, p ** d + 1), closed_form)
 
     # restrictions: to the centre and to a non-central cyclic subgroup
     cy = table.cyclo
@@ -269,16 +263,14 @@ def extraspecial_table_checks(p: int, d: int) -> Certificate:
         ci for ci, cls in enumerate(model.conjugacy_classes())
         if len(cls) > 1
     )
-    rest_ok = True
-    for k in range(0, p ** d + 1):
-        lam_k = ring.lam_irreducible(nlin, k)
-        values = ring.character_values(lam_k)
+
+    def cyclic_restrictions(k) -> bool:
+        values = ring.character_values(ring.lam_irreducible(nlin, k))
         for ci in centre_classes:
-            rep_elem = model.elements[model.conjugacy_classes()[ci][0]]
-            x = rep_elem[0]
-            expected = cy.scale(comb(p ** d, k), cy.root_power((k * x) % p))
-            rest_ok = rest_ok and values[ci] == expected
-        n_k, _ = lambda_rho_brute(p, d, k) if k <= p ** d else (0, 0)
-        rest_ok = rest_ok and values[noncentral] == cy.from_int(n_k)
-    cert.add("lambda_phi_cyclic_restrictions", rest_ok, {})
+            x = model.elements[model.conjugacy_classes()[ci][0]][0]
+            if values[ci] != cy.scale(comb(p ** d, k), cy.root_power((k * x) % p)):
+                return False
+        return values[noncentral] == cy.from_int(lambda_rho_brute(p, d, k)[0])
+
+    cert.add_cases("lambda_phi_cyclic_restrictions", range(0, p ** d + 1), cyclic_restrictions)
     return cert

@@ -190,6 +190,9 @@ def test_extraspecial_table_check(capsys):
     "chern --group c2 --p 2 --n 1000000000",
     "witness --n 1000000000",
     "omega --group c4 --p 2 --n 2 --variant ch --v 1000000000",
+    # at n = 0 the modulus p^v, not the single point, is what the ceiling bounds
+    "omega --group c2 --p 2 --n 0 --variant dprime --v 100000000",
+    "omega --group c4 --p 2 --n 0 --variant ch --v 1000000000",
 ])
 def test_bad_parameters_exit_2_with_one_error_line(capsys, argv):
     assert run(argv.split()) == 2

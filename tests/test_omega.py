@@ -91,7 +91,7 @@ def test_kappa_order4_element_rho_image(s4_ring):
 def test_kappa_constant_on_conjugacy_orbits(s4_ring):
     model = model_symmetric(4)
     om = enumerate_omega(model, 2, 2)
-    rep = om.reps[5]
+    rep = om[5]
     g = 7
     conj = (model.conj(g, rep[0]), model.conj(g, rep[1]))
     assert kappa(s4_ring.table, model, rep, 2, 2) == kappa(
@@ -116,14 +116,14 @@ def test_kappa_bijective_sigma4(s4_ring):
     model = model_symmetric(4)
     om = enumerate_omega(model, 2, 2)
     och = enumerate_omega_ch(s4_ring, 2, 2)
-    kimg = {kappa(s4_ring.table, model, r, 2, 2) for r in om.reps}
+    kimg = {kappa(s4_ring.table, model, r, 2, 2) for r in om}
     assert len(kimg) == 17
     assert kimg == set(och)
 
 
 def test_omega_trivial_group_deep_tuples():
     # 5000 levels of tuple search: an explicit stack, not a RecursionError
-    assert enumerate_omega(model_trivial(), 2, 5000).reps == [(0,) * 5000]
+    assert enumerate_omega(model_trivial(), 2, 5000) == [(0,) * 5000]
 
 
 def test_omega_prime_sigma4_equals_omega():
@@ -169,7 +169,7 @@ def test_xi_after_kappa_is_canonical_map(s4_ring):
     model = model_symmetric(4)
     om = enumerate_omega(model, 2, 2)
     pts = Theta(2, 2, 2).points()
-    for rep in om.reps:
+    for rep in om:
         f = kappa(s4_ring.table, model, rep, 2, 2)
         assert xi_class_map(f, s4_ring.table, model, 2, 2) == pointwise_signature(
             model, rep, pts
@@ -228,3 +228,6 @@ def test_omega_dprime_one_point_lattice_with_huge_modulus():
     # n = 0: Theta(2, 40, 0) is one point, and no row lists the 2^40 residues
     pts, maps = enumerate_omega_dprime(builtin_model("c2"), 2, 0, 40)
     assert pts == ((),) and maps == [(0,)]
+    # the largest v the modulus-bits ceiling admits: the point orders stop
+    # at the origin instead of scaling by each of the 2^19 powers of p
+    assert enumerate_omega_dprime(builtin_model("c2"), 2, 0, 1 << 19) == (pts, maps)

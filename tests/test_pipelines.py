@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from chernlab.cert import Certificate
 from chernlab.errors import CertificateMismatch, ValidationError
 from chernlab.pipelines import (
     nonpositive_divisor_witness,
@@ -63,3 +66,40 @@ def test_certificates_deterministic():
     a = sdiv_checks().to_json()
     b = sdiv_checks().to_json()
     assert a == b
+
+
+def test_add_cases_fails_on_first_counterexample():
+    cert = Certificate("cases", {})
+    witness = {"samples": 10}
+    called = []
+
+    def below_three(k):
+        called.append(k)
+        return k < 3
+
+    assert not cert.add_cases("below_three", range(10), below_three, witness)
+    clause = cert.clauses[0]
+    assert clause.status == "fail" and cert.failed_clauses() == ["below_three"]
+    assert clause.witness == {"samples": 10, "counterexample": "3"}
+    assert witness == {"samples": 10}
+    assert called == [0, 1, 2, 3]
+
+
+def test_add_cases_draws_every_case_after_a_failure():
+    def state_after(holds):
+        rng = random.Random(7)
+        Certificate("cases", {}).add_cases(
+            "draws", (rng.randint(0, 9) for _ in range(50)), holds
+        )
+        return rng.getstate()
+
+    assert state_after(lambda x: False) == state_after(lambda x: True)
+
+
+def test_add_cases_passing_witness_has_no_counterexample():
+    cert = Certificate("cases", {})
+    assert cert.add_cases("even", [0, 2, 4], lambda k: k % 2 == 0, {"samples": 3})
+    assert cert.clauses[0].status == "pass"
+    assert cert.clauses[0].witness == {"samples": 3}
+    assert cert.add_cases("empty_witness", [1], lambda k: True)
+    assert cert.clauses[1].witness == {}
