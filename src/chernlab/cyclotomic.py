@@ -146,11 +146,7 @@ class CyclotomicRing:
 
     def conjugate(self, a):
         """Complex conjugation zeta -> zeta^{-1}."""
-        out = self.zero
-        for k, c in enumerate(a):
-            if c:
-                out = self.add(out, self.scale(c, self.root_power((-k) % self.e)))
-        return out
+        return self.reduce({-k % self.e: c for k, c in self.lift(a)})
 
     def is_rational(self, a) -> bool:
         return all(x == 0 for x in a[1:])

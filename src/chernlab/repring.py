@@ -3,7 +3,10 @@
 Tables store cyclotomic-valued rows over Q(zeta_e) with e the group exponent,
 class data (size, element order, power maps) and usually an explicit
 GroupModel whose canonical class order the rows follow.  All structure
-constants are computed by exact cyclotomic inner products.
+constants are computed by exact cyclotomic inner products, except that a row
+of roots of unity (a linear character) is also kept as its exponent vector
+mod e: products of such rows are sums of exponents, and their inner products
+depend only on differences of exponents, so each is computed once.
 """
 
 from __future__ import annotations
@@ -44,6 +47,18 @@ def _class_inner(cy, class_sizes, order, values, conj_row) -> int:
     )
 
 
+def _by_difference(memo, a, b, e, compute):
+    """compute() for a sum over c of terms in zeta^(a_c - b_c), run once per
+    difference (a - b) mod e of exponent vectors a and b and kept in memo;
+    if either is None, compute() runs every time."""
+    if a is None or b is None:
+        return compute()
+    key = tuple((x - y) % e for x, y in zip(a, b))
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
 class CharacterTable:
     def __init__(
         self,
@@ -78,6 +93,12 @@ class CharacterTable:
             [[cy.lift(v) for v in row] for row in rows] for rows in (self.rows, conj)
         )
         self._row_index = {tuple(row): i for i, row in enumerate(self.rows)}
+        # a row of roots of unity (a linear character) as its exponents mod e
+        self._exps = [
+            tuple(v[0][0] for v in row)
+            if all(len(v) == 1 and v[0][1] == 1 for v in row) else None
+            for row in self._lifted[0]
+        ]
         self.validate()
 
     def identity_class(self) -> int:
@@ -121,10 +142,13 @@ class CharacterTable:
         ):
             raise NotACharacterTable("first irreducible must be the trivial character")
         rows, conj = self._lifted
+        exps, e, memo = self._exps, self.exponent, {}
         for i in range(len(rows)):
             for j in range(i, len(rows)):
                 expected = 1 if i == j else 0
-                if self._inner_conj(rows[i], conj[j]) != expected:
+                value = _by_difference(memo, exps[i], exps[j], e,
+                                       lambda: self._inner_conj(rows[i], conj[j]))
+                if value != expected:
                     raise NotACharacterTable(
                         f"row orthogonality fails at ({i},{j})"
                     )
@@ -132,9 +156,12 @@ class CharacterTable:
         cy = self.cyclo
         ones = [1] * len(rows)
         cols, conj_cols = list(zip(*rows)), list(zip(*conj))
+        col_exps = list(zip(*exps)) if None not in exps else [None] * self.nclasses
+        memo = {}
         for c in range(self.nclasses):
             for c2 in range(c, self.nclasses):
-                total = cy.product_sum(ones, cols[c], conj_cols[c2])
+                total = _by_difference(memo, col_exps[c], col_exps[c2], e,
+                                       lambda: cy.product_sum(ones, cols[c], conj_cols[c2]))
                 if c == c2:
                     expected = cy.from_int(self.order // self.class_sizes[c])
                 else:
@@ -262,12 +289,19 @@ class RepRing:
         self.table = table
         self.h = len(table.rows)
         self.dims = list(table.dims)
-        cy = table.cyclo
+        cy, exps, e = table.cyclo, table._exps, table.exponent
+        index = {x: k for k, x in enumerate(exps) if x is not None}
         self.mijk = [[None] * self.h for _ in range(self.h)]
         for i in range(self.h):
             for j in range(i, self.h):
-                prod = [cy.mul(a, b) for a, b in zip(table.rows[i], table.rows[j])]
-                coeffs = table.decompose(prod)
+                # a product of linear characters is the row of its summed exponents
+                hit = exps[i] and exps[j] and index.get(
+                    tuple((x + y) % e for x, y in zip(exps[i], exps[j])))
+                if hit is not None:
+                    coeffs = [1 if k == hit else 0 for k in range(self.h)]
+                else:
+                    prod = [cy.mul(a, b) for a, b in zip(table.rows[i], table.rows[j])]
+                    coeffs = table.decompose(prod)
                 if any(c < 0 for c in coeffs):
                     raise NegativeStructureConstant(
                         f"V{i+1} x V{j+1} decomposes with a negative multiplicity"

@@ -77,6 +77,25 @@ def test_lift_reduce_and_conjugate(e):
         assert cy.reduce({-k % e: c for k, c in lifted}) == cy.conjugate(a)
 
 
+def termwise_conjugate(cy, a):
+    """Conjugation one power-basis coordinate at a time: sum_k a_k zeta^(-k)."""
+    out = cy.zero
+    for k, c in enumerate(a):
+        if c:
+            out = cy.add(out, cy.scale(c, cy.root_power((-k) % cy.e)))
+    return out
+
+
+@pytest.mark.parametrize("e", (1, 2, 3, 4, 6, 8, 9, 12, 36))
+def test_conjugate_matches_termwise_oracle(e):
+    cy = Cyclo(e)
+    for k in range(e):
+        root = cy.root_power(k)
+        assert cy.conjugate(root) == termwise_conjugate(cy, root) == cy.root_power(-k)
+    for a in random_elements(cy, random.Random(300 + e), 60):
+        assert cy.conjugate(a) == termwise_conjugate(cy, a)
+
+
 @pytest.mark.parametrize("e", [e for e in KERNEL_CONDUCTORS if 36 % e == 0])
 def test_embedding_is_exponent_scaling(e):
     small, big = Cyclo(e), Cyclo(36)

@@ -187,39 +187,107 @@ def test_builtin_groups():
         builtin_group("m11")
 
 
-# (group, row, class, new value from (ring, old value), verdict): each
-# verdict is the message the power-basis inner product gave before the
-# Z[C_e] kernel, so the kernel keeps every check and its order
+def set_entry(i, c, value):
+    """Replace rows[i][c] by value(ring, old value)."""
+    def edit(cy, rows):
+        rows[i][c] = value(cy, rows[i][c])
+    return edit
+
+
+def copy_row(src, dst):
+    """Make row dst a copy of row src."""
+    def edit(cy, rows):
+        rows[dst] = list(rows[src])
+    return edit
+
+
+def swap_entries(i, c, c2):
+    """Exchange rows[i][c] and rows[i][c2]."""
+    def edit(cy, rows):
+        rows[i][c], rows[i][c2] = rows[i][c2], rows[i][c]
+    return edit
+
+
+# (group, edit of the rows, verdict, pair): each verdict is the message the
+# power-basis inner product gave before the Z[C_e] kernel, and each pair the
+# rows (i, j) of the row inner product that raised it, or None when the
+# message names the pair; the cases from c4xc8 on are the verdicts and pairs
+# from before linear rows were checked on their exponent vectors.  So each
+# kernel keeps every check and its order.
 CORRUPTIONS = [
-    ("sigma3", 2, 1, lambda cy, v: cy.from_int(1),
-     "non-integral inner product: 3 not divisible by 6"),
-    ("c6", 1, 1, lambda cy, v: cy.root_power(2),
-     "non-integral inner product: 1 not divisible by 6"),
-    ("c6", 3, 2, lambda cy, v: cy.add(cy.root_power(1), cy.root_power(2)),
-     "non-integral inner product: -2 not divisible by 6"),
-    ("c3xc3", 4, 3, lambda cy, v: cy.scale(2, cy.root_power(1)),
-     "non-integral inner product: -1 not divisible by 9"),
-    ("sigma4", 3, 2, lambda cy, v: cy.neg(v),
-     "non-integral inner product: -12 not divisible by 24"),
+    ("sigma3", set_entry(2, 1, lambda cy, v: cy.from_int(1)),
+     "non-integral inner product: 3 not divisible by 6", (0, 2)),
+    ("c6", set_entry(1, 1, lambda cy, v: cy.root_power(2)),
+     "non-integral inner product: 1 not divisible by 6", (0, 1)),
+    ("c6", set_entry(3, 2, lambda cy, v: cy.add(cy.root_power(1), cy.root_power(2))),
+     "non-integral inner product: -2 not divisible by 6", (0, 3)),
+    ("c3xc3", set_entry(4, 3, lambda cy, v: cy.scale(2, cy.root_power(1))),
+     "non-integral inner product: -1 not divisible by 9", (0, 4)),
+    ("sigma4", set_entry(3, 2, lambda cy, v: cy.neg(v)),
+     "non-integral inner product: -12 not divisible by 24", (0, 3)),
     # row 1 becomes row 0
-    ("c2", 1, 1, lambda cy, v: cy.one, "row orthogonality fails at (0,1)"),
+    ("c2", set_entry(1, 1, lambda cy, v: cy.one), "row orthogonality fails at (0,1)", None),
+    # a root of unity for another: the row stays linear
+    ("c4xc8", set_entry(13, 7, lambda cy, v: cy.mul(v, cy.root_power(3))),
+     "non-integral inner product: 1 not divisible by 32", (0, 13)),
+    ("c4xc8", set_entry(31, 0, lambda cy, v: cy.root_power(4)),
+     "non-integral inner product: -2 not divisible by 32", (0, 31)),
+    # two equal linear rows
+    ("c4xc8", copy_row(9, 20), "row orthogonality fails at (9,20)", None),
+    # a row that is no longer all roots of unity
+    ("c4xc8", set_entry(6, 5, lambda cy, v: cy.neg(v)),
+     "non-integral inner product: 2 not divisible by 32", (0, 6)),
+    # permuted roots keep the row sum, so the trivial row passes
+    ("c4xc8", swap_entries(13, 5, 7),
+     "non-integral inner product: -2 not divisible by 32", (1, 13)),
+    ("c36", swap_entries(20, 3, 30),
+     "non-integral inner product: 1 not divisible by 36", (1, 20)),
+    ("c6xc6", swap_entries(35, 1, 4),
+     "non-integral inner product: 1 not divisible by 36", (1, 35)),
 ]
 
 
 @pytest.mark.parametrize(
-    "group,i,c,value,verdict", CORRUPTIONS,
-    ids=["sigma3", "c6-zeta2", "c6-zeta-plus-zeta2", "c3xc3", "sigma4", "c2-equal-rows"],
+    "group,edit,verdict,pair", CORRUPTIONS,
+    ids=["sigma3", "c6-zeta2", "c6-zeta-plus-zeta2", "c3xc3", "sigma4", "c2-equal-rows",
+         "c4xc8-root-to-root", "c4xc8-minus-one-at-identity", "c4xc8-equal-rows",
+         "c4xc8-negated-root", "c4xc8-swap", "c36-swap", "c6xc6-swap"],
 )
-def test_corrupted_table_rejected(group, i, c, value, verdict):
+def test_corrupted_table_rejected(group, edit, verdict, pair, monkeypatch):
     t = builtin_group(group)
     rows = [list(r) for r in t.rows]
-    rows[i][c] = value(t.cyclo, rows[i][c])
+    edit(t.cyclo, rows)
+    # the (i, j) of each row inner product computed, read off the lifted rows
+    pairs = []
+    inner = CharacterTable._inner_conj
+
+    def traced(self, values, conj_row):
+        pairs.append(tuple(next(i for i, r in enumerate(lifted) if r is x)
+                           for lifted, x in zip(self._lifted, (values, conj_row))))
+        return inner(self, values, conj_row)
+
+    monkeypatch.setattr(CharacterTable, "_inner_conj", traced)
     with pytest.raises(NotACharacterTable) as info:
         CharacterTable(
             "bad", t.order, t.exponent, t.class_sizes, t.class_orders,
             t.power_maps, rows,
         )
     assert str(info.value) == verdict
+    if pair is not None:
+        assert pairs[-1] == pair
+
+
+MIJK_GROUPS = ["c36", "c6xc6", "c3xc3", "extraspecial(5,1)", "sigma4", "d8"]
+
+
+@pytest.mark.parametrize("group", MIJK_GROUPS)
+def test_structure_constants_match_product_oracle(group):
+    """Every V_i x V_j as the pointwise product decomposed, pair by pair."""
+    t = builtin_group(group)
+    cy = t.cyclo
+    expected = [[t.decompose([cy.mul(a, b) for a, b in zip(ri, rj)]) for rj in t.rows]
+                for ri in t.rows]
+    assert RepRing(t).mijk == expected
 
 
 def test_table_without_identity_class_rejected():
