@@ -27,7 +27,7 @@ from .omega import (
     enumerate_omega_ch,
     enumerate_omega_dprime,
     enumerate_omega_prime,
-    hom_image,
+    hom_images,
     kappa,
     pointwise_signature,
     xi_class_map,
@@ -238,9 +238,9 @@ def criterion_10_sigma6() -> Certificate:
     for g in range(s6.size):
         orbit1.add((s6.conj(g, u1), s6.conj(g, u2)))
     cert.add("distinct_in_omega", hom2 not in orbit1, {})
-    pts = Theta(2, 2, 2).points()
-    sig1 = pointwise_signature(s6, hom1, pts)
-    sig2 = pointwise_signature(s6, hom2, pts)
+    star = Theta(2, 2, 2)
+    sig1 = pointwise_signature(s6, hom1, star)
+    sig2 = pointwise_signature(s6, hom2, star)
     cert.add("equal_in_omega_prime", sig1 == sig2, {"signature": list(sig1)})
     # the permutation-character divisors agree: 3[0] + [a] + [b] + [c]
     theta = Theta(2, 1, 2)
@@ -261,7 +261,7 @@ def criterion_10_sigma6() -> Certificate:
 def _permutation_character_divisor(model, hom, theta: Theta):
     """Fourier decomposition of the fixed-point character of a commuting
     pair of involutions acting on the permutation domain, over Z[zeta_2]."""
-    images = [model.elements[hom_image(model, hom, a)] for a in theta.points()]
+    images = [model.elements[g] for g in hom_images(model, hom, theta)]
     fixed = [(sum(g[i] == i for i in range(len(g))),) for g in images]
     return fourier_inverse(theta, Cyclo(2), [fixed])[0]
 
@@ -454,7 +454,7 @@ def criterion_11_properties(seed: int = 20260811) -> Certificate:
         "xi_after_kappa_is_canonical",
         enumerate_omega(s4, 2, 2),
         lambda rep: xi_class_map(kappa(t4, s4, rep, 2, 2), t4, s4, 2, 2)
-        == pointwise_signature(s4, rep, Theta(2, 2, 2).points()),
+        == pointwise_signature(s4, rep, Theta(2, 2, 2)),
     )
     return cert
 

@@ -97,9 +97,6 @@ class CyclotomicRing:
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
     def neg(self, a):
         return tuple(-x for x in a)
 
@@ -171,20 +168,6 @@ class CyclotomicRing:
             raise ValidationError(f"no embedding Q(zeta_{other.e}) -> Q(zeta_{self.e})")
         step = self.e // other.e
         return self.reduce({k * step: c for k, c in other.lift(a)})
-
-    def text(self, a) -> str:
-        if self.is_rational(a):
-            return str(a[0])
-        parts = []
-        for k, c in enumerate(a):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                z = "z" if k == 1 else f"z^{k}"
-                parts.append(z if c == 1 else ("-" + z if c == -1 else f"{c}*{z}"))
-        return "+".join(parts).replace("+-", "-") if parts else "0"
 
     def __repr__(self):
         return f"CyclotomicRing(e={self.e})"

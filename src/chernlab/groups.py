@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial
 
 from .errors import ResourceLimit, UnknownGroup, ValidationError
@@ -238,10 +238,7 @@ def model_extraspecial(p: int, d: int) -> GroupModel:
     if p == 2 or not is_prime(p):
         raise ValidationError("extraspecial model requires an odd prime")
     b = symplectic_form(d)
-    vecs = [()]
-    for _ in range(2 * d):
-        vecs = [v + (x,) for v in vecs for x in range(p)]
-    elems = [(x,) + v for x in range(p) for v in vecs]
+    elems = list(product(range(p), repeat=2 * d + 1))
 
     def mult(g, h):
         x, u = g[0], g[1:]

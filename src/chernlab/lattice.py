@@ -10,7 +10,7 @@ through the translation and scaling rows that Theta builds on first use.
 from __future__ import annotations
 
 import re
-from itertools import combinations, compress
+from itertools import combinations, compress, product
 
 from .errors import InexactDivision, LambdaOutOfRange, ResourceLimit, ValidationError
 from .groups import power_exceeds
@@ -65,11 +65,8 @@ class Theta:
     def points(self) -> tuple[tuple[int, ...], ...]:
         """Every point, in lexicographic order; index 0 is the origin."""
         if self._points is None:
-            out = [()]
-            for _ in range(self.n):
-                out = [pt + (x,) for pt in out for x in range(self.modulus)]
-            self._points = tuple(out)
-            self._indices = tuple(range(len(out)))
+            self._points = tuple(product(range(self.modulus), repeat=self.n))
+            self._indices = tuple(range(len(self._points)))
         return self._points
 
     def index(self, point) -> int:
@@ -290,10 +287,9 @@ def parse_divisor(theta: Theta, text: str) -> LatticeDivisor:
 
 # -- the Fourier pair on Theta -------------------------------------------------
 # A transform depends only on (p, v, n, e), its sign and the function, so the
-# pair keeps one memo for every caller: the pairing tables, the values of each
-# count vector sent forward and the checked count vector of each row sent back.
-# A memo that would pass FOURIER_MEMO_ENTRIES is emptied first; a pairing table
-# counts |Theta|^2 entries and a stored function |Theta|.
+# pair keeps one memo for every caller: the values of each count vector sent
+# forward and the checked count vector of each row sent back, |Theta| entries
+# each.  A memo that would pass FOURIER_MEMO_ENTRIES is emptied first.
 
 FOURIER_MEMO_ENTRIES = 1 << 20
 COUNTS = {"transforms": 0}  # functions transformed, memo hits not counted
@@ -315,42 +311,44 @@ def _remember(key, value, entries: int):
     return value
 
 
-def _pairing(theta: Theta, cy, sign: int) -> tuple[tuple, list]:
-    """The memo key (p, v, n, e, sign) and the table of w^{sign <y,z>} as
-    lifted roots of unity for cy.product_sum, where w = zeta_e^{e/p^v}."""
-    e = cy.e
-    if e % theta.modulus:
-        raise ValidationError(f"p^{theta.v} does not divide the exponent {e}")
-    key = (theta.p, theta.v, theta.n, e, sign)
-    pairing = _memo.get(key)
-    if pairing is None:
-        step = sign * (e // theta.modulus)
-        pts = theta.points()
-        roots = [((k, 1),) for k in range(e)]  # one lifted root per exponent, shared
-        pairing = _remember(key, [
-            [roots[sum(a * b for a, b in zip(y, z)) * step % e] for z in pts] for y in pts
-        ], len(pts) ** 2)
-    return key, pairing
+def _key(theta: Theta, cy, sign: int) -> tuple:
+    """The memo key (p, v, n, e, sign), once p^v is known to divide e."""
+    if cy.e % theta.modulus:
+        raise ValidationError(f"p^{theta.v} does not divide the exponent {cy.e}")
+    return (theta.p, theta.v, theta.n, cy.e, sign)
 
 
-def _transform(cy, pairing, f) -> list[tuple[int, ...]]:
-    """y -> sum_z f(z) w^{sign <y,z>}, summed in Z[C_e] and reduced once per y."""
+def _transform(theta: Theta, cy, f, sign: int) -> list[tuple[int, ...]]:
+    """y -> sum_z f(z) w^{sign <y,z>}, where w = zeta_e^{e/p^v}, one
+    coordinate per pass: each line of m = p^v values along the leading
+    coordinate is summed against the lifted roots w^{sign y z} through
+    cy.product_sum, and the value at z * rest + r goes to r * m + y, so
+    after n passes the points are back in their own order."""
     COUNTS["transforms"] += 1
-    lifted = [cy.lift(value) for value in f]
-    ones = [1] * len(lifted)
-    return [cy.product_sum(ones, lifted, w) for w in pairing]
+    e, m = cy.e, theta.modulus
+    step = sign * (e // m)
+    roots = [((k, 1),) for k in range(e)]  # one lifted root per exponent, shared
+    twiddle = [[roots[y * z * step % e] for z in range(m)] for y in range(m)]
+    ones = [1] * m
+    values = list(f)
+    rest = len(values) // m
+    for _ in range(theta.n):
+        lifted = [cy.lift(value) for value in values]
+        values = [cy.product_sum(ones, lifted[r::rest], w)
+                  for r in range(rest) for w in twiddle]
+    return values
 
 
 def fourier(theta: Theta, cy, divisors) -> list[list[tuple[int, ...]]]:
     """The transform a -> sum_x mult(x) w^{<a,x>} of each divisor."""
-    key, pairing = _pairing(theta, cy, 1)
+    key = _key(theta, cy, 1)
     out = []
     for d in divisors:
         vec_key = key + (d.vec,)
         values = _memo.get(vec_key)
         if values is None:
             values = _remember(vec_key, tuple(
-                _transform(cy, pairing, [cy.from_int(m) for m in d.vec])), len(d.vec))
+                _transform(theta, cy, [cy.from_int(m) for m in d.vec], 1)), len(d.vec))
         out.append(list(values))
     return out
 
@@ -363,15 +361,15 @@ def fourier_inverse(theta: Theta, cy, rows) -> list[LatticeDivisor]:
     a row not seen before is checked in full before its count vector is
     kept, so the first failing row raises, on every call.
     """
-    key, pairing = _pairing(theta, cy, -1)
-    size = len(pairing)
+    key = _key(theta, cy, -1)
+    size = theta.modulus ** theta.n
     divisors = []
     for row in rows:
         row_key = key + (tuple(row),)
         vec = _memo.get(row_key)
         if vec is None:
             vec = tuple(cy.rational_value(cy.divide_exact(value, size))
-                        for value in _transform(cy, pairing, row))
+                        for value in _transform(theta, cy, row, -1))
             if min(vec) < 0:
                 raise ValidationError("negative multiplicity")
             _remember(row_key, vec, size)

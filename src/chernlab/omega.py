@@ -81,18 +81,21 @@ def enumerate_omega(model: GroupModel, p: int, n: int) -> list[tuple[int, ...]]:
     return reps
 
 
-def hom_image(model: GroupModel, hom: tuple[int, ...], a: tuple[int, ...]) -> int:
-    """u(a) = prod_i u_i^{a_i} (images commute)."""
-    g = model.identity
-    for ui, ai in zip(hom, a):
-        g = model.table[g][model.power(ui, ai)]
-    return g
+def hom_images(model: GroupModel, hom: tuple[int, ...], theta: Theta) -> list[int]:
+    """u(a) = prod_i u_i^{a_i} for each point a, in the order of
+    theta.points(), built one coordinate at a time (images commute)."""
+    table = model.table
+    images = [model.identity]
+    for ui in hom:
+        powers = [model.identity]
+        for _ in range(1, theta.modulus):
+            powers.append(table[powers[-1]][ui])
+        images = [table[g][x] for g in images for x in powers]
+    return images
 
 
-def pointwise_signature(
-    model: GroupModel, hom: tuple[int, ...], theta_star: list[tuple[int, ...]]
-) -> tuple[int, ...]:
-    return tuple(model.class_of(hom_image(model, hom, a)) for a in theta_star)
+def pointwise_signature(model: GroupModel, hom: tuple[int, ...], theta: Theta) -> tuple[int, ...]:
+    return tuple(map(model.class_of, hom_images(model, hom, theta)))
 
 
 def enumerate_omega_prime(model: GroupModel, p: int, n: int, w: int | None = None):
@@ -101,12 +104,12 @@ def enumerate_omega_prime(model: GroupModel, p: int, n: int, w: int | None = Non
     if w is None:
         w = p_part_exponent(model.exponent(), p)
     om = enumerate_omega(model, p, n)
-    pts = Theta(p, w, n).points()
+    theta = Theta(p, w, n)
     sig_index: dict[tuple[int, ...], int] = {}
     projection = []
     sigs = []
     for rep in om:
-        sig = pointwise_signature(model, rep, pts)
+        sig = pointwise_signature(model, rep, theta)
         if sig not in sig_index:
             sig_index[sig] = len(sigs)
             sigs.append(sig)
@@ -240,7 +243,7 @@ def kappa(
         if modulus % o:
             raise ValidationError(f"p^{v} does not annihilate an image of order {o}")
     theta = Theta(p, v, n)
-    classes = pointwise_signature(model, hom, theta.points())
+    classes = pointwise_signature(model, hom, theta)
     rows = [tuple(row[c] for c in classes) for row in table.rows]
     try:
         return OmegaChElem(fourier_inverse(theta, table.cyclo, rows))

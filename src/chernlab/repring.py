@@ -12,6 +12,7 @@ depend only on differences of exponents, so each is computed once.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 from .cyclotomic import Cyclo
@@ -639,11 +640,7 @@ def table_extraspecial(p: int, d: int) -> CharacterTable:
     rows = []
     names = []
     # linear characters, indexed by the dual of V = F_p^{2d}
-    duals = [()]
-    for _ in range(2 * d):
-        duals = [w + (x,) for w in duals for x in range(p)]
-    duals.sort()
-    for w in duals:
+    for w in product(range(p), repeat=2 * d):
         row = []
         for c in classes:
             rep = model.elements[c[0]]

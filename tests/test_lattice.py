@@ -231,14 +231,29 @@ def test_the_first_failing_row_raises_cold_and_warm(theta, cold_memo):
 
 def test_the_fourier_memo_stays_within_its_bound(theta, cold_memo, monkeypatch):
     size = len(theta.points())
-    bound = size * size + 3 * size  # one pairing table and three functions
+    bound = 3 * size  # three functions
     monkeypatch.setattr(lattice, "FOURIER_MEMO_ENTRIES", bound)
     cy = Cyclo(2)
     divisors = [LatticeDivisor(theta, [pt] * k) for pt in theta.points() for k in (1, 2)]
     for _ in range(2):
         assert fourier_inverse(theta, cy, fourier(theta, cy, divisors)) == divisors
-        kept = sum(size * size if len(key) == 5 else size for key in lattice._memo)
-        assert kept == lattice._memo_entries <= bound
+        # keys are (p, v, n, e, sign, function): the memo holds only functions
+        assert all(len(key) == 6 and len(key[5]) == size for key in lattice._memo)
+        assert size * len(lattice._memo) == lattice._memo_entries <= bound
+
+
+def test_a_kept_row_is_not_evicted_by_the_transform(theta, cold_memo, monkeypatch):
+    # a bound of |Theta|^2 entries: room for many functions, but no room for
+    # a |Theta|^2 pairing table beside one of them
+    size = len(theta.points())
+    monkeypatch.setattr(lattice, "FOURIER_MEMO_ENTRIES", size * size)
+    cy = Cyclo(2)
+    D = LatticeDivisor(theta, [(1, 0), (1, 1)])
+    row = fourier(theta, cy, [D])[0]
+    before = lattice.COUNTS["transforms"]
+    assert fourier_inverse(theta, cy, [row]) == [D]
+    assert fourier_inverse(theta, cy, [row]) == [D]
+    assert lattice.COUNTS["transforms"] - before == 1
 
 
 def test_transforms_count_distinct_functions(theta, cold_memo):
@@ -250,6 +265,80 @@ def test_transforms_count_distinct_functions(theta, cold_memo):
     before = lattice.COUNTS["transforms"]
     fourier_inverse(theta, cy, rows)
     assert lattice.COUNTS["transforms"] == before
+
+# -- oracle: the Fourier pair as one |Theta|^2 pairing sum ---------------------
+# The pair summed every product f(z) w^{sign <y,z>} for each y at once before
+# it ran one coordinate at a time; that sum is kept to check the passes against.
+
+def pairing_sum(theta, cy, f, sign):
+    step = sign * (cy.e // theta.modulus)
+    pts = theta.points()
+    out = []
+    for y in pts:
+        acc = cy.zero
+        for z, value in zip(pts, f):
+            pair = sum(a * b for a, b in zip(y, z))
+            acc = cy.add(acc, cy.mul(value, cy.root_power(pair * step)))
+        out.append(acc)
+    return out
+
+
+FOURIER_SHAPES = [
+    (2, 1, 3, 2), (2, 2, 2, 4), (2, 2, 2, 8), (3, 1, 2, 3), (3, 1, 2, 9),
+    (5, 1, 1, 5), (2, 3, 1, 8), (3, 1, 0, 3),
+]
+
+
+def _random_row(cy, size, rng):
+    """Roots of unity and other elements of Z[zeta_e], about half each."""
+    return [
+        cy.root_power(rng.randrange(cy.e)) if rng.random() < 0.5
+        else tuple(rng.randint(-3, 3) for _ in range(cy.degree))
+        for _ in range(size)
+    ]
+
+
+@pytest.mark.parametrize("p,v,n,e", FOURIER_SHAPES)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_transform_matches_the_pairing_sum(p, v, n, e, sign):
+    th = Theta(p, v, n)
+    cy = Cyclo(e)
+    rng = random.Random(1000 * p + 100 * v + 10 * n + e + sign)
+    for _ in range(6):
+        row = _random_row(cy, len(th.points()), rng)
+        assert lattice._transform(th, cy, row, sign) == pairing_sum(th, cy, row, sign)
+
+
+@pytest.mark.parametrize("p,v,n,e", FOURIER_SHAPES)
+def test_fourier_pair_matches_the_pairing_sum(p, v, n, e, cold_memo):
+    th = Theta(p, v, n)
+    cy = Cyclo(e)
+    rng = random.Random(1000 * p + 100 * v + 10 * n + e)
+    pts = th.points()
+    size = len(pts)
+    divisors = [
+        LatticeDivisor(th, [rng.choice(pts) for _ in range(rng.randint(0, 5))])
+        for _ in range(6)
+    ]
+    rows = [pairing_sum(th, cy, [cy.from_int(m) for m in d.vec], 1) for d in divisors]
+    assert fourier(th, cy, divisors) == rows
+    lattice._memo.clear()
+    lattice._memo_entries = 0
+    assert fourier_inverse(th, cy, rows) == divisors
+    for d, row in zip(divisors, rows):
+        back = pairing_sum(th, cy, row, -1)
+        assert tuple(cy.rational_value(cy.divide_exact(x, size)) for x in back) == d.vec
+    # a row that is no transform is refused, as its pairing sum shows
+    for _ in range(4):
+        row = _random_row(cy, size, rng)
+        back = pairing_sum(th, cy, row, -1)
+        if all(cy.is_rational(x) and x[0] % size == 0 and x[0] >= 0 for x in back):
+            expected = tuple(x[0] // size for x in back)
+            assert fourier_inverse(th, cy, [row])[0].vec == expected
+        else:
+            with pytest.raises((InexactDivision, ValidationError)):
+                fourier_inverse(th, cy, [row])
+
 
 # -- oracle: the algebra on sorted (point, multiplicity) pairs ----------------
 # Divisors were stored as sorted pairs before the count vectors; these are

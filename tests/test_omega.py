@@ -2,13 +2,14 @@ import pytest
 
 from chernlab import omega
 from chernlab.errors import NonIntegralMultiplicity, ResourceLimit
-from chernlab.groups import builtin_model, model_symmetric, model_trivial
+from chernlab.groups import builtin_model, model_extraspecial, model_symmetric, model_trivial
 from chernlab.lattice import LatticeDivisor, Theta
 from chernlab.omega import (
     enumerate_omega,
     enumerate_omega_ch,
     enumerate_omega_dprime,
     enumerate_omega_prime,
+    hom_images,
     kappa,
     pointwise_signature,
     xi_class_map,
@@ -168,12 +169,49 @@ def test_xi_injective_on_sigma3(s3_ring):
 def test_xi_after_kappa_is_canonical_map(s4_ring):
     model = model_symmetric(4)
     om = enumerate_omega(model, 2, 2)
-    pts = Theta(2, 2, 2).points()
+    theta = Theta(2, 2, 2)
     for rep in om:
         f = kappa(s4_ring.table, model, rep, 2, 2)
         assert xi_class_map(f, s4_ring.table, model, 2, 2) == pointwise_signature(
-            model, rep, pts
+            model, rep, theta
         )
+
+
+# -- oracle: one point's image as a product of powers ---------------------------
+# The hom's image of each point was built with n calls to power before the
+# images were walked one coordinate at a time; that loop is kept as the oracle.
+
+def hom_image_oracle(model, hom, a):
+    g = model.identity
+    for ui, ai in zip(hom, a):
+        g = model.table[g][model.power(ui, ai)]
+    return g
+
+
+def _criterion_10_homs(s6):
+    u1 = s6.index[(1, 0, 3, 2, 4, 5)]
+    u2 = s6.index[(2, 3, 0, 1, 4, 5)]
+    v1 = s6.index[(1, 0, 2, 3, 5, 4)]
+    v2 = s6.index[(0, 1, 3, 2, 5, 4)]
+    return [(u1, u2), (v1, v2)]
+
+
+@pytest.mark.parametrize("case", ["sigma4", "sigma6", "extraspecial"])
+def test_hom_images_match_the_pointwise_oracle(case):
+    if case == "sigma4":
+        model = model_symmetric(4)
+        cases = [(hom, Theta(2, 2, 2)) for hom in enumerate_omega(model, 2, 2)]
+    elif case == "sigma6":
+        model = model_symmetric(6)
+        cases = [(hom, Theta(2, v, 2)) for hom in _criterion_10_homs(model) for v in (1, 2)]
+    else:
+        model = model_extraspecial(3, 1)
+        cases = [(hom, Theta(3, 1, 2)) for hom in enumerate_omega(model, 3, 2)]
+    assert len(cases) > 1
+    for hom, theta in cases:
+        expected = [hom_image_oracle(model, hom, a) for a in theta.points()]
+        assert hom_images(model, hom, theta) == expected
+        assert pointwise_signature(model, hom, theta) == tuple(map(model.class_of, expected))
 
 
 def test_chain_cardinalities_sigma3(s3_ring):
