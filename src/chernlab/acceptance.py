@@ -103,7 +103,7 @@ def _sigma4_strata(model, reps) -> tuple[int, ...]:
     for rep in reps:
         closure = model.closure(rep)
         size = len(closure)
-        cyclic = any(model.element_order(g) == size for g in closure)
+        cyclic = any(model.orders[g] == size for g in closure)
         orbits = _orbits(model, closure)
         if size == 1:
             counts[0] += 1
@@ -152,7 +152,7 @@ def criterion_5_sigma4_census() -> Certificate:
     rep_ring = RepRing(table_sigma4())
     och = enumerate_omega_ch(rep_ring, 2, 2)
     cert.add("omega_ch_count_17", len(och) == 17, {"count": len(och)})
-    kimg = {kappa(rep_ring.table, model, r, 2, 2) for r in om}
+    kimg = set(kappa(rep_ring.table, model, om, 2, 2))
     cert.add("kappa_bijective", kimg == set(och),
              {"image": len(kimg)})
 
@@ -234,9 +234,7 @@ def criterion_10_sigma6() -> Certificate:
     v1 = s6.index[(1, 0, 2, 3, 5, 4)]
     v2 = s6.index[(0, 1, 3, 2, 5, 4)]
     hom1, hom2 = (u1, u2), (v1, v2)
-    orbit1 = set()
-    for g in range(s6.size):
-        orbit1.add((s6.conj(g, u1), s6.conj(g, u2)))
+    orbit1 = {(c[u1], c[u2]) for c in s6.conj}
     cert.add("distinct_in_omega", hom2 not in orbit1, {})
     star = Theta(2, 2, 2)
     sig1 = pointwise_signature(s6, hom1, star)
@@ -450,11 +448,13 @@ def criterion_11_properties(seed: int = 20260811) -> Certificate:
     cert.add("xi_injective_sigma3", len(xis) == len(och3), {})
     s4 = model_symmetric(4)
     t4 = table_sigma4()
+    om4 = enumerate_omega(s4, 2, 2)
+    star = Theta(2, 2, 2)
     cert.add_cases(
         "xi_after_kappa_is_canonical",
-        enumerate_omega(s4, 2, 2),
-        lambda rep: xi_class_map(kappa(t4, s4, rep, 2, 2), t4, s4, 2, 2)
-        == pointwise_signature(s4, rep, Theta(2, 2, 2)),
+        zip(om4, kappa(t4, s4, om4, 2, 2)),
+        lambda case: xi_class_map(case[1], t4, s4, 2, 2)
+        == pointwise_signature(s4, case[0], star),
     )
     return cert
 

@@ -143,8 +143,8 @@ def cmd_omega(args) -> int:
             om = enumerate_omega(model, args.p, args.n)
             position = {e: i for i, e in enumerate(och)}
             witness["maps"] = {
-                "kappa": [position[kappa(ring.table, model, rep, args.p, args.n, args.v)]
-                          for rep in om],
+                "kappa": [position[e]
+                          for e in kappa(ring.table, model, om, args.p, args.n, args.v)],
                 "xi": [list(xi_class_map(e, ring.table, model, args.p, args.n))
                        for e in och],
             }

@@ -1,8 +1,9 @@
 """Explicit finite group models: element tables, conjugacy, power maps.
 
 Elements are hashable encodings (ints for cyclic groups, tuples for
-permutations and extraspecial groups).  Multiplication tables are
-precomputed, so enumeration loops run on plain list lookups.
+permutations and extraspecial groups).  The multiplication and conjugation
+tables, element orders and conjugacy classes are built once with the
+model, so enumeration loops run on plain list lookups.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial
+from math import factorial, lcm
 
 from .errors import ResourceLimit, UnknownGroup, ValidationError
 from .field import is_prime
@@ -34,6 +35,12 @@ def power_exceeds(p: int, e: int, bound: int) -> bool:
 
 
 class GroupModel:
+    """A finite group on element indices 0..size-1 (in sorted element
+    order), with its derived data as plain attributes: ``table`` and
+    ``conj`` (conj[g][x] = g x g^{-1}), ``inverse``, ``orders``,
+    ``exponent``, ``classes`` (as conjugacy_classes() sorts them) and
+    ``class_of`` (element index -> class index)."""
+
     def __init__(self, name: str, elements: list, mult_fn):
         self.name = name
         self.elements = sorted(elements)
@@ -50,16 +57,21 @@ class GroupModel:
         self.inverse = [0] * n
         for i in range(n):
             self.inverse[i] = next(j for j in range(n) if self.table[i][j] == self.identity)
-        self._orders: list[int] | None = None
-        self._classes: list[list[int]] | None = None
-        self._class_of: list[int] | None = None
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def conj(self, g: int, x: int) -> int:
-        """g x g^{-1}."""
-        return self.table[self.table[g][x]][self.inverse[g]]
+        table, inverse = self.table, self.inverse
+        self.conj = [[table[t][inverse[g]] for t in table[g]] for g in range(n)]
+        self.orders = []
+        for i in range(n):
+            k, g = 1, i
+            while g != self.identity:
+                g = table[g][i]
+                k += 1
+            self.orders.append(k)
+        self.exponent = lcm(*self.orders)
+        self.classes = self.conjugacy_classes()
+        self.class_of = [0] * n
+        for ci, cls in enumerate(self.classes):
+            for x in cls:
+                self.class_of[x] = ci
 
     def power(self, i: int, k: int) -> int:
         if k < 0:
@@ -73,61 +85,31 @@ class GroupModel:
             k >>= 1
         return r
 
-    def element_order(self, i: int) -> int:
-        return self.orders()[i]
-
-    def orders(self) -> list[int]:
-        if self._orders is None:
-            out = []
-            for i in range(self.size):
-                k, g = 1, i
-                while g != self.identity:
-                    g = self.table[g][i]
-                    k += 1
-                out.append(k)
-            self._orders = out
-        return self._orders
-
-    def exponent(self) -> int:
-        from math import lcm
-
-        return lcm(*self.orders())
-
     def conjugacy_classes(self) -> list[list[int]]:
-        """Classes sorted by (element order, size, least member); members sorted."""
-        if self._classes is None:
-            seen = [False] * self.size
-            classes = []
-            for i in range(self.size):
-                if seen[i]:
-                    continue
-                orbit = sorted({self.conj(g, i) for g in range(self.size)})
-                for x in orbit:
-                    seen[x] = True
-                classes.append(orbit)
-            orders = self.orders()
-            classes.sort(key=lambda c: (orders[c[0]], len(c), self.elements[c[0]]))
-            self._classes = classes
-            self._class_of = [0] * self.size
-            for ci, cls in enumerate(classes):
-                for x in cls:
-                    self._class_of[x] = ci
-        return self._classes
-
-    def class_of(self, i: int) -> int:
-        self.conjugacy_classes()
-        return self._class_of[i]
+        """The orbits of conj, sorted by (element order, size, least
+        member); members sorted.  Read it as ``classes``."""
+        seen = [False] * self.size
+        classes = []
+        for i in range(self.size):
+            if seen[i]:
+                continue
+            orbit = sorted({row[i] for row in self.conj})
+            for x in orbit:
+                seen[x] = True
+            classes.append(orbit)
+        orders = self.orders
+        classes.sort(key=lambda c: (orders[c[0]], len(c), self.elements[c[0]]))
+        return classes
 
     def class_power(self, ci: int, k: int) -> int:
-        rep = self.conjugacy_classes()[ci][0]
-        return self.class_of(self.power(rep, k))
+        return self.class_of[self.power(self.classes[ci][0], k)]
 
     def p_power_class_indices(self, p: int) -> list[int]:
-        return [ci for ci, cls in enumerate(self.conjugacy_classes())
-                if (o := self.element_order(cls[0])) == p ** p_part_exponent(o, p)]
+        return [ci for ci, cls in enumerate(self.classes)
+                if (o := self.orders[cls[0]]) == p ** p_part_exponent(o, p)]
 
     def p_power_elements(self, p: int) -> list[int]:
-        return [i for i, o in enumerate(self.orders()) if o == p ** p_part_exponent(o, p)]
+        return [i for i, o in enumerate(self.orders) if o == p ** p_part_exponent(o, p)]
 
     def closure(self, indices) -> set[int]:
         """The subgroup generated by the given element indices."""
@@ -157,11 +139,7 @@ class GroupModel:
     def fusion_into(self, parent: "GroupModel") -> list[int]:
         """Class fusion map (self classes -> parent classes) for a subgroup
         whose elements are encoded identically in the parent."""
-        out = []
-        for cls in self.conjugacy_classes():
-            rep = self.elements[cls[0]]
-            out.append(parent.class_of(parent.index[rep]))
-        return out
+        return [parent.class_of[parent.index[self.elements[cls[0]]]] for cls in self.classes]
 
     def __repr__(self):
         return f"GroupModel({self.name}, order {self.size})"

@@ -58,23 +58,16 @@ def commuting_tuples(model: GroupModel, p: int, n: int) -> list[tuple[int, ...]]
     return out
 
 
-def _conj_tables(model: GroupModel) -> list[list[int]]:
-    return [
-        [model.conj(g, x) for x in range(model.size)] for g in range(model.size)
-    ]
-
-
 def enumerate_omega(model: GroupModel, p: int, n: int) -> list[tuple[int, ...]]:
     """Omega(G): the canonical (lexicographically least) orbit representatives
     of commuting tuples under conjugation, sorted."""
     tuples = commuting_tuples(model, p, n)
-    ctabs = _conj_tables(model)
     seen: set[tuple[int, ...]] = set()
     reps: list[tuple[int, ...]] = []
     for t in tuples:
         if t in seen:
             continue
-        orbit = {tuple(ct[x] for x in t) for ct in ctabs}
+        orbit = {tuple(ct[x] for x in t) for ct in model.conj}
         seen.update(orbit)
         reps.append(min(orbit))
     reps.sort()
@@ -95,14 +88,14 @@ def hom_images(model: GroupModel, hom: tuple[int, ...], theta: Theta) -> list[in
 
 
 def pointwise_signature(model: GroupModel, hom: tuple[int, ...], theta: Theta) -> tuple[int, ...]:
-    return tuple(map(model.class_of, hom_images(model, hom, theta)))
+    return tuple(map(model.class_of.__getitem__, hom_images(model, hom, theta)))
 
 
 def enumerate_omega_prime(model: GroupModel, p: int, n: int, w: int | None = None):
     """Omega'(G) as distinct pointwise-class signatures, plus the projection
     from Omega(G) as an index map."""
     if w is None:
-        w = p_part_exponent(model.exponent(), p)
+        w = p_part_exponent(model.exponent, p)
     om = enumerate_omega(model, p, n)
     theta = Theta(p, w, n)
     sig_index: dict[tuple[int, ...], int] = {}
@@ -127,12 +120,12 @@ def enumerate_omega_dprime(model: GroupModel, p: int, n: int, w: int | None = No
     row walks.  Each search node costs |Theta| visits, added to COUNTS.
     """
     if w is None:
-        w = p_part_exponent(model.exponent(), p)
+        w = p_part_exponent(model.exponent, p)
     theta = Theta(p, w, n)
     pts = theta.points()
     size = len(pts)
     classes = model.p_power_class_indices(p)
-    class_orders = {c: model.element_order(model.conjugacy_classes()[c][0]) for c in classes}
+    class_orders = {c: model.orders[model.classes[c][0]] for c in classes}
     # a point's order is p to the number of t < w with p^t a != 0; row holds
     # the indices of p^t a, and once they are all the origin no t adds more
     orders = [1] * size
@@ -223,32 +216,37 @@ class OmegaChElem:
 def kappa(
     table: CharacterTable,
     model: GroupModel,
-    hom: tuple[int, ...],
+    homs: list[tuple[int, ...]],
     p: int,
     n: int,
     v: int | None = None,
-) -> OmegaChElem:
-    """Decompose each restricted character by exact finite Fourier inversion.
+) -> list[OmegaChElem]:
+    """Decompose each hom's restricted characters by exact finite Fourier
+    inversion, on one Theta(p, v, n) shared by every returned divisor.
 
     mult(x) = p^{-vn} sum_a chi(u(a)) zeta^{-<a,x>}; every multiplicity must
-    be a nonnegative integer.
+    be a nonnegative integer.  The homs are checked and decomposed in order,
+    so the first failing hom raises.
     """
     if v is None:
         v = p_part_exponent(table.exponent, p)
     elif v > p_part_exponent(table.exponent, p):
         raise ValidationError("group exponent not divisible by p^v")
     modulus = p ** v
-    for ui in hom:
-        o = model.element_order(ui)
-        if modulus % o:
-            raise ValidationError(f"p^{v} does not annihilate an image of order {o}")
     theta = Theta(p, v, n)
-    classes = pointwise_signature(model, hom, theta)
-    rows = [tuple(row[c] for c in classes) for row in table.rows]
-    try:
-        return OmegaChElem(fourier_inverse(theta, table.cyclo, rows))
-    except (InexactDivision, ValidationError) as exc:
-        raise NonIntegralMultiplicity(str(exc)) from exc
+    out = []
+    for hom in homs:
+        for ui in hom:
+            o = model.orders[ui]
+            if modulus % o:
+                raise ValidationError(f"p^{v} does not annihilate an image of order {o}")
+        classes = pointwise_signature(model, hom, theta)
+        rows = [tuple(row[c] for c in classes) for row in table.rows]
+        try:
+            out.append(OmegaChElem(fourier_inverse(theta, table.cyclo, rows)))
+        except (InexactDivision, ValidationError) as exc:
+            raise NonIntegralMultiplicity(str(exc)) from exc
+    return out
 
 
 def enumerate_omega_ch(

@@ -83,10 +83,13 @@ class CharacterTable:
         self.rows = [list(r) for r in rows]
         self.model = model
         self.char_names = char_names or [f"V{i+1}" for i in range(len(rows))]
+        if 1 not in self.class_orders:
+            raise NotACharacterTable("no class of element order 1")
+        self.identity_class = self.class_orders.index(1)
         self.power_maps = {k % exponent: list(v) for k, v in power_maps.items()}
-        self.power_maps[0] = [self.identity_class()] * self.nclasses
+        self.power_maps[0] = [self.identity_class] * self.nclasses
         self.power_maps.setdefault(1, list(range(self.nclasses)))
-        self.dims = [self.cyclo.rational_value(r[self.identity_class()]) for r in rows]
+        self.dims = [self.cyclo.rational_value(r[self.identity_class]) for r in rows]
         # the rows and their conjugates lifted into Z[C_e], and each row's index
         cy = self.cyclo
         conj = [[cy.conjugate(v) for v in row] for row in self.rows]
@@ -101,12 +104,6 @@ class CharacterTable:
             for row in self._lifted[0]
         ]
         self.validate()
-
-    def identity_class(self) -> int:
-        for i, o in enumerate(self.class_orders):
-            if o == 1:
-                return i
-        raise NotACharacterTable("no class of element order 1")
 
     def power_map(self, k: int) -> list[int]:
         k %= self.exponent
@@ -175,7 +172,7 @@ class CharacterTable:
                 raise NotACharacterTable(f"power map {k} has wrong length")
             for c in range(self.nclasses):
                 if self.class_orders[c] and k % self.class_orders[c] == 0:
-                    if pm[c] != self.identity_class():
+                    if pm[c] != self.identity_class:
                         raise NotACharacterTable(
                             f"power map {k} wrong on class {c} of order {self.class_orders[c]}"
                         )
@@ -191,13 +188,13 @@ class CharacterTable:
 
     def _validate_against_model(self) -> None:
         m = self.model
-        classes = m.conjugacy_classes()
+        classes = m.classes
         if len(classes) != self.nclasses or m.size != self.order:
             raise NotACharacterTable("model class data does not match the table")
         for ci, cls in enumerate(classes):
             if len(cls) != self.class_sizes[ci]:
                 raise NotACharacterTable(f"class {ci} size mismatch with model")
-            if m.element_order(cls[0]) != self.class_orders[ci]:
+            if m.orders[cls[0]] != self.class_orders[ci]:
                 raise NotACharacterTable(f"class {ci} element order mismatch")
         for k in range(self.exponent):
             expected = [m.class_power(ci, k) for ci in range(self.nclasses)]
@@ -542,11 +539,11 @@ def _table_from_model(
     char_names=None,
     exponent: int | None = None,
 ) -> CharacterTable:
-    classes = model.conjugacy_classes()
-    e = exponent or model.exponent()
+    classes = model.classes
+    e = exponent or model.exponent
     cy = Cyclo(e)
     sizes = [len(c) for c in classes]
-    orders = [model.element_order(c[0]) for c in classes]
+    orders = [model.orders[c[0]] for c in classes]
     pms = {k: [model.class_power(ci, k) for ci in range(len(classes))] for k in range(e)}
     crows = []
     for r in rows:
@@ -562,7 +559,7 @@ def table_trivial() -> CharacterTable:
 @lru_cache(maxsize=None)
 def table_cyclic(m: int) -> CharacterTable:
     model = model_cyclic(m)
-    classes = model.conjugacy_classes()
+    classes = model.classes
     cy = Cyclo(m) if m > 1 else Cyclo(1)
     rows = []
     for j in range(m):
@@ -578,7 +575,7 @@ def table_cyclic_product(m: int, k: int) -> CharacterTable:
     model = model_cyclic_product(m, k)
     e = lcm(m, k)
     cy = Cyclo(e)
-    classes = model.conjugacy_classes()
+    classes = model.classes
     rows = []
     names = []
     for j1 in range(m):
@@ -635,7 +632,7 @@ def table_dihedral8() -> CharacterTable:
 @lru_cache(maxsize=None)
 def table_extraspecial(p: int, d: int) -> CharacterTable:
     model = model_extraspecial(p, d)
-    classes = model.conjugacy_classes()
+    classes = model.classes
     cy = Cyclo(p)
     rows = []
     names = []
@@ -699,19 +696,19 @@ def builtin_fusion(g_name: str, h_name: str) -> list[int]:
         c3 = model_cyclic(3)
         cyc = s3.index[(1, 2, 0)]
         out = []
-        for cls in c3.conjugacy_classes():
+        for cls in c3.classes:
             k = c3.elements[cls[0]]
-            out.append(s3.class_of(s3.power(cyc, k)))
+            out.append(s3.class_of[s3.power(cyc, k)])
         return out
     if g and g[0] == "extraspecial" and h == ("c", g[1][:1]):
         p, d = g[1]
         model = model_extraspecial(p, d)
         cm = model_cyclic(p)
         out = []
-        for cls in cm.conjugacy_classes():
+        for cls in cm.classes:
             x = cm.elements[cls[0]]
             elem = (x,) + (0,) * (2 * d)
-            out.append(model.class_of(model.index[elem]))
+            out.append(model.class_of[model.index[elem]])
         return out
     raise UnknownGroup(f"no builtin fusion for {h_name} <= {g_name}")
 

@@ -162,13 +162,13 @@ def xspec_census(p: int, d: int, n: int) -> Certificate:
     cert = Certificate("xspec", {"p": p, "d": d, "n": n})
     model = model_extraspecial(p, d)
     table = table_extraspecial(p, d)
-    classes = model.conjugacy_classes()
+    classes = model.classes
     cert.add(
         "class_count",
         len(classes) == p ** (2 * d) + p - 1,
         {"classes": len(classes)},
     )
-    cert.add("exponent_p", model.exponent() == p, {})
+    cert.add("exponent_p", model.exponent == p, {})
     centre = [c for c in classes if len(c) == 1]
     cert.add("centre_order_p", len(centre) == p, {})
 
@@ -176,10 +176,7 @@ def xspec_census(p: int, d: int, n: int) -> Certificate:
     cert.add("u_pairs_enumerated", True, {"count": len(pairs)})
 
     om = enumerate_omega(model, p, n)
-    kap = {}
-    for rep in om:
-        kap[rep] = kappa(table, model, rep, p, n, v=1)
-    distinct = set(kap.values())
+    distinct = set(kappa(table, model, om, p, n, v=1))
     cert.add("kappa_injective", len(distinct) == len(om),
              {"omega": len(om), "kappa_image": len(distinct)})
 
@@ -256,18 +253,13 @@ def extraspecial_table_checks(p: int, d: int) -> Certificate:
 
     # restrictions: to the centre and to a non-central cyclic subgroup
     cy = table.cyclo
-    centre_classes = [
-        ci for ci, cls in enumerate(model.conjugacy_classes()) if len(cls) == 1
-    ]
-    noncentral = next(
-        ci for ci, cls in enumerate(model.conjugacy_classes())
-        if len(cls) > 1
-    )
+    centre_classes = [ci for ci, cls in enumerate(model.classes) if len(cls) == 1]
+    noncentral = next(ci for ci, cls in enumerate(model.classes) if len(cls) > 1)
 
     def cyclic_restrictions(k) -> bool:
         values = ring.character_values(ring.lam_irreducible(nlin, k))
         for ci in centre_classes:
-            x = model.elements[model.conjugacy_classes()[ci][0]][0]
+            x = model.elements[model.classes[ci][0]][0]
             if values[ci] != cy.scale(comb(p ** d, k), cy.root_power((k * x) % p)):
                 return False
         return values[noncentral] == cy.from_int(lambda_rho_brute(p, d, k)[0])

@@ -68,7 +68,7 @@ def test_omega_ch_trivial():
 def test_kappa_trivial_hom(s4_ring):
     model = model_symmetric(4)
     hom = (model.identity, model.identity)
-    elem = kappa(s4_ring.table, model, hom, 2, 2)
+    [elem] = kappa(s4_ring.table, model, [hom], 2, 2)
     theta = elem.divisors[0].theta
     for i, div in enumerate(elem.divisors):
         assert div == LatticeDivisor(theta, [theta.zero()] * s4_ring.dims[i])
@@ -80,7 +80,7 @@ def test_kappa_order4_element_rho_image(s4_ring):
     model = model_symmetric(4)
     c = model.index[(1, 2, 3, 0)]
     hom = (c, model.identity)
-    elem = kappa(s4_ring.table, model, hom, 2, 2)
+    [elem] = kappa(s4_ring.table, model, [hom], 2, 2)
     theta = elem.divisors[0].theta
     t = (1, 0)
     expected = LatticeDivisor(theta, [t, theta.scale(2, t), theta.scale(3, t)])
@@ -94,10 +94,9 @@ def test_kappa_constant_on_conjugacy_orbits(s4_ring):
     om = enumerate_omega(model, 2, 2)
     rep = om[5]
     g = 7
-    conj = (model.conj(g, rep[0]), model.conj(g, rep[1]))
-    assert kappa(s4_ring.table, model, rep, 2, 2) == kappa(
-        s4_ring.table, model, conj, 2, 2
-    )
+    conj = (model.conj[g][rep[0]], model.conj[g][rep[1]])
+    first, second = kappa(s4_ring.table, model, [rep, conj], 2, 2)
+    assert first == second
 
 
 def test_kappa_raises_the_same_error_on_every_call(s3_ring):
@@ -109,15 +108,41 @@ def test_kappa_raises_the_same_error_on_every_call(s3_ring):
     messages = []
     for _ in range(2):
         with pytest.raises(NonIntegralMultiplicity) as exc:
-            kappa(s3_ring.table, model, hom, 2, 2)
+            kappa(s3_ring.table, model, [hom], 2, 2)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("group, p, v", [("sigma4", 2, 2), ("extraspecial(3,1)", 3, 1)])
+def test_kappa_census_equals_the_one_hom_calls(group, p, v):
+    table = builtin_group(group)
+    model = table.model
+    om = enumerate_omega(model, p, 2)
+    census = kappa(table, model, om, p, 2, v)
+    assert len(census) == len(om) > 1
+    assert census == [kappa(table, model, [rep], p, 2, v)[0] for rep in om]
+    theta = census[0].divisors[0].theta
+    assert all(div.theta is theta for elem in census for div in elem.divisors)
+
+
+def test_kappa_of_no_homs_is_empty(s4_ring):
+    assert kappa(s4_ring.table, model_symmetric(4), [], 2, 2) == []
+
+
+def test_kappa_census_raises_at_the_first_failing_hom(s3_ring):
+    model = model_symmetric(3)
+    bad = (model.index[(1, 0, 2)], model.index[(2, 1, 0)])
+    with pytest.raises(NonIntegralMultiplicity) as one:
+        kappa(s3_ring.table, model, [bad], 2, 2)
+    with pytest.raises(NonIntegralMultiplicity) as census:
+        kappa(s3_ring.table, model, [(model.identity,) * 2, bad], 2, 2)
+    assert str(census.value) == str(one.value)
 
 def test_kappa_bijective_sigma4(s4_ring):
     model = model_symmetric(4)
     om = enumerate_omega(model, 2, 2)
     och = enumerate_omega_ch(s4_ring, 2, 2)
-    kimg = {kappa(s4_ring.table, model, r, 2, 2) for r in om}
+    kimg = set(kappa(s4_ring.table, model, om, 2, 2))
     assert len(kimg) == 17
     assert kimg == set(och)
 
@@ -170,8 +195,7 @@ def test_xi_after_kappa_is_canonical_map(s4_ring):
     model = model_symmetric(4)
     om = enumerate_omega(model, 2, 2)
     theta = Theta(2, 2, 2)
-    for rep in om:
-        f = kappa(s4_ring.table, model, rep, 2, 2)
+    for rep, f in zip(om, kappa(s4_ring.table, model, om, 2, 2)):
         assert xi_class_map(f, s4_ring.table, model, 2, 2) == pointwise_signature(
             model, rep, theta
         )
@@ -211,7 +235,7 @@ def test_hom_images_match_the_pointwise_oracle(case):
     for hom, theta in cases:
         expected = [hom_image_oracle(model, hom, a) for a in theta.points()]
         assert hom_images(model, hom, theta) == expected
-        assert pointwise_signature(model, hom, theta) == tuple(map(model.class_of, expected))
+        assert pointwise_signature(model, hom, theta) == tuple(model.class_of[g] for g in expected)
 
 
 def test_chain_cardinalities_sigma3(s3_ring):

@@ -82,8 +82,8 @@ def test_even_prime_rejected():
 def test_group_model_sanity():
     model = model_extraspecial(3, 2)
     assert model.size == 243
-    assert model.exponent() == 3
-    assert len(model.conjugacy_classes()) == 3 ** 4 + 3 - 1
+    assert model.exponent == 3
+    assert len(model.classes) == 3 ** 4 + 3 - 1
 
 
 def test_census_3_1_1_bijective():
