@@ -152,7 +152,7 @@ def criterion_5_sigma4_census() -> Certificate:
     rep_ring = RepRing(table_sigma4())
     och = enumerate_omega_ch(rep_ring, 2, 2)
     cert.add("omega_ch_count_17", len(och) == 17, {"count": len(och)})
-    kimg = set(kappa(rep_ring.table, model, om, 2, 2))
+    kimg = set(kappa(rep_ring.table, om, 2, 2))
     cert.add("kappa_bijective", kimg == set(och),
              {"image": len(kimg)})
 
@@ -441,10 +441,9 @@ def criterion_11_properties(seed: int = 20260811) -> Certificate:
     cert.add_cases("z_vd_dimension", ((2, 1, 1), (2, 1, 2)), z_vd_dimension)
 
     # xi injectivity and compatibility on the small symmetric groups
-    s3 = model_symmetric(3)
     t3 = table_sigma3()
     och3 = enumerate_omega_ch(RepRing(t3), 3, 2)
-    xis = {xi_class_map(f, t3, s3, 3, 2) for f in och3}
+    xis = {xi_class_map(f, t3) for f in och3}
     cert.add("xi_injective_sigma3", len(xis) == len(och3), {})
     s4 = model_symmetric(4)
     t4 = table_sigma4()
@@ -452,8 +451,8 @@ def criterion_11_properties(seed: int = 20260811) -> Certificate:
     star = Theta(2, 2, 2)
     cert.add_cases(
         "xi_after_kappa_is_canonical",
-        zip(om4, kappa(t4, s4, om4, 2, 2)),
-        lambda case: xi_class_map(case[1], t4, s4, 2, 2)
+        zip(om4, kappa(t4, om4, 2, 2)),
+        lambda case: xi_class_map(case[1], t4)
         == pointwise_signature(s4, case[0], star),
     )
     return cert

@@ -135,18 +135,12 @@ def cmd_omega(args) -> int:
         och = enumerate_omega_ch(ring, args.p, args.n, args.v)
         witness = {"count": len(och),
                    "representatives": [e.text() for e in och]}
-        try:
-            model = builtin_model(args.group) if args.group else None
-        except ChernlabError:
-            model = None
-        if model is not None and ring.table.model is not None:
-            om = enumerate_omega(model, args.p, args.n)
+        if ring.table.model is not None:
+            om = enumerate_omega(ring.table.model, args.p, args.n)
             position = {e: i for i, e in enumerate(och)}
             witness["maps"] = {
-                "kappa": [position[e]
-                          for e in kappa(ring.table, model, om, args.p, args.n, args.v)],
-                "xi": [list(xi_class_map(e, ring.table, model, args.p, args.n))
-                       for e in och],
+                "kappa": [position[e] for e in kappa(ring.table, om, args.p, args.n, args.v)],
+                "xi": [list(xi_class_map(e, ring.table)) for e in och],
             }
         cert.add("census", True, witness)
         return _finish(cert, args)

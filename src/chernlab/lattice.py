@@ -16,7 +16,7 @@ from .errors import InexactDivision, LambdaOutOfRange, ResourceLimit, Validation
 from .groups import power_exceeds
 
 THETA_POINTS_CEILING = 1 << 20
-ROW_ENTRIES_KEPT = 1 << 20  # index-row entries one Theta keeps per kind of row
+ENTRIES_KEPT = 1 << 20  # point entries one Theta keeps per kind of table
 
 
 class Theta:
@@ -25,8 +25,11 @@ class Theta:
     A point's index is its base-p^v numeral, so points() is in lexicographic
     order.  A lattice of more than THETA_POINTS_CEILING points, or whose
     modulus p^v may have more bits than that, is refused here.  The point
-    list and the translation and scaling rows of the index arithmetic are
-    built on first use and kept.
+    list and every table of |Theta| entries derived from it (the translation
+    and scaling rows of the index arithmetic, and the Fourier pair's
+    transforms) are built on first use and kept on the Theta, one dict per
+    kind of table; a kind that holds ENTRIES_KEPT point entries is emptied
+    before it takes another table.
     """
 
     def __init__(self, p: int, v: int, n: int):
@@ -42,10 +45,16 @@ class Theta:
                 f"{self}: more than {THETA_POINTS_CEILING} points or modulus bits in p^v"
             )
         self.modulus = p ** v
+        self.size = self.modulus ** n
         self._points = None
         self._indices: tuple[int, ...] = ()
-        self._shifts: dict[int, tuple[int, ...]] = {}
-        self._scales: dict[int, tuple[int, ...]] = {}
+        # the kinds of table: index rows by point and by multiplier, and by
+        # (e, function) the transform of a count vector and the checked
+        # count vector of a row of values in Z[zeta_e]
+        self._shifts: dict = {}
+        self._scales: dict = {}
+        self._forward: dict = {}
+        self._inverse: dict = {}
 
     def reduce(self, point) -> tuple[int, ...]:
         pt = tuple(x % self.modulus for x in point)
@@ -66,7 +75,7 @@ class Theta:
         """Every point, in lexicographic order; index 0 is the origin."""
         if self._points is None:
             self._points = tuple(product(range(self.modulus), repeat=self.n))
-            self._indices = tuple(range(len(self._points)))
+            self._indices = tuple(range(self.size))
         return self._points
 
     def index(self, point) -> int:
@@ -76,39 +85,46 @@ class Theta:
             idx = idx * self.modulus + x
         return idx
 
-    def _row(self, cache: dict, key: int, columns) -> tuple[int, ...]:
-        """cache[key], built on first use from the coordinate maps
-        f_0, ..., f_{n-1} that ``columns()`` lists: the index of
-        (f_0[y_0], ..., f_{n-1}[y_{n-1}]) for each point (y_0, ..., y_{n-1}),
-        in point order.  A cache that holds ROW_ENTRIES_KEPT entries is
-        emptied before it takes another row."""
-        row = cache.get(key)
-        if row is None:
-            if len(cache) * len(self.points()) >= ROW_ENTRIES_KEPT:
-                cache.clear()
-            m = self.modulus
-            out = [0]
-            for column in columns():
-                out = [m * s + d for s in out for d in column]
-            # one int object per index, shared by all rows
-            row = cache[key] = tuple(map(self._indices.__getitem__, out))
-        return row
+    def _keep(self, kind: dict, key, table):
+        """kind[key] = table, returned; a kind that holds ENTRIES_KEPT point
+        entries (|Theta| per table) is emptied first.  Callers look a table
+        up in its kind themselves, so a kept table costs one dict lookup."""
+        if len(kind) * self.size >= ENTRIES_KEPT:
+            kind.clear()
+        kind[key] = table
+        return table
+
+    def _index_row(self, columns) -> tuple[int, ...]:
+        """The index of (f_0[y_0], ..., f_{n-1}[y_{n-1}]) for each point
+        (y_0, ..., y_{n-1}), in point order, for the coordinate maps
+        f_0, ..., f_{n-1} that ``columns`` lists."""
+        m = self.modulus
+        out = [0]
+        for column in columns:
+            out = [m * s + d for s in out for d in column]
+        self.points()
+        # one int object per index (made with the points), shared by all rows
+        return tuple(map(self._indices.__getitem__, out))
 
     def shift(self, i: int) -> tuple[int, ...]:
         """Translation by point i: shift(i)[j] is the index of pts[i] + pts[j]."""
-        m = self.modulus
-        return self._row(self._shifts, i, lambda: [
-            [(x + y) % m for y in range(m)] for x in self.points()[i]
-        ])
+        row = self._shifts.get(i)
+        if row is None:
+            m = self.modulus
+            row = self._keep(self._shifts, i, self._index_row(
+                [(x + y) % m for y in range(m)] for x in self.points()[i]))
+        return row
 
     def scaling(self, k: int) -> tuple[int, ...]:
         """Multiplication by k: scaling(k)[j] is the index of k * pts[j]."""
         m = self.modulus
         k %= m
-        # one column per coordinate, so at n = 0 no residue is listed (p^v may be huge there)
-        return self._row(self._scales, k, lambda: [
-            [k * y % m for y in range(m)] for _ in range(self.n)
-        ])
+        row = self._scales.get(k)
+        if row is None:
+            # one column per coordinate, so at n = 0 no residue is listed (p^v may be huge there)
+            row = self._keep(self._scales, k, self._index_row(
+                [k * y % m for y in range(m)] for _ in range(self.n)))
+        return row
 
     def __eq__(self, other):
         return (
@@ -286,36 +302,11 @@ def parse_divisor(theta: Theta, text: str) -> LatticeDivisor:
 
 
 # -- the Fourier pair on Theta -------------------------------------------------
-# A transform depends only on (p, v, n, e), its sign and the function, so the
-# pair keeps one memo for every caller: the values of each count vector sent
-# forward and the checked count vector of each row sent back, |Theta| entries
-# each.  A memo that would pass FOURIER_MEMO_ENTRIES is emptied first.
+# A transform depends only on Theta, the exponent e, its sign and the
+# function, so each Theta keeps the values of each count vector it sends
+# forward and the checked count vector of each row it sends back.
 
-FOURIER_MEMO_ENTRIES = 1 << 20
-COUNTS = {"transforms": 0}  # functions transformed, memo hits not counted
-
-_memo: dict = {}
-_memo_entries = 0
-
-
-def _remember(key, value, entries: int):
-    """_memo[key] = value, counted as ``entries``; returns value.  A value
-    larger than the whole bound is returned and not kept."""
-    global _memo_entries
-    if _memo_entries + entries > FOURIER_MEMO_ENTRIES:
-        _memo.clear()
-        _memo_entries = 0
-    if entries <= FOURIER_MEMO_ENTRIES:
-        _memo[key] = value
-        _memo_entries += entries
-    return value
-
-
-def _key(theta: Theta, cy, sign: int) -> tuple:
-    """The memo key (p, v, n, e, sign), once p^v is known to divide e."""
-    if cy.e % theta.modulus:
-        raise ValidationError(f"p^{theta.v} does not divide the exponent {cy.e}")
-    return (theta.p, theta.v, theta.n, cy.e, sign)
+COUNTS = {"transforms": 0}  # functions transformed, kept tables not counted
 
 
 def _transform(theta: Theta, cy, f, sign: int) -> list[tuple[int, ...]]:
@@ -324,8 +315,10 @@ def _transform(theta: Theta, cy, f, sign: int) -> list[tuple[int, ...]]:
     coordinate is summed against the lifted roots w^{sign y z} through
     cy.product_sum, and the value at z * rest + r goes to r * m + y, so
     after n passes the points are back in their own order."""
-    COUNTS["transforms"] += 1
     e, m = cy.e, theta.modulus
+    if e % m:
+        raise ValidationError(f"p^{theta.v} does not divide the exponent {e}")
+    COUNTS["transforms"] += 1
     step = sign * (e // m)
     roots = [((k, 1),) for k in range(e)]  # one lifted root per exponent, shared
     twiddle = [[roots[y * z * step % e] for z in range(m)] for y in range(m)]
@@ -341,14 +334,14 @@ def _transform(theta: Theta, cy, f, sign: int) -> list[tuple[int, ...]]:
 
 def fourier(theta: Theta, cy, divisors) -> list[list[tuple[int, ...]]]:
     """The transform a -> sum_x mult(x) w^{<a,x>} of each divisor."""
-    key = _key(theta, cy, 1)
+    kept = theta._forward
     out = []
     for d in divisors:
-        vec_key = key + (d.vec,)
-        values = _memo.get(vec_key)
+        key = (cy.e, d.vec)
+        values = kept.get(key)
         if values is None:
-            values = _remember(vec_key, tuple(
-                _transform(theta, cy, [cy.from_int(m) for m in d.vec], 1)), len(d.vec))
+            values = theta._keep(kept, key, tuple(
+                _transform(theta, cy, [cy.from_int(m) for m in d.vec], 1)))
         out.append(list(values))
     return out
 
@@ -361,18 +354,17 @@ def fourier_inverse(theta: Theta, cy, rows) -> list[LatticeDivisor]:
     a row not seen before is checked in full before its count vector is
     kept, so the first failing row raises, on every call.
     """
-    key = _key(theta, cy, -1)
-    size = theta.modulus ** theta.n
+    kept = theta._inverse
     divisors = []
     for row in rows:
-        row_key = key + (tuple(row),)
-        vec = _memo.get(row_key)
+        key = (cy.e, tuple(row))
+        vec = kept.get(key)
         if vec is None:
-            vec = tuple(cy.rational_value(cy.divide_exact(value, size))
+            vec = tuple(cy.rational_value(cy.divide_exact(value, theta.size))
                         for value in _transform(theta, cy, row, -1))
             if min(vec) < 0:
                 raise ValidationError("negative multiplicity")
-            _remember(row_key, vec, size)
+            theta._keep(kept, key, vec)
         divisors.append(LatticeDivisor.of_vec(theta, vec))
     return divisors
 

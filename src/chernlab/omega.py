@@ -215,19 +215,23 @@ class OmegaChElem:
 
 def kappa(
     table: CharacterTable,
-    model: GroupModel,
     homs: list[tuple[int, ...]],
     p: int,
     n: int,
     v: int | None = None,
 ) -> list[OmegaChElem]:
-    """Decompose each hom's restricted characters by exact finite Fourier
-    inversion, on one Theta(p, v, n) shared by every returned divisor.
+    """Decompose each hom into table.model's group by exact finite Fourier
+    inversion of its restricted characters, on one Theta(p, v, n) shared by
+    every returned divisor.
 
     mult(x) = p^{-vn} sum_a chi(u(a)) zeta^{-<a,x>}; every multiplicity must
     be a nonnegative integer.  The homs are checked and decomposed in order,
-    so the first failing hom raises.
+    so the first failing hom raises.  A table without a group model (an
+    ingested one) raises ValidationError.
     """
+    model = table.model
+    if model is None:
+        raise ValidationError(f"the table {table.name} has no group model")
     if v is None:
         v = p_part_exponent(table.exponent, p)
     elif v > p_part_exponent(table.exponent, p):
@@ -388,18 +392,21 @@ def enumerate_omega_ch(
     return sorted(set(results), key=OmegaChElem.sort_key)
 
 
-def xi_class_map(
-    f: OmegaChElem, table: CharacterTable, model: GroupModel, p: int, n: int
-) -> tuple[int, ...]:
-    """The class-valued map a -> [h] with chi_V(h) = sum_x mult(x) zeta^{<a,x>}.
+def xi_class_map(f: OmegaChElem, table: CharacterTable) -> tuple[int, ...]:
+    """The class-valued map a -> [h] with chi_V(h) = sum_x mult(x) zeta^{<a,x>},
+    h a p-power class of table.model's group, p that of f's Theta.
 
-    Uniqueness of h and Z-equivariance of the result are asserted.
+    Uniqueness of h and Z-equivariance of the result are asserted.  A table
+    without a group model (an ingested one) raises ValidationError.
     """
+    model = table.model
+    if model is None:
+        raise ValidationError(f"the table {table.name} has no group model")
     theta = f.divisors[0].theta
     values = fourier(theta, table.cyclo, f.divisors)
     # the p-power classes by their column of character values
     classes_of: dict = {}
-    for c in model.p_power_class_indices(p):
+    for c in model.p_power_class_indices(theta.p):
         classes_of.setdefault(tuple(row[c] for row in table.rows), []).append(c)
     out = []
     for a, column in zip(theta.points(), zip(*values)):

@@ -98,7 +98,7 @@ def sigma3_pipeline() -> Certificate:
     och = enumerate_omega_ch(rep, 3, 2)
     cert.add("omega_count_5", len(om) == 5, {"count": len(om)})
     cert.add("omega_ch_count_5", len(och) == 5, {"count": len(och)})
-    kimg = set(kappa(rep.table, model_symmetric(3), om, 3, 2))
+    kimg = set(kappa(rep.table, om, 3, 2))
     cert.add("kappa_bijective", kimg == set(och), {})
     return cert
 

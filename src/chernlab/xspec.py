@@ -176,7 +176,7 @@ def xspec_census(p: int, d: int, n: int) -> Certificate:
     cert.add("u_pairs_enumerated", True, {"count": len(pairs)})
 
     om = enumerate_omega(model, p, n)
-    distinct = set(kappa(table, model, om, p, n, v=1))
+    distinct = set(kappa(table, om, p, n, v=1))
     cert.add("kappa_injective", len(distinct) == len(om),
              {"omega": len(om), "kappa_image": len(distinct)})
 

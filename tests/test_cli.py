@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -142,6 +143,50 @@ def test_extraspecial_table_check(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+def test_a_group_past_the_table_ceiling_keeps_its_model(capsys):
+    code, out = run_capture(capsys, "omega", "--group", "c1000", "--p", "2", "--n", "1")
+    assert code == 0
+    assert json.loads(out)["clauses"][0]["witness"]["count"] == 8
+
+
+# SHA-256 of certificates that carry the comparison maps kappa and xi
+PINNED = {
+    "omega --group sigma4 --p 2 --n 2 --variant ch":
+        "63ffa5b54f3af5f4f7140afa81c276f566d732b200be55eed8cab01ca57b7e15",
+    "omega --group d8 --p 2 --n 2 --variant ch":
+        "aca8208374f3b1f9932bd272d227e7e8fb1e230c6e7c06a401eae9bc4e7a6f20",
+    "omega --group c2xc4 --p 2 --n 2 --variant ch":
+        "43b932b8e2d8c951840cb70a8360fc0ef488cc5605edf376ed4130a3151b54b6",
+    "omega --group c3xc6 --p 3 --n 2 --variant ch":
+        "1e0f8f8f04beefb68df59ac79c8d18090438b79c5812341950fa3c641e875c63",
+    "xspec --p 3 --d 1 --n 2":
+        "c1cae96759ac3bc2d102f01e3568cb4361527e11a8db854036b3eace764c0891",
+    "xspec --p 5 --d 1 --n 1":
+        "8c8916ecea903233c41a1563e697252f743ce8980659dffc4ef16128bf325258",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED))
+def test_comparison_map_certificates_are_pinned(capsys, argv):
+    code, out = run_capture(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED[argv]
+
+
+def test_an_ingested_table_gives_the_census_without_maps(tmp_path, capsys):
+    path = tmp_path / "sigma4.json"
+    assert run(["export-table", "--group", "sigma4", "--out", str(path)]) == 0
+    census = "--p 2 --n 2 --variant ch".split()
+    _, builtin = run_capture(capsys, "omega", "--group", "sigma4", *census)
+    expected = json.loads(builtin)["clauses"][0]["witness"]
+    del expected["maps"]
+    # the table wins over --group: it has no group model, so no maps
+    for source in (["--table", str(path)], ["--group", "sigma4", "--table", str(path)]):
+        code, out = run_capture(capsys, "omega", *source, *census)
+        assert code == 0
+        assert json.loads(out)["clauses"][0]["witness"] == expected
+
+
 @pytest.mark.parametrize("argv", [
     "fgl --p 4 --n 2 --series 2",
     "fgl --p 1 --n 2 --series 2",
@@ -180,6 +225,11 @@ def test_extraspecial_table_check(capsys):
     # group orders past the ceiling are refused before any table is built
     "omega --group c100000 --p 2 --n 1",
     "export-table --group c100000",
+    # character tables whose classes^2 * phi(exponent) is past the table ceiling
+    "export-table --group c1000",
+    "export-table --group c400",
+    "export-table --group c200",
+    "omega --group c200 --p 2 --n 1 --variant ch",
     "omega --group sigma7 --p 3 --n 2 --variant plain",
     "omega --group extraspecial(3,1000000000) --p 3 --n 1",
     "omega --group extraspecial(9,1) --p 3 --n 1",

@@ -175,13 +175,7 @@ def test_fourier_inverse_rejects_a_non_transform(theta):
 
 
 
-# -- the Fourier memo: each distinct function is transformed and checked once --
-
-@pytest.fixture
-def cold_memo(monkeypatch):
-    monkeypatch.setattr(lattice, "_memo", {})
-    monkeypatch.setattr(lattice, "_memo_entries", 0)
-
+# -- the tables on Theta: each distinct function is transformed and checked once --
 
 def delta_row(theta, cy, m):
     """m at the origin and 0 elsewhere: the inverse transform is m/|Theta| everywhere."""
@@ -212,8 +206,9 @@ def test_a_non_transform_raises_on_every_call(theta):
             fourier_inverse(theta, cy, [good, bad])
 
 
-def test_the_first_failing_row_raises_cold_and_warm(theta, cold_memo):
+def test_the_first_failing_row_raises_cold_and_warm():
     cy = Cyclo(2)
+    theta = Theta(2, 1, 2)
     good = fourier(theta, cy, [LatticeDivisor(theta, [(1, 0)])])[0]
     bad1, bad2 = delta_row(theta, cy, 1), delta_row(theta, cy, 2)
     with pytest.raises(InexactDivision) as alone:
@@ -221,42 +216,59 @@ def test_the_first_failing_row_raises_cold_and_warm(theta, cold_memo):
     with pytest.raises(InexactDivision) as other:
         fourier_inverse(theta, cy, [bad2])
     assert str(other.value) != str(alone.value)
-    lattice._memo.clear()
-    lattice._memo_entries = 0
-    for _ in range(2):  # a cold memo, then one that holds good
+    cold = Theta(2, 1, 2)
+    for _ in range(2):  # a Theta that holds nothing, then one that holds good
         with pytest.raises(InexactDivision) as exc:
-            fourier_inverse(theta, cy, [good, bad1, bad2])
+            fourier_inverse(cold, cy, [good, bad1, bad2])
         assert str(exc.value) == str(alone.value)
+    assert list(cold._inverse) == [(cy.e, tuple(good))]
 
 
-def test_the_fourier_memo_stays_within_its_bound(theta, cold_memo, monkeypatch):
-    size = len(theta.points())
-    bound = 3 * size  # three functions
-    monkeypatch.setattr(lattice, "FOURIER_MEMO_ENTRIES", bound)
+def test_the_fourier_memo_stays_within_its_bound():
+    # a full kind of table is emptied before it takes another: fill each
+    # transform's kind to ENTRIES_KEPT entries with stand-ins, then transform
+    theta = Theta(2, 1, 10)
+    tables = lattice.ENTRIES_KEPT // theta.size
     cy = Cyclo(2)
-    divisors = [LatticeDivisor(theta, [pt] * k) for pt in theta.points() for k in (1, 2)]
-    for _ in range(2):
-        assert fourier_inverse(theta, cy, fourier(theta, cy, divisors)) == divisors
-        # keys are (p, v, n, e, sign, function): the memo holds only functions
-        assert all(len(key) == 6 and len(key[5]) == size for key in lattice._memo)
-        assert size * len(lattice._memo) == lattice._memo_entries <= bound
+    D = LatticeDivisor(theta, [(1,) * 10, (0,) * 10])
+    for kind in (theta._forward, theta._inverse):
+        kind.update(((0, (k,)), ()) for k in range(tables))
+    row = fourier(theta, cy, [D])[0]
+    assert list(theta._forward) == [(cy.e, D.vec)]
+    assert len(theta._inverse) == tables
+    assert fourier_inverse(theta, cy, [row]) == [D]
+    assert list(theta._inverse) == [(cy.e, tuple(row))]
+    # one table short of full, a kind keeps what it holds
+    theta._forward.update(((0, (k,)), ()) for k in range(tables - 2))
+    fourier(theta, cy, [D * 2])
+    assert len(theta._forward) == tables
 
 
-def test_a_kept_row_is_not_evicted_by_the_transform(theta, cold_memo, monkeypatch):
-    # a bound of |Theta|^2 entries: room for many functions, but no room for
-    # a |Theta|^2 pairing table beside one of them
-    size = len(theta.points())
-    monkeypatch.setattr(lattice, "FOURIER_MEMO_ENTRIES", size * size)
+def test_index_rows_stay_within_the_bound():
+    theta = Theta(2, 1, 14)  # ENTRIES_KEPT holds 64 rows of 2^14 indices
+    tables = lattice.ENTRIES_KEPT // theta.size
+    for i in range(tables + 1):
+        row = theta.shift(i)
+        assert len(theta._shifts) * theta.size <= lattice.ENTRIES_KEPT
+        assert theta._shifts[i] is row
+    assert list(theta._shifts) == [tables]
+
+
+def test_a_kept_row_is_not_evicted_by_the_transform(theta):
+    # each kind of table has its own bound: index rows and forward
+    # transforms taken between two inverse transforms leave the row kept
     cy = Cyclo(2)
     D = LatticeDivisor(theta, [(1, 0), (1, 1)])
     row = fourier(theta, cy, [D])[0]
     before = lattice.COUNTS["transforms"]
     assert fourier_inverse(theta, cy, [row]) == [D]
+    for i, pt in enumerate(theta.points()):
+        theta.shift(i), theta.scaling(i), fourier(theta, cy, [LatticeDivisor(theta, [pt])])
     assert fourier_inverse(theta, cy, [row]) == [D]
-    assert lattice.COUNTS["transforms"] - before == 1
+    assert lattice.COUNTS["transforms"] - before == 1 + len(theta.points())
 
 
-def test_transforms_count_distinct_functions(theta, cold_memo):
+def test_transforms_count_distinct_functions(theta):
     cy = Cyclo(2)
     rows = fourier(theta, cy, [LatticeDivisor(theta, [(1, 0)] * 3)] * 2)
     before = lattice.COUNTS["transforms"]
@@ -265,6 +277,34 @@ def test_transforms_count_distinct_functions(theta, cold_memo):
     before = lattice.COUNTS["transforms"]
     fourier_inverse(theta, cy, rows)
     assert lattice.COUNTS["transforms"] == before
+
+
+def test_a_fresh_theta_transforms_again_and_two_share_nothing():
+    cy = Cyclo(4)
+    first, second = Theta(2, 2, 2), Theta(2, 2, 2)
+    D = LatticeDivisor(first, [(1, 2), (3, 3)])
+    row = fourier(first, cy, [D])[0]
+    before = lattice.COUNTS["transforms"]
+    assert fourier_inverse(first, cy, [row]) == [D]
+    assert fourier_inverse(second, cy, [row]) == [D]  # equal Thetas, equal divisors
+    assert fourier(second, cy, [D]) == [row]
+    assert lattice.COUNTS["transforms"] - before == 3
+    first.shift(1), second.shift(1), second.scaling(3)
+    for kind in ("_shifts", "_scales", "_forward", "_inverse"):
+        mine, theirs = getattr(first, kind), getattr(second, kind)
+        assert mine is not theirs
+        assert all(mine[key] is not theirs[key] for key in mine.keys() & theirs.keys())
+    assert first._shifts and first._inverse and not first._scales
+
+
+def test_the_exponent_is_checked_before_any_transform(theta):
+    before = lattice.COUNTS["transforms"]
+    with pytest.raises(ValidationError, match="does not divide the exponent 3"):
+        fourier(theta, Cyclo(3), [LatticeDivisor(theta, [(1, 0)])])
+    with pytest.raises(ValidationError, match="does not divide the exponent 3"):
+        fourier_inverse(theta, Cyclo(3), [[Cyclo(3).one] * 4])
+    assert lattice.COUNTS["transforms"] == before
+    assert not theta._forward and not theta._inverse
 
 # -- oracle: the Fourier pair as one |Theta|^2 pairing sum ---------------------
 # The pair summed every product f(z) w^{sign <y,z>} for each y at once before
@@ -310,7 +350,7 @@ def test_transform_matches_the_pairing_sum(p, v, n, e, sign):
 
 
 @pytest.mark.parametrize("p,v,n,e", FOURIER_SHAPES)
-def test_fourier_pair_matches_the_pairing_sum(p, v, n, e, cold_memo):
+def test_fourier_pair_matches_the_pairing_sum(p, v, n, e):
     th = Theta(p, v, n)
     cy = Cyclo(e)
     rng = random.Random(1000 * p + 100 * v + 10 * n + e)
@@ -322,9 +362,7 @@ def test_fourier_pair_matches_the_pairing_sum(p, v, n, e, cold_memo):
     ]
     rows = [pairing_sum(th, cy, [cy.from_int(m) for m in d.vec], 1) for d in divisors]
     assert fourier(th, cy, divisors) == rows
-    lattice._memo.clear()
-    lattice._memo_entries = 0
-    assert fourier_inverse(th, cy, rows) == divisors
+    assert fourier_inverse(Theta(p, v, n), cy, rows) == divisors
     for d, row in zip(divisors, rows):
         back = pairing_sum(th, cy, row, -1)
         assert tuple(cy.rational_value(cy.divide_exact(x, size)) for x in back) == d.vec

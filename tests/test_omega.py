@@ -1,7 +1,7 @@
 import pytest
 
 from chernlab import omega
-from chernlab.errors import NonIntegralMultiplicity, ResourceLimit
+from chernlab.errors import NonIntegralMultiplicity, ResourceLimit, ValidationError
 from chernlab.groups import builtin_model, model_extraspecial, model_symmetric, model_trivial
 from chernlab.lattice import LatticeDivisor, Theta
 from chernlab.omega import (
@@ -21,6 +21,7 @@ from chernlab.repring import (
     table_sigma4,
     table_trivial,
 )
+from chernlab.table_io import table_from_json, table_to_json
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +69,7 @@ def test_omega_ch_trivial():
 def test_kappa_trivial_hom(s4_ring):
     model = model_symmetric(4)
     hom = (model.identity, model.identity)
-    [elem] = kappa(s4_ring.table, model, [hom], 2, 2)
+    [elem] = kappa(s4_ring.table, [hom], 2, 2)
     theta = elem.divisors[0].theta
     for i, div in enumerate(elem.divisors):
         assert div == LatticeDivisor(theta, [theta.zero()] * s4_ring.dims[i])
@@ -80,7 +81,7 @@ def test_kappa_order4_element_rho_image(s4_ring):
     model = model_symmetric(4)
     c = model.index[(1, 2, 3, 0)]
     hom = (c, model.identity)
-    [elem] = kappa(s4_ring.table, model, [hom], 2, 2)
+    [elem] = kappa(s4_ring.table, [hom], 2, 2)
     theta = elem.divisors[0].theta
     t = (1, 0)
     expected = LatticeDivisor(theta, [t, theta.scale(2, t), theta.scale(3, t)])
@@ -95,7 +96,7 @@ def test_kappa_constant_on_conjugacy_orbits(s4_ring):
     rep = om[5]
     g = 7
     conj = (model.conj[g][rep[0]], model.conj[g][rep[1]])
-    first, second = kappa(s4_ring.table, model, [rep, conj], 2, 2)
+    first, second = kappa(s4_ring.table, [rep, conj], 2, 2)
     assert first == second
 
 
@@ -108,7 +109,7 @@ def test_kappa_raises_the_same_error_on_every_call(s3_ring):
     messages = []
     for _ in range(2):
         with pytest.raises(NonIntegralMultiplicity) as exc:
-            kappa(s3_ring.table, model, [hom], 2, 2)
+            kappa(s3_ring.table, [hom], 2, 2)
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
 
@@ -118,31 +119,31 @@ def test_kappa_census_equals_the_one_hom_calls(group, p, v):
     table = builtin_group(group)
     model = table.model
     om = enumerate_omega(model, p, 2)
-    census = kappa(table, model, om, p, 2, v)
+    census = kappa(table, om, p, 2, v)
     assert len(census) == len(om) > 1
-    assert census == [kappa(table, model, [rep], p, 2, v)[0] for rep in om]
+    assert census == [kappa(table, [rep], p, 2, v)[0] for rep in om]
     theta = census[0].divisors[0].theta
     assert all(div.theta is theta for elem in census for div in elem.divisors)
 
 
 def test_kappa_of_no_homs_is_empty(s4_ring):
-    assert kappa(s4_ring.table, model_symmetric(4), [], 2, 2) == []
+    assert kappa(s4_ring.table, [], 2, 2) == []
 
 
 def test_kappa_census_raises_at_the_first_failing_hom(s3_ring):
     model = model_symmetric(3)
     bad = (model.index[(1, 0, 2)], model.index[(2, 1, 0)])
     with pytest.raises(NonIntegralMultiplicity) as one:
-        kappa(s3_ring.table, model, [bad], 2, 2)
+        kappa(s3_ring.table, [bad], 2, 2)
     with pytest.raises(NonIntegralMultiplicity) as census:
-        kappa(s3_ring.table, model, [(model.identity,) * 2, bad], 2, 2)
+        kappa(s3_ring.table, [(model.identity,) * 2, bad], 2, 2)
     assert str(census.value) == str(one.value)
 
 def test_kappa_bijective_sigma4(s4_ring):
     model = model_symmetric(4)
     om = enumerate_omega(model, 2, 2)
     och = enumerate_omega_ch(s4_ring, 2, 2)
-    kimg = set(kappa(s4_ring.table, model, om, 2, 2))
+    kimg = set(kappa(s4_ring.table, om, 2, 2))
     assert len(kimg) == 17
     assert kimg == set(och)
 
@@ -185,18 +186,30 @@ def test_omega_dprime_visit_count_pinned(group, p, n, visits):
 
 
 def test_xi_injective_on_sigma3(s3_ring):
-    model = model_symmetric(3)
     och = enumerate_omega_ch(s3_ring, 3, 2)
-    images = {xi_class_map(f, s3_ring.table, model, 3, 2) for f in och}
+    images = {xi_class_map(f, s3_ring.table) for f in och}
     assert len(images) == len(och)
+
+
+def test_kappa_and_xi_need_the_tables_group_model(s4_ring):
+    # an ingested table carries no group model to map homs into or classes out of
+    ingested = table_from_json(table_to_json(s4_ring.table))
+    assert ingested.model is None
+    model = s4_ring.table.model
+    om = enumerate_omega(model, 2, 2)
+    with pytest.raises(ValidationError, match="no group model"):
+        kappa(ingested, om, 2, 2)
+    [f] = kappa(s4_ring.table, om[:1], 2, 2)
+    with pytest.raises(ValidationError, match="no group model"):
+        xi_class_map(f, ingested)
 
 
 def test_xi_after_kappa_is_canonical_map(s4_ring):
     model = model_symmetric(4)
     om = enumerate_omega(model, 2, 2)
     theta = Theta(2, 2, 2)
-    for rep, f in zip(om, kappa(s4_ring.table, model, om, 2, 2)):
-        assert xi_class_map(f, s4_ring.table, model, 2, 2) == pointwise_signature(
+    for rep, f in zip(om, kappa(s4_ring.table, om, 2, 2)):
+        assert xi_class_map(f, s4_ring.table) == pointwise_signature(
             model, rep, theta
         )
 
