@@ -42,15 +42,17 @@ def _emit(doc: str, out: str | None) -> None:
         sys.stdout.write(doc)
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".chernlab-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".chernlab-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(doc)
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _finish(cert: Certificate, args) -> int:
@@ -110,26 +112,6 @@ def cmd_omega(args) -> int:
         {"group": args.group or args.table, "p": args.p, "n": args.n,
          "v": args.v, "variant": args.variant},
     )
-    if args.variant in (None, "plain", "prime", "dprime"):
-        if not args.group:
-            raise UsageError("need --group")
-        model = builtin_model(args.group)
-        if args.variant in (None, "plain"):
-            om = enumerate_omega(model, args.p, args.n)
-            reps = [[list(model.elements[i]) if isinstance(model.elements[i], tuple)
-                     else model.elements[i] for i in rep] for rep in om]
-            cert.add("census", True, {"count": len(om), "representatives": reps})
-        elif args.variant == "prime":
-            om, sigs, proj = enumerate_omega_prime(model, args.p, args.n, args.v)
-            cert.add("census", True,
-                     {"count": len(sigs), "omega_count": len(om),
-                      "projection": proj})
-        else:
-            pts, results = enumerate_omega_dprime(model, args.p, args.n, args.v)
-            cert.add("census", True,
-                     {"count": len(results), "points": [list(a) for a in pts],
-                      "maps": [list(r) for r in results]})
-        return _finish(cert, args)
     if args.variant == "ch":
         ring = _table_or_builtin(args)
         och = enumerate_omega_ch(ring, args.p, args.n, args.v)
@@ -144,7 +126,25 @@ def cmd_omega(args) -> int:
             }
         cert.add("census", True, witness)
         return _finish(cert, args)
-    raise UsageError(f"unknown variant {args.variant!r}")
+    if not args.group:
+        raise UsageError("need --group")
+    model = builtin_model(args.group)
+    if args.variant == "plain":
+        om = enumerate_omega(model, args.p, args.n)
+        reps = [[list(model.elements[i]) if isinstance(model.elements[i], tuple)
+                 else model.elements[i] for i in rep] for rep in om]
+        cert.add("census", True, {"count": len(om), "representatives": reps})
+    elif args.variant == "prime":
+        om, sigs, proj = enumerate_omega_prime(model, args.p, args.n, args.v)
+        cert.add("census", True,
+                 {"count": len(sigs), "omega_count": len(om),
+                  "projection": proj})
+    else:
+        pts, results = enumerate_omega_dprime(model, args.p, args.n, args.v)
+        cert.add("census", True,
+                 {"count": len(results), "points": [list(a) for a in pts],
+                  "maps": [list(r) for r in results]})
+    return _finish(cert, args)
 
 
 def cmd_chern(args) -> int:

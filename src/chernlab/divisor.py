@@ -12,6 +12,7 @@ carries enough precision for the (nilpotent) roots.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 
 from .errors import DegreeCeiling, IncompatibleRing, ValidationError
 from .fgl import FGL
@@ -192,8 +193,6 @@ def divisor_lambda(D: DivisorPoly, r: int) -> DivisorPoly:
     """The divisor with roots sum_F over r-element subsets of the roots."""
     if not 0 <= r <= D.degree:
         raise ValidationError(f"lambda^{r} of a degree-{D.degree} divisor")
-    from math import comb
-
     _check_ceiling(comb(D.degree, r))
     law = D.law
     if r == 0:

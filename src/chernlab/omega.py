@@ -267,9 +267,10 @@ def enumerate_omega_ch(
     those still unassigned.  When only one is left and it is not on the
     left-hand side, the relation forces its value (exact multiset
     subtraction and division, and the dimension check); when none is left,
-    it is checked.  So each relation is solved or checked once per search
-    path, and every leaf is re-checked against all relations.  Adds to
-    COUNTS.
+    it is checked.  Every participant is assigned by a leaf, so every
+    relation's count reaches 0 on every path and settle has checked it or
+    solved it, and a solved relation holds by construction: at a leaf every
+    relation holds.  Adds to COUNTS.
     """
     table = ring.table
     if v is None:
@@ -352,13 +353,6 @@ def enumerate_omega_ch(
             assign(values, left, queue, k, LatticeDivisor.of_vec(theta, solved))
         return True
 
-    def full_check(values) -> bool:
-        """Every relation at a leaf, right-hand sides summed afresh."""
-        return all(
-            list(lhs_vec(values, rel)) == combination(values, relations[rel][3])
-            for rel in range(len(relations))
-        )
-
     results: list[OmegaChElem] = []
     nodes = 0
 
@@ -373,8 +367,7 @@ def enumerate_omega_ch(
             return
         k = next((i for i in order if values[i] is None), None)
         if k is None:
-            if full_check(values):
-                results.append(OmegaChElem(values))
+            results.append(OmegaChElem(values))
             return
         for combo in combinations_with_replacement(range(size), dims[k]):
             vec = [0] * size

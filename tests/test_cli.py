@@ -243,8 +243,12 @@ def test_an_ingested_table_gives_the_census_without_maps(tmp_path, capsys):
     # at n = 0 the modulus p^v, not the single point, is what the ceiling bounds
     "omega --group c2 --p 2 --n 0 --variant dprime --v 100000000",
     "omega --group c4 --p 2 --n 0 --variant ch --v 1000000000",
+    # an --out path that cannot be written: no such directory, or a directory
+    "witness --out {tmp}/nonexistent/d/x.json",
+    "witness --out {tmp}",
 ])
-def test_bad_parameters_exit_2_with_one_error_line(capsys, argv):
-    assert run(argv.split()) == 2
+def test_bad_parameters_exit_2_with_one_error_line(capsys, tmp_path, argv):
+    assert run(argv.replace("{tmp}", str(tmp_path)).split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.rglob(".chernlab-*"))

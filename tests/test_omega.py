@@ -1,10 +1,19 @@
+from itertools import combinations_with_replacement, product
+
 import pytest
 
 from chernlab import omega
 from chernlab.errors import NonIntegralMultiplicity, ResourceLimit, ValidationError
-from chernlab.groups import builtin_model, model_extraspecial, model_symmetric, model_trivial
+from chernlab.groups import (
+    builtin_model,
+    model_extraspecial,
+    model_symmetric,
+    model_trivial,
+    p_part_exponent,
+)
 from chernlab.lattice import LatticeDivisor, Theta
 from chernlab.omega import (
+    OmegaChElem,
     enumerate_omega,
     enumerate_omega_ch,
     enumerate_omega_dprime,
@@ -278,19 +287,53 @@ def test_abelian_identification():
 
 # search nodes of one enumerate_omega_ch call at n = 2: propagation reaches
 # the same fixpoint in whatever order the relations are visited, so these
-# counts depend only on the search order of the branching divisors
-NODES = [("c2xc4", 2, 273), ("c3xc6", 3, 91), ("sigma4", 2, 3825), ("d8", 2, 2257),
-         ("c3xc3", 3, 91)]
+# counts depend only on the search order of the branching divisors; the
+# values forced and the nodes pruned are pinned as well
+NODES = [("c2xc4", 2, 273, 224, 192), ("c3xc6", 3, 91, 927, 0),
+         ("sigma4", 2, 3825, 204, 3799), ("d8", 2, 2257, 16, 2214),
+         ("c3xc3", 3, 91, 414, 0)]
 
 
-@pytest.mark.parametrize("group,p,nodes", NODES, ids=[g for g, _, _ in NODES])
-def test_omega_ch_node_count_pinned(group, p, nodes):
+@pytest.mark.parametrize("group,p,nodes,forced,pruned", NODES, ids=[g[0] for g in NODES])
+def test_omega_ch_node_count_pinned(group, p, nodes, forced, pruned):
     ring = RepRing(builtin_group(group))
     before = dict(omega.COUNTS)
     enumerate_omega_ch(ring, p, 2)
     assert omega.COUNTS["nodes"] - before["nodes"] == nodes
-    assert 0 <= omega.COUNTS["pruned"] - before["pruned"] <= nodes
-    assert omega.COUNTS["forced"] > before["forced"]
+    assert omega.COUNTS["forced"] - before["forced"] == forced
+    assert omega.COUNTS["pruned"] - before["pruned"] == pruned
+
+
+def omega_ch_brute(ring, p, n):
+    """Every assignment of divisors of the irreducibles' dimensions, the
+    trivial one at the origin, that satisfies all of ring.relations(): the
+    OmegaCh census with no propagation and no pruning."""
+    theta = Theta(p, p_part_exponent(ring.table.exponent, p), n)
+    choices = [[LatticeDivisor(theta, pts)
+                for pts in combinations_with_replacement(theta.points(), d)]
+               for d in ring.dims[1:]]
+    zero, unit = LatticeDivisor(theta), LatticeDivisor(theta, [theta.zero()])
+    found = []
+    for rest in product(*choices):
+        values = (unit,) + rest
+        if all((values[i].lam(r) if r else values[i] * values[j])
+               == sum((values[k] * c for k, c in enumerate(coeffs) if c), zero)
+               for i, j, r, coeffs in ring.relations()):
+            found.append(OmegaChElem(values))
+    return sorted(found, key=OmegaChElem.sort_key)
+
+
+# no leaf of the search re-checks the relations: every relation is checked
+# or solved on each path before its leaf, so the search finds exactly the
+# assignments that satisfy them all
+BRUTE = [("c2xc2", 2, 1), ("c3", 3, 2), ("sigma3", 3, 1), ("sigma3", 2, 2), ("d8", 2, 1)]
+
+
+@pytest.mark.parametrize("group,p,n", BRUTE, ids=[f"{g}-{p}-{n}" for g, p, n in BRUTE])
+def test_omega_ch_matches_the_brute_force_census(group, p, n):
+    ring = RepRing(builtin_group(group))
+    expected = omega_ch_brute(ring, p, n)
+    assert expected and enumerate_omega_ch(ring, p, n) == expected
 
 
 def test_omega_ch_node_ceiling(monkeypatch, s4_ring):

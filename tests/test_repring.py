@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chernlab.errors import InconsistentFusion, NotACharacterTable, UnknownGroup
 from chernlab.repring import (
@@ -19,6 +21,7 @@ from chernlab.repring import (
     table_sigma4,
     table_trivial,
 )
+from chernlab.table_io import table_from_json, table_to_json
 
 
 @pytest.fixture(scope="module")
@@ -288,6 +291,100 @@ def test_structure_constants_match_product_oracle(group):
     expected = [[t.decompose([cy.mul(a, b) for a, b in zip(ri, rj)]) for rj in t.rows]
                 for ri in t.rows]
     assert RepRing(t).mijk == expected
+
+
+# builtin tables of up to 11 classes, abelian and not
+ORACLE_GROUPS = ["c2", "c3", "c4", "c6", "c2xc2", "c2xc4", "c3xc3", "sigma3", "sigma4",
+                 "d8", "extraspecial(3,1)"]
+
+
+def columns_orthogonal(cy, order, sizes, rows):
+    """sum_i chi_i(c) conj(chi_i(c')) = |G|/|c| if c = c' else 0, summed
+    entry by entry; validate does not compute it."""
+    for c in range(len(sizes)):
+        for c2 in range(c, len(sizes)):
+            total = cy.zero
+            for row in rows:
+                total = cy.add(total, cy.mul(row[c], cy.conjugate(row[c2])))
+            if c != c2:
+                expected = cy.zero
+            elif sizes[c] <= 0 or order % sizes[c]:
+                return False
+            else:
+                expected = cy.from_int(order // sizes[c])
+            if total != expected:
+                return False
+    return True
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_tables_whose_columns_are_not_orthogonal_are_rejected(data):
+    """Column orthogonality follows from row orthogonality of a square table,
+    so every corruption that breaks the columns is caught by the rows.  The
+    identity column stays rational; a non-rational one is rejected first."""
+    t = builtin_group(data.draw(st.sampled_from(ORACLE_GROUPS), label="group"))
+    cy = t.cyclo
+    assert columns_orthogonal(cy, t.order, t.class_sizes, t.rows)
+    rows, sizes = [list(r) for r in t.rows], list(t.class_sizes)
+    index = st.integers(0, t.nclasses - 1)
+    other = st.sampled_from([c for c in range(t.nclasses) if c != t.identity_class])
+    root = st.integers(0, t.exponent - 1).map(cy.root_power)
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        kind = data.draw(st.sampled_from(["swap", "scale", "entry", "size"]), label="kind")
+        if kind == "swap":
+            c, c2 = data.draw(other, label="c"), data.draw(other, label="c2")
+            for row in rows:
+                row[c], row[c2] = row[c2], row[c]
+        elif kind == "scale":
+            c, z = data.draw(other, label="c"), data.draw(root, label="zeta^k")
+            for row in rows:
+                row[c] = cy.mul(row[c], z)
+        elif kind == "entry":
+            i, c = data.draw(index, label="row"), data.draw(index, label="c")
+            shift = cy.from_int(data.draw(st.integers(-2, 2), label="plus"))
+            z = cy.one if c == t.identity_class else data.draw(root, label="zeta^k")
+            rows[i][c] = cy.add(cy.mul(rows[i][c], z), shift)
+        else:
+            a = data.draw(st.sampled_from([c for c, n in enumerate(sizes) if n]), label="from")
+            b = data.draw(index, label="to")
+            moved = data.draw(st.integers(1, sizes[a]), label="moved")
+            sizes[a] -= moved
+            sizes[b] += moved
+    if not columns_orthogonal(cy, t.order, sizes, rows):
+        with pytest.raises(NotACharacterTable):
+            CharacterTable("bad", t.order, t.exponent, sizes, t.class_orders,
+                           t.power_maps, rows)
+
+
+def test_a_non_rational_identity_value_names_its_row():
+    t = table_cyclic(3)
+    rows = [list(r) for r in t.rows]
+    rows[2][t.identity_class] = t.cyclo.root_power(1)
+    with pytest.raises(NotACharacterTable, match="^row 2 is not rational on the identity class$"):
+        CharacterTable("bad", t.order, t.exponent, t.class_sizes, t.class_orders,
+                       t.power_maps, rows)
+
+
+@pytest.mark.parametrize("group", ORACLE_GROUPS + ["c36", "c4xc8", "extraspecial(3,2)"])
+def test_builtin_class_data_is_read_off_the_model(group):
+    """A builtin table's class data and its model agree by construction, so
+    no table checks them against each other."""
+    t = builtin_group(group)
+    m = t.model
+    assert (m.size, m.exponent) == (t.order, t.exponent)
+    assert [len(c) for c in m.classes] == t.class_sizes
+    assert [m.orders[c[0]] for c in m.classes] == t.class_orders
+    for k in range(t.exponent):
+        assert t.power_map(k) == [m.class_power(ci, k) for ci in range(t.nclasses)]
+
+
+def test_only_a_builtin_table_carries_a_model():
+    t = table_sigma3()
+    direct = CharacterTable("s3", t.order, t.exponent, t.class_sizes, t.class_orders,
+                            t.power_maps, t.rows)
+    assert direct.model is None and table_from_json(table_to_json(t)).model is None
+    assert t.model is not None
 
 
 def test_table_without_identity_class_rejected():
