@@ -3,7 +3,8 @@
 Elements are hashable encodings (ints for cyclic groups, tuples for
 permutations and extraspecial groups).  The multiplication and conjugation
 tables, element orders and conjugacy classes are built once with the
-model, so enumeration loops run on plain list lookups.
+model (the multiplication table from a few generators' rows, k·n law
+calls rather than n^2), so enumeration loops run on plain list lookups.
 """
 
 from __future__ import annotations
@@ -39,25 +40,38 @@ class GroupModel:
     order), with its derived data as plain attributes: ``table`` and
     ``conj`` (conj[g][x] = g x g^{-1}), ``inverse``, ``orders``,
     ``exponent``, ``classes`` (as conjugacy_classes() sorts them) and
-    ``class_of`` (element index -> class index)."""
+    ``class_of`` (element index -> class index).
+
+    ``table[g]`` is the row x -> g x.  Each element not reached yet is a
+    generator whose row the law gives (n calls); the others' rows are
+    composed, row_{hs} = [row_h[x] for x in row_s].  Each generator at least
+    doubles the subgroup reached, so there are at most log2(n) + 1.  This
+    rests on every builtin law being associative; a product outside the
+    element list lies in a generator's row and raises KeyError."""
 
     def __init__(self, name: str, elements: list, mult_fn):
         self.name = name
-        self.elements = sorted(elements)
-        self.size = len(self.elements)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        n = self.size
-        self.table = [[0] * n for _ in range(n)]
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                self.table[i][j] = self.index[mult_fn(a, b)]
-        self.identity = next(
-            i for i in range(n) if all(self.table[i][j] == j for j in range(n))
-        )
-        self.inverse = [0] * n
-        for i in range(n):
-            self.inverse[i] = next(j for j in range(n) if self.table[i][j] == self.identity)
-        table, inverse = self.table, self.inverse
+        self.elements = elems = sorted(elements)
+        self.size = n = len(elems)
+        self.index = index = {e: i for i, e in enumerate(elems)}
+        table = self.table = [None] * n
+        gens = []
+        for g in range(n):
+            if table[g] is not None:
+                continue
+            table[g] = [index[mult_fn(elems[g], b)] for b in elems]
+            gens.append(g)
+            # close the rows under right multiplication by every generator
+            work = [h for h in range(n) if table[h] is not None]
+            while work:
+                row = table[work.pop()]
+                for s in gens:
+                    hs = row[s]
+                    if table[hs] is None:
+                        table[hs] = [row[x] for x in table[s]]
+                        work.append(hs)
+        self.identity = table[0].index(0)
+        self.inverse = inverse = [row.index(self.identity) for row in table]
         self.conj = [[table[t][inverse[g]] for t in table[g]] for g in range(n)]
         self.orders = []
         for i in range(n):
@@ -112,18 +126,18 @@ class GroupModel:
         return [i for i, o in enumerate(self.orders) if o == p ** p_part_exponent(o, p)]
 
     def closure(self, indices) -> set[int]:
-        """The subgroup generated by the given element indices."""
+        """The subgroup generated by the given element indices: the identity's
+        orbit under right multiplication by them (inverses are powers)."""
+        gens = list(indices)
         closure = {self.identity}
-        work = list(indices)
+        work = [self.identity]
         while work:
-            g = work.pop()
-            if g in closure:
-                continue
-            closure.add(g)
-            for h in list(closure):
-                for prod in (self.table[g][h], self.table[h][g]):
-                    if prod not in closure:
-                        work.append(prod)
+            row = self.table[work.pop()]
+            for g in gens:
+                x = row[g]
+                if x not in closure:
+                    closure.add(x)
+                    work.append(x)
         return closure
 
     def subgroup(self, generator_elems: list, name: str) -> "GroupModel":

@@ -85,6 +85,9 @@ class CharacterTable:
         self.power_maps.setdefault(1, list(range(self.nclasses)))
         self.dims = []
         for i, row in enumerate(self.rows):
+            if len(row) != self.nclasses:
+                raise NotACharacterTable(
+                    f"row {i} has {len(row)} entries for {self.nclasses} classes")
             if not self.cyclo.is_rational(row[self.identity_class]):
                 raise NotACharacterTable(f"row {i} is not rational on the identity class")
             self.dims.append(row[self.identity_class][0])

@@ -173,6 +173,23 @@ def test_comparison_map_certificates_are_pinned(capsys, argv):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED[argv]
 
 
+# SHA-256 of certificates read off the two largest builtin models in use
+# (720 and 343 elements), recorded before the table fill used generator rows
+LARGE_MODEL_PINNED = {
+    "omega --group sigma6 --p 3 --n 1":
+        "407c1bbceb9e46a8e7015724e45bbab98841b2d62f2a88e80d8424410d07cb9c",
+    "export-table --group extraspecial(7,1)":
+        "a6dbc9000ccdf64ea4bd9da885f673d947ea195c576af871075c3629ab34f13b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LARGE_MODEL_PINNED))
+def test_large_model_certificates_are_pinned(capsys, argv):
+    code, out = run_capture(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LARGE_MODEL_PINNED[argv]
+
+
 def test_an_ingested_table_gives_the_census_without_maps(tmp_path, capsys):
     path = tmp_path / "sigma4.json"
     assert run(["export-table", "--group", "sigma4", "--out", str(path)]) == 0

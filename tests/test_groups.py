@@ -5,7 +5,10 @@ from math import lcm
 
 import pytest
 
-from chernlab.groups import builtin_model, p_part_exponent, power_exceeds
+from chernlab.groups import (
+    GroupModel, builtin_model, p_part_exponent, parse_group_name, power_exceeds,
+    symplectic_form,
+)
 
 MODELS = ["trivial", "c4", "c2xc4", "c3xc6", "sigma3", "sigma4", "d8",
           "extraspecial(3,1)", "extraspecial(5,1)"]
@@ -78,6 +81,81 @@ def test_p_power_elements_and_classes(model, p):
     elems = [i for i, o in enumerate(orders) if is_p_power(o, p)]
     assert model.p_power_elements(p) == elems
     assert model.p_power_class_indices(p) == sorted({model.class_of[i] for i in elems})
+
+
+def group_law(name):
+    """The group law of a builtin model, rebuilt here from its definition."""
+    kind, args = parse_group_name(name)
+    if kind == "trivial":
+        return lambda a, b: 0
+    if kind == "c":
+        (m,) = args
+        return lambda a, b: (a + b) % m
+    if kind == "cxc":
+        m, k = args
+        return lambda x, y: ((x[0] + y[0]) % m, (x[1] + y[1]) % k)
+    if kind in ("sigma", "d8"):
+        # (a*b)(x) = a(b(x))
+        return lambda a, b: tuple(a[i] for i in b)
+    p, d = args
+    form = symplectic_form(d)
+    return lambda g, h: ((g[0] + h[0] + form(g[1:], h[1:], p)) % p,) + tuple(
+        (a + c) % p for a, c in zip(g[1:], h[1:]))
+
+
+@pytest.mark.parametrize("name", MODELS + ["sigma5", "extraspecial(3,2)"])
+def test_the_table_is_the_law(name):
+    model = builtin_model(name)
+    law, elems, index = group_law(name), model.elements, model.index
+    assert model.table == [[index[law(a, b)] for b in elems] for a in elems]
+
+
+@pytest.mark.parametrize("name", ["extraspecial(5,1)", "c2xc4", "sigma4"])
+def test_the_table_takes_few_law_calls(name):
+    # each generator row costs n calls, and each generator at least doubles
+    # the subgroup reached, so there are at most k = log2(n) + 1 of them
+    law, calls = group_law(name), []
+
+    def counted(a, b):
+        calls.append(1)
+        return law(a, b)
+
+    reference = builtin_model(name)
+    n = reference.size
+    model = GroupModel(name, reference.elements, counted)
+    assert model.table == reference.table
+    assert len(calls) <= n.bit_length() * n < n * n
+
+
+def test_an_element_list_that_is_not_closed_raises():
+    with pytest.raises(KeyError):
+        GroupModel("not closed", [0, 1, 2], lambda a, b: (a + b) % 4)
+
+
+def brute_closure(model, gens):
+    closure = {model.identity, *gens}
+    while True:
+        grown = closure | {model.table[a][b] for a in closure for b in closure}
+        if grown == closure:
+            return closure
+        closure = grown
+
+
+def test_closure_matches_the_brute_force_on_every_pair_of_sigma4():
+    s4 = builtin_model("sigma4")
+    for g in range(s4.size):
+        for h in range(s4.size):
+            assert s4.closure([g, h]) == brute_closure(s4, [g, h]), (g, h)
+    assert s4.closure([]) == {s4.identity}
+
+
+def test_d8_is_the_closure_of_a_4_cycle_and_a_reflection():
+    s4, d8 = builtin_model("sigma4"), builtin_model("d8")
+    r, s = (1, 2, 3, 0), (2, 1, 0, 3)
+    gens = [s4.index[r], s4.index[s]]
+    assert d8.elements == [s4.elements[i] for i in sorted(brute_closure(s4, gens))]
+    assert d8.elements == s4.subgroup([r, s], "d8").elements
+    assert d8.size == 8
 
 
 @pytest.mark.parametrize("m, p, expected", [

@@ -366,6 +366,20 @@ def test_a_non_rational_identity_value_names_its_row():
                        t.power_maps, rows)
 
 
+@pytest.mark.parametrize("entries, count", [(lambda row: row + [row[-1]], 4),
+                                             (lambda row: row[:-1], 2)],
+                         ids=["long", "short"])
+def test_a_row_of_the_wrong_length_names_its_row(entries, count):
+    # a long row used to construct: the inner products zip it with the
+    # class sizes and drop the extra entry
+    t = table_sigma3()
+    rows = [list(r) for r in t.rows]
+    rows[1] = entries(rows[1])
+    with pytest.raises(NotACharacterTable, match=f"^row 1 has {count} entries for 3 classes$"):
+        CharacterTable("bad", t.order, t.exponent, t.class_sizes, t.class_orders,
+                       t.power_maps, rows)
+
+
 @pytest.mark.parametrize("group", ORACLE_GROUPS + ["c36", "c4xc8", "extraspecial(3,2)"])
 def test_builtin_class_data_is_read_off_the_model(group):
     """A builtin table's class data and its model agree by construction, so
