@@ -220,14 +220,20 @@ def kappa(
     n: int,
     v: int | None = None,
 ) -> list[OmegaChElem]:
-    """Decompose each hom into table.model's group by exact finite Fourier
-    inversion of its restricted characters, on one Theta(p, v, n) shared by
-    every returned divisor.
+    """Decompose each hom into table.model's group on one Theta(p, v, n),
+    shared by every returned divisor.
 
+    A linear character chi = zeta_e^eps (eps its exponent vector,
+    table._exps) is a character of Theta after u, so its divisor is the one
+    point x with x_j = eps[class of u_j] / (e/p^v): n lookups and no
+    transform, and one divisor per point is shared by the whole call.  The
+    other rows are restricted along the pointwise class signature, read off
+    the table's columns, and decomposed by exact finite Fourier inversion,
     mult(x) = p^{-vn} sum_a chi(u(a)) zeta^{-<a,x>}; every multiplicity must
     be a nonnegative integer.  The homs are checked and decomposed in order,
-    so the first failing hom raises.  A table without a group model (an
-    ingested one) raises ValidationError.
+    so the first failing hom raises; within a hom, the linear rows are read
+    first.  A table without a group model (an ingested one) raises
+    ValidationError.
     """
     model = table.model
     if model is None:
@@ -238,18 +244,46 @@ def kappa(
         raise ValidationError("group exponent not divisible by p^v")
     modulus = p ** v
     theta = Theta(p, v, n)
+    step = table.exponent // modulus
+    linear = [i for i, eps in enumerate(table._exps) if eps is not None]
+    others = [i for i, eps in enumerate(table._exps) if eps is None]
+    # coords[c]: each linear row's coordinate at class c, None where its
+    # root of unity is not a p^v-th root; columns: the other rows by class
+    coords = [[eps[c] // step if not eps[c] % step else None
+               for eps in map(table._exps.__getitem__, linear)]
+              for c in range(table.nclasses)]
+    columns = list(zip(*map(table.rows.__getitem__, others)))
+    masses: dict[int, LatticeDivisor] = {}
     out = []
     for hom in homs:
         for ui in hom:
             o = model.orders[ui]
             if modulus % o:
                 raise ValidationError(f"p^{v} does not annihilate an image of order {o}")
-        classes = pointwise_signature(model, hom, theta)
-        rows = [tuple(row[c] for c in classes) for row in table.rows]
-        try:
-            out.append(OmegaChElem(fourier_inverse(theta, table.cyclo, rows)))
-        except (InexactDivision, ValidationError) as exc:
-            raise NonIntegralMultiplicity(str(exc)) from exc
+        divisors = [None] * len(table.rows)
+        indices = [0] * len(linear)
+        for c in map(model.class_of.__getitem__, hom):
+            if None in coords[c]:
+                raise NonIntegralMultiplicity(
+                    f"a linear character is not a p^{v}-th root of unity on class {c}")
+            indices = [x * modulus + y for x, y in zip(indices, coords[c])]
+        for i, x in zip(linear, indices):
+            mass = masses.get(x)
+            if mass is None:
+                vec = [0] * theta.size
+                vec[x] = 1
+                mass = masses[x] = LatticeDivisor.of_vec(theta, tuple(vec))
+            divisors[i] = mass
+        if others:
+            classes = pointwise_signature(model, hom, theta)
+            try:
+                restricted = fourier_inverse(
+                    theta, table.cyclo, zip(*map(columns.__getitem__, classes)))
+            except (InexactDivision, ValidationError) as exc:
+                raise NonIntegralMultiplicity(str(exc)) from exc
+            for i, div in zip(others, restricted):
+                divisors[i] = div
+        out.append(OmegaChElem(divisors))
     return out
 
 
@@ -267,10 +301,12 @@ def enumerate_omega_ch(
     those still unassigned.  When only one is left and it is not on the
     left-hand side, the relation forces its value (exact multiset
     subtraction and division, and the dimension check); when none is left,
-    it is checked.  Every participant is assigned by a leaf, so every
-    relation's count reaches 0 on every path and settle has checked it or
-    solved it, and a solved relation holds by construction: at a leaf every
-    relation holds.  Adds to COUNTS.
+    it is checked.  A relation whose right-hand side is one D_k with c = 1
+    (every relation of an abelian group) compares or assigns the left-hand
+    side's memoised count vector as it is.  Every participant is assigned
+    by a leaf, so every relation's count reaches 0 on every path and settle
+    has checked it or solved it, and a solved relation holds by
+    construction: at a leaf every relation holds.  Adds to COUNTS.
     """
     table = ring.table
     if v is None:
@@ -281,11 +317,15 @@ def enumerate_omega_ch(
     dims = ring.dims
     order = sorted(range(1, h), key=lambda i: (dims[i], i))
 
-    # (i, j, r, terms): D_i * D_j when r == 0, else lambda^r(D_i); the
-    # right-hand side is sum c * D_k over terms (k, c)
-    relations = [(i, j, r, [(k, c) for k, c in enumerate(coeffs) if c])
-                 for i, j, r, coeffs in ring.relations()]
-    participants = [sorted({i, j} | {k for k, _ in terms}) for i, j, _, terms in relations]
+    # (i, j, r, terms, one): D_i * D_j when r == 0, else lambda^r(D_i); the
+    # right-hand side is sum c * D_k over terms (k, c), and one is k when
+    # it is the single term D_k with c = 1, else None
+    relations = []
+    for i, j, r, coeffs in ring.relations():
+        terms = [(k, c) for k, c in enumerate(coeffs) if c]
+        one = terms[0][0] if len(terms) == 1 and terms[0][1] == 1 else None
+        relations.append((i, j, r, terms, one))
+    participants = [sorted({i, j} | {k for k, _ in terms}) for i, j, _, terms, _ in relations]
     watch: list[list[int]] = [[] for _ in range(h)]
     for rel, parts in enumerate(participants):
         for x in parts:
@@ -296,7 +336,7 @@ def enumerate_omega_ch(
     def lhs_vec(values, rel):
         """The left-hand side's count vector, memoised on its inputs (the
         memo is emptied when full, so it stays small on any search)."""
-        i, j, r, _ = relations[rel]
+        i, j, r, _, _ = relations[rel]
         key = (r, values[i].vec, values[j].vec)
         out = lhs_memo.get(key)
         if out is None:
@@ -326,27 +366,35 @@ def enumerate_omega_ch(
             rel = queue.pop()
             if left[rel] < 0:
                 continue
-            i, j, _, terms = relations[rel]
+            i, j, _, terms, one = relations[rel]
             if left[rel] == 0:
                 left[rel] = -1
-                if list(lhs_vec(values, rel)) != combination(values, terms):
+                if one is not None:
+                    if lhs_vec(values, rel) != values[one].vec:
+                        return False
+                elif list(lhs_vec(values, rel)) != combination(values, terms):
                     return False
                 continue
             k = next(x for x in participants[rel] if values[x] is None)
             if k == i or k == j:
                 continue  # the left-hand side is not known yet
             left[rel] = -1
-            acc = list(lhs_vec(values, rel))
-            m = 0
-            for k2, c in terms:
-                if k2 == k:
-                    m = c
-                    continue
-                for x, mm in values[k2].support():
-                    acc[x] -= c * mm
-            if min(acc) < 0 or any(a % m for a in acc):
-                return False
-            solved = tuple(a // m for a in acc)
+            if one is not None:
+                # D_k is the left-hand side itself: a count vector, so
+                # nonnegative and divisible by c = 1
+                solved = lhs_vec(values, rel)
+            else:
+                acc = list(lhs_vec(values, rel))
+                m = 0
+                for k2, c in terms:
+                    if k2 == k:
+                        m = c
+                        continue
+                    for x, mm in values[k2].support():
+                        acc[x] -= c * mm
+                if min(acc) < 0 or any(a % m for a in acc):
+                    return False
+                solved = tuple(a // m for a in acc)
             if sum(solved) != dims[k]:
                 return False
             COUNTS["forced"] += 1

@@ -149,7 +149,8 @@ def test_a_group_past_the_table_ceiling_keeps_its_model(capsys):
     assert json.loads(out)["clauses"][0]["witness"]["count"] == 8
 
 
-# SHA-256 of certificates that carry the comparison maps kappa and xi
+# SHA-256 of certificates that carry the comparison maps kappa and xi: every
+# census job of the benchmark (perfbench/reference.json holds the same values)
 PINNED = {
     "omega --group sigma4 --p 2 --n 2 --variant ch":
         "63ffa5b54f3af5f4f7140afa81c276f566d732b200be55eed8cab01ca57b7e15",
@@ -163,6 +164,26 @@ PINNED = {
         "c1cae96759ac3bc2d102f01e3568cb4361527e11a8db854036b3eace764c0891",
     "xspec --p 5 --d 1 --n 1":
         "8c8916ecea903233c41a1563e697252f743ce8980659dffc4ef16128bf325258",
+    "omega --group c2xc4 --p 2 --n 2 --variant ch --v 2":
+        "ee7d6d19e1dbf0da91ec340ec3e2d6b20f1168e988c1e4148996d850f2f952f9",
+    "omega --group c3xc3 --p 3 --n 2 --variant ch":
+        "056e145b552293e879d49369b6877ab13787dde2553f3ec07f106b4f8bd2ede8",
+    "omega --group c3xc3 --p 3 --n 2 --variant ch --v 1":
+        "d17634a069be469b6c4777d67e9b08b077580322d6ddd613671b34ef29d5ff13",
+    "omega --group c3xc6 --p 3 --n 2 --variant ch --v 1":
+        "ba0cc55c0d7dc1e088b1458c3989e8c9779d1b4cee1163bd6463ed7aaafe4a1a",
+    "omega --group c4xc2 --p 2 --n 2 --variant ch":
+        "5c86686500cbda6d35a5c5b0bca25f781dda0aad2fb310a8ff7606e4b17c0a29",
+    "omega --group c4xc2 --p 2 --n 2 --variant ch --v 2":
+        "e6dda1a4a134c2a8292e274a0162738d5c240823e9fb28a6f02900521b66090a",
+    "omega --group c6xc3 --p 3 --n 2 --variant ch":
+        "47be5a84a01c2afe5145cfc62b59f99b446253b5d264281e27cbe4fcead8e78c",
+    "omega --group c6xc3 --p 3 --n 2 --variant ch --v 1":
+        "2b199bc8f9bcd9ea22f1206cc9d3e9469173a9796a14e01e84e37c5420364d2d",
+    "omega --group d8 --p 2 --n 2 --variant ch --v 2":
+        "f65120c056b5255368a82a9a0df6e2cd094d338824c7492ae8b69f802324b9d9",
+    "omega --group sigma4 --p 2 --n 2 --variant ch --v 2":
+        "b3a5e850d2189c91bed6cc94afc8eee9f07658011a98220c0b36c7fb9c44f84a",
 }
 
 

@@ -2,8 +2,13 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from chernlab import omega
-from chernlab.errors import NonIntegralMultiplicity, ResourceLimit, ValidationError
+from chernlab import lattice, omega
+from chernlab.errors import (
+    InexactDivision,
+    NonIntegralMultiplicity,
+    ResourceLimit,
+    ValidationError,
+)
 from chernlab.groups import (
     builtin_model,
     model_extraspecial,
@@ -11,7 +16,7 @@ from chernlab.groups import (
     model_trivial,
     p_part_exponent,
 )
-from chernlab.lattice import LatticeDivisor, Theta
+from chernlab.lattice import LatticeDivisor, Theta, fourier_inverse
 from chernlab.omega import (
     OmegaChElem,
     enumerate_omega,
@@ -147,6 +152,90 @@ def test_kappa_census_raises_at_the_first_failing_hom(s3_ring):
     with pytest.raises(NonIntegralMultiplicity) as census:
         kappa(s3_ring.table, [(model.identity,) * 2, bad], 2, 2)
     assert str(census.value) == str(one.value)
+
+
+# -- oracle: every restricted row through the Fourier inverse ------------------
+# kappa once sent every irreducible's restricted row, linear ones included,
+# through the transform and checked the multiplicities it computed; that
+# kappa is kept as the oracle for the point masses that replaced it.
+
+def kappa_oracle(table, homs, p, n, v=None):
+    model = table.model
+    if v is None:
+        v = p_part_exponent(table.exponent, p)
+    theta = Theta(p, v, n)
+    out = []
+    for hom in homs:
+        classes = pointwise_signature(model, hom, theta)
+        rows = [tuple(row[c] for c in classes) for row in table.rows]
+        try:
+            out.append(OmegaChElem(fourier_inverse(theta, table.cyclo, rows)))
+        except (InexactDivision, ValidationError) as exc:
+            raise NonIntegralMultiplicity(str(exc)) from exc
+    return out
+
+
+ORACLE = [("sigma4", 2, None), ("d8", 2, None), ("sigma3", 3, None), ("c3xc6", 3, None),
+          ("extraspecial(3,1)", 3, 1)]
+
+
+@pytest.mark.parametrize("group,p,v", ORACLE, ids=[g for g, *_ in ORACLE])
+def test_kappa_matches_the_all_transform_oracle(group, p, v):
+    table = builtin_group(group)
+    om = enumerate_omega(table.model, p, 2)
+    assert len(om) > 1
+    assert kappa(table, om, p, 2, v) == kappa_oracle(table, om, p, 2, v)
+
+
+@pytest.mark.parametrize("group,p", [("c2xc4", 2), ("c3xc6", 3)])
+def test_kappa_of_an_abelian_census_transforms_nothing(group, p):
+    # every irreducible of an abelian group is linear, so every divisor is a point
+    table = builtin_group(group)
+    om = enumerate_omega(table.model, p, 2)
+    before = lattice.COUNTS["transforms"]
+    census = kappa(table, om, p, 2)
+    assert lattice.COUNTS["transforms"] == before
+    assert census == kappa_oracle(table, om, p, 2)
+
+
+@pytest.mark.parametrize("group,p", [("c2xc4", 2), ("sigma4", 2)])
+def test_kappa_shares_one_point_mass_per_point(group, p):
+    table = builtin_group(group)
+    census = kappa(table, enumerate_omega(table.model, p, 2), p, 2)
+    by_vec: dict = {}
+    for elem in census:
+        for i, div in enumerate(elem.divisors):
+            if table._exps[i] is not None:
+                by_vec.setdefault(div.vec, set()).add(id(div))
+    assert len(by_vec) > 1
+    assert all(len(ids) == 1 for ids in by_vec.values())
+
+
+def test_kappa_non_commuting_hom_raises_as_the_oracle_does(s3_ring):
+    # the linear rows are points whatever the hom; the 2-dimensional row
+    # still goes through the transform and fails its integrality check
+    model = model_symmetric(3)
+    hom = (model.index[(1, 0, 2)], model.index[(2, 1, 0)])
+    with pytest.raises(NonIntegralMultiplicity) as oracle:
+        kappa_oracle(s3_ring.table, [hom], 2, 2)
+    with pytest.raises(NonIntegralMultiplicity) as fast:
+        kappa(s3_ring.table, [hom], 2, 2)
+    assert str(fast.value) == str(oracle.value)
+
+
+def test_kappa_linear_row_off_the_lattice_raises():
+    # a c6 table read against d8's classes: a reflection (order 2) lands on
+    # c6's class of order 3, where a linear row is a primitive cube root of
+    # unity, not a square root, so its point has no coordinate in Theta(2, 1, 1)
+    table = table_from_json(table_to_json(builtin_group("c6")))
+    table.model = builtin_model("d8")
+    hom = (table.model.classes[2][0],)
+    assert table.model.orders[hom[0]] == 2 and table.class_orders[2] == 3
+    with pytest.raises(NonIntegralMultiplicity):
+        kappa_oracle(table, [hom], 2, 1, 1)
+    with pytest.raises(NonIntegralMultiplicity, match="not a p\\^1-th root"):
+        kappa(table, [hom], 2, 1, 1)
+
 
 def test_kappa_bijective_sigma4(s4_ring):
     model = model_symmetric(4)
@@ -326,7 +415,8 @@ def omega_ch_brute(ring, p, n):
 # no leaf of the search re-checks the relations: every relation is checked
 # or solved on each path before its leaf, so the search finds exactly the
 # assignments that satisfy them all
-BRUTE = [("c2xc2", 2, 1), ("c3", 3, 2), ("sigma3", 3, 1), ("sigma3", 2, 2), ("d8", 2, 1)]
+BRUTE = [("c2xc2", 2, 1), ("c3", 3, 2), ("sigma3", 3, 1), ("sigma3", 2, 2), ("d8", 2, 1),
+         ("c4", 2, 1), ("c6", 2, 1)]
 
 
 @pytest.mark.parametrize("group,p,n", BRUTE, ids=[f"{g}-{p}-{n}" for g, p, n in BRUTE])
@@ -334,6 +424,12 @@ def test_omega_ch_matches_the_brute_force_census(group, p, n):
     ring = RepRing(builtin_group(group))
     expected = omega_ch_brute(ring, p, n)
     assert expected and enumerate_omega_ch(ring, p, n) == expected
+
+
+@pytest.mark.parametrize("group", ["c4", "c6"])
+def test_brute_force_cases_with_only_one_term_relations(group):
+    # these censuses reach only the search's one-term check and solve
+    assert all(sum(coeffs) == 1 for *_, coeffs in RepRing(builtin_group(group)).relations())
 
 
 def test_omega_ch_node_ceiling(monkeypatch, s4_ring):
