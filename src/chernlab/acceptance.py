@@ -13,7 +13,7 @@ from .errors import InexactDivision
 from .fgl import honda_fgl, multiplicative_fgl
 from .field import GF
 from .groebner import cap_ring
-from .groups import builtin_model, model_symmetric
+from .groups import builtin_model, model_symmetric, orbit_of
 from .lattice import (
     LatticeDivisor,
     Theta,
@@ -121,25 +121,10 @@ def _sigma4_strata(model, reps) -> tuple[int, ...]:
 
 
 def _orbits(model, closure) -> list[int]:
-    degree = len(model.elements[0])
-    seen = set()
-    sizes = []
-    for start in range(degree):
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            i = frontier.pop()
-            for g in closure:
-                j = model.elements[g][i]
-                if j not in orbit:
-                    orbit.add(j)
-                    frontier.append(j)
-        seen |= orbit
-        if len(orbit) > 1:
-            sizes.append(len(orbit))
-    return sorted(sizes)
+    """Sizes of the non-trivial orbits of the closure on the permuted points."""
+    perms = [model.elements[g] for g in closure]
+    orbits = {frozenset(orbit_of((i,), perms)) for i in range(len(perms[0]))}
+    return sorted(len(o) for o in orbits if len(o) > 1)
 
 
 def criterion_5_sigma4_census() -> Certificate:
@@ -234,7 +219,7 @@ def criterion_10_sigma6() -> Certificate:
     v1 = s6.index[(1, 0, 2, 3, 5, 4)]
     v2 = s6.index[(0, 1, 3, 2, 5, 4)]
     hom1, hom2 = (u1, u2), (v1, v2)
-    orbit1 = {(c[u1], c[u2]) for c in s6.conj}
+    orbit1 = orbit_of((u1, u2), s6.gen_conj)
     cert.add("distinct_in_omega", hom2 not in orbit1, {})
     star = Theta(2, 2, 2)
     sig1 = pointwise_signature(s6, hom1, star)

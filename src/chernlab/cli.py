@@ -200,7 +200,7 @@ def cmd_table_check(args) -> int:
         except ChernlabError as exc:
             cert.add("valid_character_table", False, {"error": str(exc)})
         return _finish(cert, args)
-    if args.p and args.d:
+    if args.p is not None and args.d is not None:
         return _finish(extraspecial_table_checks(args.p, args.d), args)
     raise UsageError("table-check needs --table PATH or --p/--d")
 
@@ -303,24 +303,25 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, p=True, n=True, v=True, prec=True, group=True, table=True)
     sp.set_defaults(fn=cmd_chern)
 
-    for name, fn in (("sigma4", cmd_sigma4), ("sdiv", cmd_sdiv)):
-        sp = sub.add_parser(name)
+    for name, fn, text in (("sigma4", cmd_sigma4, "the order-24 symmetric group over F_4"),
+                           ("sdiv", cmd_sdiv, "special-divisor expansions at p = 2")):
+        sp = sub.add_parser(name, help=text)
         common(sp)
         sp.set_defaults(fn=fn)
 
-    sp = sub.add_parser("witness")
+    sp = sub.add_parser("witness", help="the non-positive divisor witness at height --n")
     sp.add_argument("--n", type=natural, default=2)
     common(sp)
     sp.set_defaults(fn=cmd_witness)
 
-    sp = sub.add_parser("xspec")
+    sp = sub.add_parser("xspec", help="census of the extraspecial group p^{1+2d} at height --n")
     sp.add_argument("--p", type=prime, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--n", type=natural, required=True)
     common(sp)
     sp.set_defaults(fn=cmd_xspec)
 
-    sp = sub.add_parser("table-check")
+    sp = sub.add_parser("table-check", help="validate a --table file or the --p/--d table")
     sp.add_argument("--table", type=str, default=None)
     sp.add_argument("--p", type=prime, default=None)
     sp.add_argument("--d", type=int, default=None)

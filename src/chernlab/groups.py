@@ -1,10 +1,12 @@
 """Explicit finite group models: element tables, conjugacy, power maps.
 
 Elements are hashable encodings (ints for cyclic groups, tuples for
-permutations and extraspecial groups).  The multiplication and conjugation
-tables, element orders and conjugacy classes are built once with the
-model (the multiplication table from a few generators' rows, k·n law
-calls rather than n^2), so enumeration loops run on plain list lookups.
+permutations and extraspecial groups).  The multiplication table, the
+generators' conjugation rows, element orders and conjugacy classes are
+built once with the model (the multiplication table from a few generators'
+rows, k·n law calls rather than n^2), so enumeration loops run on plain
+list lookups.  Every conjugation orbit and subgroup closure is one walk,
+``orbit_of``, under a generating set.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import permutations, product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .errors import ResourceLimit, UnknownGroup, ValidationError
 from .field import is_prime
@@ -35,10 +37,27 @@ def power_exceeds(p: int, e: int, bound: int) -> bool:
     return e >= bound.bit_length() or p ** e > bound
 
 
+def orbit_of(seed: tuple, perms) -> set[tuple]:
+    """The orbit of a tuple of indices under the group generated by the
+    index permutations ``perms``, each acting on every entry: |orbit| x
+    len(perms) steps (inverses are powers, as the group is finite)."""
+    orbit = {seed}
+    work = [seed]
+    while work:
+        t = work.pop()
+        for s in perms:
+            u = tuple(s[x] for x in t)
+            if u not in orbit:
+                orbit.add(u)
+                work.append(u)
+    return orbit
+
+
 class GroupModel:
     """A finite group on element indices 0..size-1 (in sorted element
-    order), with its derived data as plain attributes: ``table`` and
-    ``conj`` (conj[g][x] = g x g^{-1}), ``inverse``, ``orders``,
+    order), with its derived data as plain attributes: ``table``, ``gens``
+    (the table fill's generators, less the identity) and ``gen_conj``
+    (gen_conj[j][x] = s x s^{-1} for s = gens[j]), ``inverse``, ``orders``,
     ``exponent``, ``classes`` (as conjugacy_classes() sorts them) and
     ``class_of`` (element index -> class index).
 
@@ -70,17 +89,23 @@ class GroupModel:
                     if table[hs] is None:
                         table[hs] = [row[x] for x in table[s]]
                         work.append(hs)
-        self.identity = table[0].index(0)
-        self.inverse = inverse = [row.index(self.identity) for row in table]
-        self.conj = [[table[t][inverse[g]] for t in table[g]] for g in range(n)]
-        self.orders = []
+        self.identity = e = table[0].index(0)
+        self.inverse = inverse = [row.index(e) for row in table]
+        self.gens = gens = [s for s in gens if s != e]
+        self.gen_conj = [[table[t][inverse[s]] for t in table[s]] for s in gens]
+        # walk each <g> once: ord(g^k) = m / gcd(k, m) for m = ord(g)
+        self.orders = orders = [0] * n
         for i in range(n):
-            k, g = 1, i
-            while g != self.identity:
+            if orders[i]:
+                continue
+            cycle, g = [e], i
+            while g != e:
+                cycle.append(g)
                 g = table[g][i]
-                k += 1
-            self.orders.append(k)
-        self.exponent = lcm(*self.orders)
+            m = len(cycle)
+            for k, g in enumerate(cycle):
+                orders[g] = m // gcd(k, m)
+        self.exponent = lcm(*orders)
         self.classes = self.conjugacy_classes()
         self.class_of = [0] * n
         for ci, cls in enumerate(self.classes):
@@ -100,17 +125,14 @@ class GroupModel:
         return r
 
     def conjugacy_classes(self) -> list[list[int]]:
-        """The orbits of conj, sorted by (element order, size, least
-        member); members sorted.  Read it as ``classes``."""
-        seen = [False] * self.size
-        classes = []
+        """The orbits under the generators' conjugation rows, sorted by
+        (element order, size, least member); members sorted.  Read it as
+        ``classes``."""
+        seen, classes = set(), []
         for i in range(self.size):
-            if seen[i]:
-                continue
-            orbit = sorted({row[i] for row in self.conj})
-            for x in orbit:
-                seen[x] = True
-            classes.append(orbit)
+            if i not in seen:
+                classes.append(sorted(x for (x,) in orbit_of((i,), self.gen_conj)))
+                seen.update(classes[-1])
         orders = self.orders
         classes.sort(key=lambda c: (orders[c[0]], len(c), self.elements[c[0]]))
         return classes
@@ -127,18 +149,8 @@ class GroupModel:
 
     def closure(self, indices) -> set[int]:
         """The subgroup generated by the given element indices: the identity's
-        orbit under right multiplication by them (inverses are powers)."""
-        gens = list(indices)
-        closure = {self.identity}
-        work = [self.identity]
-        while work:
-            row = self.table[work.pop()]
-            for g in gens:
-                x = row[g]
-                if x not in closure:
-                    closure.add(x)
-                    work.append(x)
-        return closure
+        orbit under left multiplication by them, the rows ``table[g]``."""
+        return {x for (x,) in orbit_of((self.identity,), [self.table[g] for g in indices])}
 
     def subgroup(self, generator_elems: list, name: str) -> "GroupModel":
         """Closure of the generators, as a standalone model."""

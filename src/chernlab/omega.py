@@ -21,7 +21,7 @@ from .errors import (
     ResourceLimit,
     ValidationError,
 )
-from .groups import GroupModel, p_part_exponent
+from .groups import GroupModel, orbit_of, p_part_exponent
 from .lattice import LatticeDivisor, Theta, fourier, fourier_inverse
 from .repring import CharacterTable, RepRing
 
@@ -67,7 +67,7 @@ def enumerate_omega(model: GroupModel, p: int, n: int) -> list[tuple[int, ...]]:
     for t in tuples:
         if t in seen:
             continue
-        orbit = {tuple(ct[x] for x in t) for ct in model.conj}
+        orbit = orbit_of(t, model.gen_conj)
         seen.update(orbit)
         reps.append(min(orbit))
     reps.sort()

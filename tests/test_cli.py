@@ -143,6 +143,13 @@ def test_extraspecial_table_check(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_table_check_names_the_supported_parameters(capsys, d):
+    # --d 0 is given, not absent: the error names what is supported
+    assert run(["table-check", "--p", "3", "--d", d]) == 2
+    assert capsys.readouterr().err == "error: supported parameters: (3,1), (3,2), (5,1)\n"
+
+
 def test_a_group_past_the_table_ceiling_keeps_its_model(capsys):
     code, out = run_capture(capsys, "omega", "--group", "c1000", "--p", "2", "--n", "1")
     assert code == 0
@@ -194,13 +201,19 @@ def test_comparison_map_certificates_are_pinned(capsys, argv):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED[argv]
 
 
-# SHA-256 of certificates read off the two largest builtin models in use
-# (720 and 343 elements), recorded before the table fill used generator rows
+# SHA-256 of certificates read off the largest builtin models in use (720,
+# 343 and 1000 elements) and of criterion 8's census; the first two were
+# recorded before the table fill used generator rows, the last two before
+# the conjugation orbits became walks under the generators
 LARGE_MODEL_PINNED = {
     "omega --group sigma6 --p 3 --n 1":
         "407c1bbceb9e46a8e7015724e45bbab98841b2d62f2a88e80d8424410d07cb9c",
     "export-table --group extraspecial(7,1)":
         "a6dbc9000ccdf64ea4bd9da885f673d947ea195c576af871075c3629ab34f13b",
+    "omega --group c1000 --p 2 --n 1":
+        "216d637f58702070073513a8e56ece7fde044d89dba84df749f61d77853435d3",
+    "xspec --p 3 --d 2 --n 2":
+        "603406d506c1a8559302f890d38e281a2352467a7cd50a86826777de2967878e",
 }
 
 

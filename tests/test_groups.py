@@ -1,14 +1,17 @@
 """The builtin group models' derived tables against brute-force oracles
 computed here from the multiplication table alone."""
 
+import random
+from itertools import product
 from math import lcm
 
 import pytest
 
 from chernlab.groups import (
-    GroupModel, builtin_model, p_part_exponent, parse_group_name, power_exceeds,
-    symplectic_form,
+    GroupModel, builtin_model, orbit_of, p_part_exponent, parse_group_name,
+    power_exceeds, symplectic_form,
 )
+from chernlab.omega import enumerate_omega
 
 MODELS = ["trivial", "c4", "c2xc4", "c3xc6", "sigma3", "sigma4", "d8",
           "extraspecial(3,1)", "extraspecial(5,1)"]
@@ -42,16 +45,71 @@ def model(request):
     return builtin_model(request.param)
 
 
-def test_orders_and_exponent(model):
+@pytest.mark.parametrize("name", MODELS + ["c1000"])
+def test_orders_and_exponent(name):
+    model = builtin_model(name)
     orders = [order_oracle(model, i) for i in range(model.size)]
     assert model.orders == orders
     assert model.exponent == lcm(*orders)
 
 
 def test_conj_is_g_x_g_inverse(model):
+    # a row is kept for each generator s only: x -> s x s^-1
     t, inv = model.table, model.inverse
-    assert model.conj == [[t[t[g][x]][inv[g]] for x in range(model.size)]
-                          for g in range(model.size)]
+    assert len(model.gen_conj) == len(model.gens)
+    for s, row in zip(model.gens, model.gen_conj):
+        assert s != model.identity
+        assert row == [t[t[s][x]][inv[s]] for x in range(model.size)]
+    assert model.closure(model.gens) == set(range(model.size))
+
+
+@pytest.mark.parametrize("name", ["sigma6", "c1000"])
+def test_the_model_keeps_few_conjugation_rows(name):
+    # each generator at least doubles the subgroup reached, and the
+    # identity is no generator, so there are at most log2(n) of them
+    model = builtin_model(name)
+    assert not hasattr(model, "conj")
+    assert len(model.gen_conj) <= model.size.bit_length()
+    assert all(len(row) == model.size for row in model.gen_conj)
+
+
+def brute_orbit(seed, perms):
+    orbit = {seed}
+    while True:
+        grown = orbit | {tuple(s[x] for x in t) for t in orbit for s in perms}
+        if grown == orbit:
+            return orbit
+        orbit = grown
+
+
+def test_orbit_of_matches_the_brute_force_closure():
+    rng = random.Random(20261019)
+    for _ in range(200):
+        degree = rng.randint(1, 7)
+        perms = [rng.sample(range(degree), degree) for _ in range(rng.randint(0, 3))]
+        seed = tuple(rng.randrange(degree) for _ in range(rng.randint(1, 3)))
+        assert orbit_of(seed, perms) == brute_orbit(seed, perms), (seed, perms)
+    assert orbit_of((2, 0), []) == {(2, 0)}
+
+
+def omega_oracle(model, p, n):
+    """Least image under all |G| conjugations of each commuting n-tuple of
+    p-power elements."""
+    t, inv = model.table, model.inverse
+    pelems = [i for i in range(model.size) if is_p_power(order_oracle(model, i), p)]
+    reps = set()
+    for tup in product(pelems, repeat=n):
+        if all(t[a][b] == t[b][a] for a in tup for b in tup):
+            reps.add(min(tuple(t[t[g][x]][inv[g]] for x in tup)
+                         for g in range(model.size)))
+    return sorted(reps)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_enumerate_omega_matches_the_brute_force(model, n):
+    for p in (2, 3, 5, 7):
+        if model.size % p == 0:
+            assert enumerate_omega(model, p, n) == omega_oracle(model, p, n), p
 
 
 def test_classes_are_the_sorted_orbits(model):

@@ -108,8 +108,8 @@ def test_kappa_constant_on_conjugacy_orbits(s4_ring):
     model = model_symmetric(4)
     om = enumerate_omega(model, 2, 2)
     rep = om[5]
-    g = 7
-    conj = (model.conj[g][rep[0]], model.conj[g][rep[1]])
+    g, t = 7, model.table
+    conj = tuple(t[t[g][x]][model.inverse[g]] for x in rep)
     first, second = kappa(s4_ring.table, [rep, conj], 2, 2)
     assert first == second
 
