@@ -2,20 +2,20 @@
 
 Exit codes: 0 when every certificate clause passes, 1 when a clause fails,
 2 on usage errors and on inputs a resource ceiling refuses.  Certificates are
-emitted as deterministic JSON (default) or a text summary; --out writes
-atomically.
+emitted as deterministic JSON (``cert.dumps``, the default) or a text
+summary; --out writes atomically.  A cold job builds only the subparser of
+the command it names (``build_parser``).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
 
 from . import acceptance
-from .cert import SCHEMA, Certificate
+from .cert import SCHEMA, Certificate, dumps
 from .errors import ChernlabError, ResourceLimit, SchemaError, UsageError, ValidationError
 from .fgl import honda_fgl, multiplicative_fgl
 from .field import GF, is_prime
@@ -62,7 +62,7 @@ def _finish(cert: Certificate, args) -> int:
 
 
 def _table_or_builtin(args) -> RepRing:
-    if getattr(args, "table", None):
+    if args.table is not None:
         return RepRing(ingest_table(args.table))
     if not args.group:
         raise UsageError("need --group or --table")
@@ -188,7 +188,7 @@ def cmd_xspec(args) -> int:
 
 
 def cmd_table_check(args) -> int:
-    if args.table:
+    if args.table is not None:
         cert = Certificate("table-check", {"table": os.path.basename(args.table)})
         try:
             table = ingest_table(args.table)
@@ -218,16 +218,12 @@ def cmd_all(args) -> int:
         doc = "\n".join(c.summary() for c in certs)
         doc += f"\noverall: {'pass' if overall else 'fail'}\n"
     else:
-        doc = json.dumps(
-            {
-                "schema": SCHEMA,
-                "pipeline": "all",
-                "status": "pass" if overall else "fail",
-                "certificates": [c.as_dict() for c in certs],
-            },
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
+        doc = dumps({
+            "schema": SCHEMA,
+            "pipeline": "all",
+            "status": "pass" if overall else "fail",
+            "certificates": [c.as_dict() for c in certs],
+        }) + "\n"
     _emit(doc, args.out)
     return 0 if overall else 1
 
@@ -255,93 +251,115 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="chernlab",
-        description="Exact formal-group / divisor / representation-ring computations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(sp, p=False, n=False, v=False, prec=False, group=False, table=False):
+    if p:
+        sp.add_argument("--p", type=prime, required=True)
+    if n:
+        sp.add_argument("--n", type=natural, required=True)
+    if v:
+        sp.add_argument("--v", type=natural, default=None)
+    if prec:
+        sp.add_argument("--prec", type=int, default=32)
+    if group:
+        sp.add_argument("--group", type=str, default=None)
+    if table:
+        sp.add_argument("--table", type=str, default=None)
+    sp.add_argument("--out", type=str, default=None)
+    sp.add_argument("--format", choices=("json", "text"), default="json")
 
-    def common(sp, p=False, n=False, v=False, prec=False, group=False, table=False):
-        if p:
-            sp.add_argument("--p", type=prime, required=True)
-        if n:
-            sp.add_argument("--n", type=natural, required=True)
-        if v:
-            sp.add_argument("--v", type=natural, default=None)
-        if prec:
-            sp.add_argument("--prec", type=int, default=32)
-        if group:
-            sp.add_argument("--group", type=str, default=None)
-        if table:
-            sp.add_argument("--table", type=str, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--format", choices=("json", "text"), default="json")
 
-    sp = sub.add_parser("fgl", help="print a [k]-series of a formal group law")
-    common(sp, p=True, n=True, prec=True)
+def _fgl_options(sp):
+    _common(sp, p=True, n=True, prec=True)
     sp.add_argument("--series", type=int, required=True)
     sp.add_argument("--multiplicative", action="store_true")
-    sp.set_defaults(fn=cmd_fgl)
 
-    sp = sub.add_parser("groebner", help="reduced Groebner basis of given generators")
+
+def _groebner_options(sp):
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--vars", type=str, required=True)
     sp.add_argument("--gens", type=str, required=True,
                     help="semicolon-separated polynomials")
     sp.add_argument("--order", choices=("lex", "grlex"), default="lex")
-    common(sp)
-    sp.set_defaults(fn=cmd_groebner)
+    _common(sp)
 
-    sp = sub.add_parser("omega", help="homomorphism censuses")
-    common(sp, p=True, n=True, v=True, group=True, table=True)
+
+def _omega_options(sp):
+    _common(sp, p=True, n=True, v=True, group=True, table=True)
     sp.add_argument("--variant", choices=("plain", "ch", "prime", "dprime"),
                     default="plain")
-    sp.set_defaults(fn=cmd_omega)
 
-    sp = sub.add_parser("chern", help="presentation of the Chern-class ring")
-    common(sp, p=True, n=True, v=True, prec=True, group=True, table=True)
-    sp.set_defaults(fn=cmd_chern)
 
-    for name, fn, text in (("sigma4", cmd_sigma4, "the order-24 symmetric group over F_4"),
-                           ("sdiv", cmd_sdiv, "special-divisor expansions at p = 2")):
-        sp = sub.add_parser(name, help=text)
-        common(sp)
-        sp.set_defaults(fn=fn)
+def _chern_options(sp):
+    _common(sp, p=True, n=True, v=True, prec=True, group=True, table=True)
 
-    sp = sub.add_parser("witness", help="the non-positive divisor witness at height --n")
+
+def _witness_options(sp):
     sp.add_argument("--n", type=natural, default=2)
-    common(sp)
-    sp.set_defaults(fn=cmd_witness)
+    _common(sp)
 
-    sp = sub.add_parser("xspec", help="census of the extraspecial group p^{1+2d} at height --n")
+
+def _xspec_options(sp):
     sp.add_argument("--p", type=prime, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--n", type=natural, required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_xspec)
+    _common(sp)
 
-    sp = sub.add_parser("table-check", help="validate a --table file or the --p/--d table")
+
+def _table_check_options(sp):
     sp.add_argument("--table", type=str, default=None)
     sp.add_argument("--p", type=prime, default=None)
     sp.add_argument("--d", type=int, default=None)
-    common(sp)
-    sp.set_defaults(fn=cmd_table_check)
+    _common(sp)
 
-    sp = sub.add_parser("export-table", help="emit a builtin table as JSON")
+
+def _export_table_options(sp):
     sp.add_argument("--group", type=str, required=True)
-    common(sp)
-    sp.set_defaults(fn=cmd_export_table)
+    _common(sp)
 
-    sp = sub.add_parser("all", help="run the full acceptance suite")
-    common(sp)
-    sp.set_defaults(fn=cmd_all)
 
+# (name, help, command, function that adds the subparser's options), in the
+# order the root help and the invalid-choice error list them
+COMMANDS = (
+    ("fgl", "print a [k]-series of a formal group law", cmd_fgl, _fgl_options),
+    ("groebner", "reduced Groebner basis of given generators", cmd_groebner, _groebner_options),
+    ("omega", "homomorphism censuses", cmd_omega, _omega_options),
+    ("chern", "presentation of the Chern-class ring", cmd_chern, _chern_options),
+    ("sigma4", "the order-24 symmetric group over F_4", cmd_sigma4, _common),
+    ("sdiv", "special-divisor expansions at p = 2", cmd_sdiv, _common),
+    ("witness", "the non-positive divisor witness at height --n", cmd_witness,
+     _witness_options),
+    ("xspec", "census of the extraspecial group p^{1+2d} at height --n", cmd_xspec,
+     _xspec_options),
+    ("table-check", "validate a --table file or the --p/--d table", cmd_table_check,
+     _table_check_options),
+    ("export-table", "emit a builtin table as JSON", cmd_export_table, _export_table_options),
+    ("all", "run the full acceptance suite", cmd_all, _common),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of argv.  When argv[0] names a command only that
+    subparser is built, since a cold job runs one command; otherwise (no
+    argv, -h/--help or an unknown name) all are, so that the root help and
+    the invalid-choice error list every command."""
+    parser = _Parser(
+        prog="chernlab",
+        description="Exact formal-group / divisor / representation-ring computations",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = [c for c in COMMANDS if argv and c[0] == argv[0]]
+    for name, text, fn, add_options in named or COMMANDS:
+        sp = sub.add_parser(name, help=text)
+        add_options(sp)
+        sp.set_defaults(fn=fn)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    """Run the command argv (default sys.argv[1:]) names; returns the exit code."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         return args.fn(args)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 
-from .cert import SCHEMA
+from .cert import SCHEMA, dumps
 from .cyclotomic import Cyclo, cyclotomic_polynomial
 from .errors import SchemaError
 from .repring import CharacterTable
@@ -69,7 +69,7 @@ def table_to_dict(table: CharacterTable) -> dict:
 
 
 def table_to_json(table: CharacterTable) -> str:
-    return json.dumps(table_to_dict(table), sort_keys=True, indent=2) + "\n"
+    return dumps(table_to_dict(table)) + "\n"
 
 
 def table_from_dict(doc: dict) -> CharacterTable:

@@ -1,9 +1,11 @@
+import argparse
 import hashlib
 import json
+import sys
 
 import pytest
 
-from chernlab.cli import run
+from chernlab.cli import COMMANDS, build_parser, run
 
 
 def run_capture(capsys, *argv):
@@ -94,6 +96,63 @@ def test_unknown_group_usage_error(capsys):
 
 def test_missing_subcommand_exits_2():
     assert run([]) == 2
+
+
+def test_an_unknown_command_names_every_command(capsys):
+    assert run(["bogus"]) == 2
+    assert capsys.readouterr().err == (
+        "error: argument command: invalid choice: 'bogus' (choose from 'fgl', 'groebner', "
+        "'omega', 'chern', 'sigma4', 'sdiv', 'witness', 'xspec', 'table-check', "
+        "'export-table', 'all')\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fgl", "--help"]])
+def test_help_exits_0_with_usage_on_stdout(capsys, argv):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: chernlab " + " ".join(argv[:-1]))
+    if argv == ["--help"]:
+        assert "{" + ",".join(name for name, *_ in COMMANDS) + "}" in out
+
+
+def test_run_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["chernlab", "fgl", "--p", "2", "--n", "2", "--prec", "4",
+                                      "--series", "1", "--format", "text"])
+    assert run() == 0
+    assert capsys.readouterr().out == "x\n"
+
+
+def _commands(parser):
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def test_a_named_command_builds_only_its_subparser():
+    assert _commands(build_parser(["witness"])) == ["witness"]
+    all_names = [name for name, *_ in COMMANDS]
+    assert len(all_names) == 11
+    for argv in (None, [], ["--help"], ["-h"], ["bogus"]):
+        assert _commands(build_parser(argv)) == all_names
+
+
+@pytest.mark.parametrize("argv", [
+    ["table-check", "--table", "", "--p", "3", "--d", "1"],
+    ["omega", "--table", "", "--group", "c4", "--p", "2", "--n", "1", "--variant", "ch"],
+    ["chern", "--table", "", "--group", "c2", "--p", "2", "--n", "1"],
+])
+def test_an_empty_table_path_is_a_usage_error(capsys, argv):
+    # an empty --table is given, not absent: it is read and cannot be
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read table: ") and err.count("\n") == 1
+
+
+def test_the_acceptance_suite_is_pinned(capsys):
+    # the one certificate whose witnesses have int dict keys and tuples
+    code, out = run_capture(capsys, "all")
+    assert code == 0
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == "146d243f3a9f650c671e4ae720ca88191293a7100ce3dbe32857c7d529b8564e")
 
 
 def test_out_file_and_determinism(tmp_path, capsys):
