@@ -69,15 +69,17 @@ def divisor_from_roots(qring: QuotientRing, law: FGL, roots) -> DivisorPoly:
 
 
 def tpoly_mul(q: QuotientRing, a: list[Poly], b: list[Poly]) -> list[Poly]:
-    """Product of two t-polynomials over q, coefficient lists descending in t."""
+    """Product of two t-polynomials over q, coefficient lists descending in t.
+
+    Each output coefficient is reduced once: normal forms are linear."""
     out = [q.ring.zero()] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
         for j, y in enumerate(b):
             if y:
-                out[i + j] = q.reduce(out[i + j] + x * y)
-    return out
+                out[i + j] = out[i + j] + x * y
+    return [q.reduce(c) for c in out]
 
 
 def _coeffs_from_roots(qring: QuotientRing, roots) -> list[Poly]:
@@ -146,7 +148,7 @@ class SplitTower:
             prev = self.ext.ring.one()
             for a in work:
                 quotient.append(prev)
-                prev = self.ext.reduce(a + self.ext.mul(root, prev))
+                prev = self.ext.reduce(a + root * prev)
             # prev is now f(root); it must reduce to zero
             if prev:
                 raise ValidationError("adjoined root does not annihilate the polynomial")

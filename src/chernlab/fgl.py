@@ -113,7 +113,7 @@ class FGL:
 
     # -- evaluation in quotient rings -----------------------------------------
     def _nilpotent_powers(self, a: Poly, ring: QuotientRing, bound: int) -> list[Poly]:
-        powers = [ring.ring.one(), ring.reduce(a)]
+        powers = [ring.reduce(ring.ring.one()), ring.reduce(a)]
         while powers[-1]:
             if len(powers) > bound:
                 raise PrecisionExceeded(
@@ -127,7 +127,9 @@ class FGL:
 
         Terms of F beyond the precision are unknown, so the evaluation is
         exact only when every product a^i b^j in that range vanishes; this is
-        checked and PrecisionExceeded raised otherwise.
+        checked and PrecisionExceeded raised otherwise.  Normal forms are
+        linear, so the rows B_i = sum_j c_ij b^j are combinations of normal
+        forms, and sum_i a^i B_i is reduced once.
         """
         if ring.field.p != self.p:
             raise IncompatibleRing("ring characteristic differs from the law's prime")
@@ -143,18 +145,20 @@ class FGL:
                         raise PrecisionExceeded(
                             f"need F at ({i},{j}) beyond precision {self.prec}"
                         )
-        out = ring.ring.zero()
+        zero = ring.ring.zero()
         fld = ring.field
+        rows: dict[int, Poly] = {}
         for (i, j), c in self.terms.items():
-            if i >= len(pa) or j >= len(pb):
-                continue
-            term = ring.mul(pa[i], pb[j])
-            if term:
-                out = out + term.scale(fld.from_int(c))
+            if i < len(pa) and j < len(pb) and pa[i] and pb[j]:
+                rows[i] = rows.get(i, zero) + pb[j].scale(fld.from_int(c))
+        out = zero
+        for i, row in rows.items():
+            out = out + pa[i] * row
         return ring.reduce(out)
 
     def eval_series(self, series: dict, a: Poly, ring: QuotientRing) -> Poly:
-        """Evaluate a univariate truncated series at a nilpotent element."""
+        """Evaluate a univariate truncated series at a nilpotent element: a
+        combination of the normal forms a^d, so itself a normal form."""
         pa = self._nilpotent_powers(a, ring, self.prec)
         if len(pa) - 1 >= self.prec and series:
             raise PrecisionExceeded("element not nilpotent within precision")
@@ -163,7 +167,7 @@ class FGL:
         for d, c in series.items():
             if d < len(pa) and pa[d]:
                 out = out + pa[d].scale(fld.from_int(c))
-        return ring.reduce(out)
+        return out
 
     def mul_in_ring(self, k: int, a: Poly, ring: QuotientRing) -> Poly:
         return self.eval_series(self.mul_series(k), a, ring)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import os
 from itertools import combinations_with_replacement
+from operator import neg
 
 from .errors import (
     IncompatibleRing,
@@ -13,15 +14,16 @@ from .errors import (
     ResourceLimit,
     ValidationError,
 )
-from .poly import MonomialOrder, Poly, PolyRing
-
-
-def _divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+from .poly import (
+    MonomialOrder,
+    Poly,
+    PolyRing,
+    mono_coprime,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+)
 
 
 # Running totals over every buchberger call in the process: pairs popped,
@@ -44,6 +46,9 @@ class GroebnerBasis:
         self.order = order
         self.polys = polys
         self.leading_terms = [p.leading(order)[0] for p in polys]
+        # (leading exponent, tail terms) per member; members are monic
+        self.reducers = [(lt, [(e, c) for e, c in p.terms.items() if e != lt])
+                         for lt, p in zip(self.leading_terms, polys)]
 
     def __iter__(self):
         return iter(self.polys)
@@ -66,30 +71,29 @@ def normal_form(p: Poly, basis: GroebnerBasis) -> Poly:
         raise IncompatibleRing("polynomial not in the basis ring")
     key = basis.order.key
     fld = p.ring.field
+    fsub, fmul = fld.sub, fld.mul
+    heappop, heappush = heapq.heappop, heapq.heappush
     remainder: dict = {}
     work = dict(p.terms)
-    heap = [(tuple(-x for x in key(e)), e) for e in work]
+    heap = [(tuple(map(neg, key(e))), e) for e in work]
     heapq.heapify(heap)
-    lts = basis.leading_terms
-    polys = basis.polys
+    reducers = basis.reducers
     while heap:
-        e = heapq.heappop(heap)[1]
+        e = heappop(heap)[1]
         c = work.pop(e)
         if not c:
             continue
-        for lt, g in zip(lts, polys):
-            if _divides(lt, e):
-                shift = tuple(x - y for x, y in zip(e, lt))
+        for lt, tail in reducers:
+            if mono_divides(lt, e):
+                shift = mono_div(e, lt)
                 # subtract c * x^shift * g; g is monic
-                for ge, gc in g.terms.items():
-                    if ge == lt:
-                        continue
-                    me = tuple(x + y for x, y in zip(ge, shift))
+                for ge, gc in tail:
+                    me = mono_mul(ge, shift)
                     old = work.get(me)
                     if old is None:
                         old = 0
-                        heapq.heappush(heap, (tuple(-x for x in key(me)), me))
-                    work[me] = fld.sub(old, fld.mul(c, gc))
+                        heappush(heap, (tuple(map(neg, key(me))), me))
+                    work[me] = fsub(old, fmul(c, gc))
                 break
         else:
             remainder[e] = c
@@ -99,10 +103,10 @@ def normal_form(p: Poly, basis: GroebnerBasis) -> Poly:
 def _spoly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     ef, cf = f.leading(order)
     eg, cg = g.leading(order)
-    lcm = _lcm(ef, eg)
+    lcm = mono_lcm(ef, eg)
     fld = f.ring.field
-    mf = f.ring.monomial(tuple(l - a for l, a in zip(lcm, ef)), fld.inv(cf))
-    mg = f.ring.monomial(tuple(l - a for l, a in zip(lcm, eg)), fld.inv(cg))
+    mf = f.ring.monomial(mono_div(lcm, ef), fld.inv(cf))
+    mg = f.ring.monomial(mono_div(lcm, eg), fld.inv(cg))
     return mf * f - mg * g
 
 
@@ -134,7 +138,7 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
         basis.append(g)
         lts.append(g.leading(order)[0])
         for i in range(k):
-            lcm = _lcm(lts[i], lts[k])
+            lcm = mono_lcm(lts[i], lts[k])
             heapq.heappush(heap, (sum(lcm), order.key(lcm), i, k, lcm))
             pending.add((i, k))
 
@@ -149,11 +153,11 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
         COUNTS["pairs"] += 1
         if processed > BUCHBERGER_PAIRS:
             raise ResourceLimit(f"Buchberger pair ceiling {BUCHBERGER_PAIRS} exceeded")
-        if all(a == 0 or b == 0 for a, b in zip(lts[i], lts[j])):
+        if mono_coprime(lts[i], lts[j]):
             COUNTS["product"] += 1
             continue
         if any(
-            k != i and k != j and _divides(lt, lcm)
+            k != i and k != j and mono_divides(lt, lcm)
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
             for k, lt in enumerate(lts)
@@ -179,7 +183,7 @@ def _interreduce(ring: PolyRing, order: MonomialOrder, basis: list[Poly]) -> Gro
     keep = []
     for i, lt in enumerate(lts):
         if any(
-            j != i and _divides(lts[j], lt) and (lts[j] != lt or j < i)
+            j != i and mono_divides(lts[j], lt) and (lts[j] != lt or j < i)
             for j in range(len(basis))
         ):
             continue
@@ -232,7 +236,7 @@ def standard_monomials(basis: GroebnerBasis, cap: int | None = None) -> list[tup
     while stack:
         i, prefix = stack.pop()
         if i == n:
-            if not any(_divides(lt, prefix) for lt in basis.leading_terms):
+            if not any(mono_divides(lt, prefix) for lt in basis.leading_terms):
                 out.append(prefix)
             continue
         for e in range(bounds[i]):

@@ -8,52 +8,77 @@ variable tuple; all arithmetic stays inside one ring.
 from __future__ import annotations
 
 import re
+from operator import add, le, mul, sub
 from typing import Iterable
 
 from .errors import IncompatibleRing, UnassignedVariable, ValidationError
 from .field import FiniteField
 
 
-class MonomialOrder:
-    """Lexicographic or graded-lex order with an explicit variable precedence.
+# Exponent-tuple kernels: x^a x^b, x^a / x^b (b dividing a), whether x^a
+# divides x^b, lcm(x^a, x^b) and whether x^a and x^b share no variable
+# (Buchberger's product criterion).  Each loops at C level, by map over an
+# operator function.
 
-    ``precedence`` lists variable indices from most to least significant.
+def mono_mul(a: tuple, b: tuple) -> tuple:
+    return tuple(map(add, a, b))
+
+
+def mono_div(a: tuple, b: tuple) -> tuple:
+    return tuple(map(sub, a, b))
+
+
+def mono_divides(a: tuple, b: tuple) -> bool:
+    return all(map(le, a, b))
+
+
+def mono_lcm(a: tuple, b: tuple) -> tuple:
+    return tuple(map(max, a, b))
+
+
+def mono_coprime(a: tuple, b: tuple) -> bool:
+    return not any(map(mul, a, b))
+
+
+class MonomialOrder:
+    """Lexicographic or graded-lex order on exponent tuples.
+
+    Variables rank in ring order, the first most significant, so the lex key
+    of an exponent tuple is the tuple itself.
     """
 
-    def __init__(self, kind: str, precedence: tuple[int, ...]):
+    def __init__(self, kind: str, nvars: int):
         if kind not in ("lex", "grlex"):
             raise ValidationError(f"unknown order kind {kind!r}")
-        if sorted(precedence) != list(range(len(precedence))):
-            raise ValidationError("precedence must be a permutation of the variables")
         self.kind = kind
-        self.precedence = tuple(precedence)
+        self.nvars = nvars
+        self.graded = kind == "grlex"
 
     def key(self, exps: tuple[int, ...]):
-        core = tuple(exps[i] for i in self.precedence)
-        if self.kind == "grlex":
-            return (sum(exps),) + core
-        return core
+        if self.graded:
+            return (sum(exps),) + exps
+        return exps
 
     def __eq__(self, other):
         return (
             isinstance(other, MonomialOrder)
             and self.kind == other.kind
-            and self.precedence == other.precedence
+            and self.nvars == other.nvars
         )
 
     def __hash__(self):
-        return hash((self.kind, self.precedence))
+        return hash((self.kind, self.nvars))
 
     def __repr__(self):
-        return f"MonomialOrder({self.kind!r}, {self.precedence})"
+        return f"MonomialOrder({self.kind!r}, {self.nvars})"
 
 
 def lex_order(nvars: int) -> MonomialOrder:
-    return MonomialOrder("lex", tuple(range(nvars)))
+    return MonomialOrder("lex", nvars)
 
 
 def grlex_order(nvars: int) -> MonomialOrder:
-    return MonomialOrder("grlex", tuple(range(nvars)))
+    return MonomialOrder("grlex", nvars)
 
 
 class PolyRing:
@@ -192,7 +217,7 @@ class Poly:
                 p = mul(ca, cb)
                 if not p:
                     continue
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = mono_mul(ea, eb)
                 s = add(out.get(e, 0), p)
                 if s:
                     out[e] = s

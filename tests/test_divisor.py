@@ -33,6 +33,19 @@ def test_tpoly_mul_of_two_linear_factors(Q):
     assert tpoly_mul(Q, [one, -x], [one, -y]) == [one, -(x + y), x * y]
 
 
+def test_tpoly_mul_gives_normal_forms_of_the_schoolbook_product(Q):
+    x, y = Q.gen("x"), Q.gen("y")
+    one = Q.ring.one()
+    a = [one, x ** 3, x * y ** 2]
+    b = [one, x ** 2 + y, y ** 3, x]
+    zero = Q.ring.zero()
+    schoolbook = [sum((a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)), zero)
+                  for k in range(len(a) + len(b) - 1)]
+    prod = tpoly_mul(Q, a, b)
+    assert prod == [Q.reduce(c) for c in schoolbook]
+    assert prod[2] != schoolbook[2]  # x^3 * x^2 = x^5 vanishes in Q
+
+
 def test_degree_one_product_is_formal_sum(law, Q):
     x, y = Q.gen("x"), Q.gen("y")
     Da = divisor_from_roots(Q, law, [x])

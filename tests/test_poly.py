@@ -4,7 +4,17 @@ import pytest
 
 from chernlab.errors import IncompatibleRing, ValidationError
 from chernlab.field import GF
-from chernlab.poly import PolyRing, grlex_order, lex_order, parse_poly
+from chernlab.poly import (
+    PolyRing,
+    grlex_order,
+    lex_order,
+    mono_coprime,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    parse_poly,
+)
 
 
 @pytest.fixture
@@ -58,6 +68,59 @@ def test_orders():
     grlex = grlex_order(2)
     assert p.leading(lex)[0] == (1, 1)
     assert p.leading(grlex)[0] == (0, 3)
+
+
+def exponent_pairs(seed, count=400):
+    """Random exponent tuples over 1-4 variables, with zero and equal pairs."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = 1 + k % 4
+        a = tuple(rng.randrange(4) for _ in range(n))
+        b = tuple(rng.randrange(4) for _ in range(n))
+        yield a, b
+        yield a, a
+        yield (0,) * n, b
+
+
+def test_monomial_kernels_match_their_definitions():
+    for a, b in exponent_pairs(5):
+        n = len(a)
+        assert mono_mul(a, b) == tuple(a[i] + b[i] for i in range(n))
+        # x^a divides x^b iff b - a has no negative entry, and then x^b / x^a
+        # is the monomial whose product with x^a is x^b
+        divides = min(b[i] - a[i] for i in range(n)) >= 0
+        assert mono_divides(a, b) is divides
+        if divides:
+            assert mono_mul(mono_div(b, a), a) == b
+        # a common multiple, and lowering any one exponent loses that
+        lcm = mono_lcm(a, b)
+        assert mono_divides(a, lcm) and mono_divides(b, lcm)
+        for i in range(n):
+            if lcm[i]:
+                lower = lcm[:i] + (lcm[i] - 1,) + lcm[i + 1:]
+                assert not (mono_divides(a, lower) and mono_divides(b, lower))
+        # coprime: no variable occurs in both, i.e. lcm(a, b) = a * b
+        assert mono_coprime(a, b) is (lcm == mono_mul(a, b))
+        assert mono_coprime(a, b) is all(a[i] == 0 or b[i] == 0 for i in range(n))
+
+
+def textbook_greater(order, a, b):
+    """a > b in lex (the leftmost nonzero entry of a - b is positive) or in
+    grlex (larger total degree, ties broken by lex)."""
+    if order.kind == "grlex" and sum(a) != sum(b):
+        return sum(a) > sum(b)
+    diff = [x - y for x, y in zip(a, b) if x != y]
+    return bool(diff) and diff[0] > 0
+
+
+def test_order_keys_match_the_textbook_orders():
+    for a, b in exponent_pairs(8):
+        for order in (lex_order(len(a)), grlex_order(len(a))):
+            assert (order.key(a) > order.key(b)) is textbook_greater(order, a, b)
+            assert (order.key(a) == order.key(b)) is (a == b)
+    # lex keys are the tuples themselves; grlex keys lead with the degree
+    assert lex_order(3).key((1, 0, 2)) == (1, 0, 2)
+    assert grlex_order(3).key((1, 0, 2)) == (3, 1, 0, 2)
 
 
 def test_text_round_trip_canonical():
