@@ -16,7 +16,14 @@ import tempfile
 
 from . import acceptance
 from .cert import SCHEMA, Certificate, dumps
-from .errors import ChernlabError, ResourceLimit, SchemaError, UsageError, ValidationError
+from .errors import (
+    ChernlabError,
+    InfiniteDimensional,
+    ResourceLimit,
+    SchemaError,
+    UsageError,
+    ValidationError,
+)
 from .fgl import honda_fgl, multiplicative_fgl
 from .field import GF, is_prime
 from .groebner import buchberger, standard_monomials
@@ -101,7 +108,7 @@ def cmd_groebner(args) -> int:
         std = standard_monomials(gb)
         cert.add("standard_monomials", True,
                  {"dimension": len(std), "monomials": [list(m) for m in std]})
-    except ChernlabError as exc:
+    except InfiniteDimensional as exc:
         cert.add("standard_monomials", True, {"dimension": "infinite", "detail": str(exc)})
     return _finish(cert, args)
 

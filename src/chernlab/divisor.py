@@ -129,8 +129,8 @@ class SplitTower:
         rel = root ** m
         for k, a in enumerate(monic_coeffs, start=1):
             rel = rel + a.to_ring(new_ring) * root ** (m - k)
-        new_polys = [g.to_ring(new_ring) for g in self.ext.basis.polys] + [rel]
-        new_polys.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
+        # rel leads with root^m, above every old member: root is the first lex variable
+        new_polys = [rel] + [g.to_ring(new_ring) for g in self.ext.basis.polys]
         self.ext = QuotientRing(GroebnerBasis(new_ring, order, new_polys))
         return root
 

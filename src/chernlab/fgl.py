@@ -89,18 +89,19 @@ class FGL:
     def mul_series(self, k: int) -> dict:
         """The [k]-series, cached, by doubling and adding x.
 
-        A negative k is read as k mod p^N, p^N the least power of p that is
-        at least prec: over F_p, [p](x) starts in degree p or higher, so
-        [p^N](x) = 0 mod x^prec and [k] depends only on k mod p^N.  That
+        A k outside 0..p^N is read as k mod p^N, p^N the least power of p
+        that is at least prec: over F_p, [p](x) starts in degree p or higher,
+        so [p^N](x) = 0 mod x^prec and [k] depends only on k mod p^N.  That
         zero is checked on the same chain before it is used.
         """
-        if k < 0:
+        if k < 0 or k > self.prec:
             period = self.p
             while period < self.prec:
                 period *= self.p
-            if self.mul_series(period):
-                raise ValidationError(f"[{period}](x) is not 0 mod x^{self.prec}")
-            k %= period
+            if k < 0 or k > period:
+                if self.mul_series(period):
+                    raise ValidationError(f"[{period}](x) is not 0 mod x^{self.prec}")
+                k %= period
         if k in self._mul_cache:
             return dict(self._mul_cache[k])
         if k % 2 == 0:

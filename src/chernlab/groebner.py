@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 import os
 from itertools import combinations_with_replacement
 from operator import neg
@@ -32,23 +33,36 @@ from .poly import (
 COUNTS = {"pairs": 0, "product": 0, "chain": 0, "reduced": 0, "zero": 0}
 
 BUCHBERGER_PAIRS = 200000  # pairs one buchberger call may pop, skipped ones included
+STANDARD_MONOMIALS_CEILING = 1 << 20  # cells of the exponent box standard_monomials scans
 
 
 class GroebnerBasis:
-    """A reduced Groebner basis together with its order.
+    """A Groebner basis, or one being grown, together with its order.
 
-    Basis members are monic and sorted by descending leading term, so the
-    reduced basis of an ideal is a canonical object.
+    Members are monic and ``normal_form`` tries them in insertion order.  Only
+    the reduced basis ``buchberger`` returns is sorted, by descending leading
+    term, so that it is canonical; normal forms and assert_groebner's verdict
+    do not depend on the order.
     """
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, polys: list[Poly]):
         self.ring = ring
         self.order = order
-        self.polys = polys
-        self.leading_terms = [p.leading(order)[0] for p in polys]
-        # (leading exponent, tail terms) per member; members are monic
-        self.reducers = [(lt, [(e, c) for e, c in p.terms.items() if e != lt])
-                         for lt, p in zip(self.leading_terms, polys)]
+        self.polys: list[Poly] = []
+        self.leading_terms: list[tuple] = []
+        # (leading exponent, tail terms) per member
+        self.reducers: list[tuple] = []
+        for g in polys:
+            self.add(g)
+
+    def add(self, g: Poly) -> None:
+        """Append nonzero g, made monic."""
+        lt, lc = g.leading(self.order)
+        if lc != 1:
+            g = g.scale(self.ring.field.inv(lc))
+        self.polys.append(g)
+        self.leading_terms.append(lt)
+        self.reducers.append((lt, [(e, c) for e, c in g.terms.items() if e != lt]))
 
     def __iter__(self):
         return iter(self.polys)
@@ -128,23 +142,21 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
     for g in gens:
         if g.ring != ring:
             raise IncompatibleRing("generators in mixed rings")
-    basis: list[Poly] = []
-    lts: list[tuple] = []
+    basis = GroebnerBasis(ring, order, [])
+    lts = basis.leading_terms
     heap: list = []
     pending: set = set()
 
     def add(g: Poly) -> None:
-        k = len(basis)
-        basis.append(g)
-        lts.append(g.leading(order)[0])
+        k = len(lts)
+        basis.add(g)
         for i in range(k):
             lcm = mono_lcm(lts[i], lts[k])
             heapq.heappush(heap, (sum(lcm), order.key(lcm), i, k, lcm))
             pending.add((i, k))
 
     for g in gens:
-        add(g.monic(order))
-    view = GroebnerBasis(ring, order, basis[:])
+        add(g)
     processed = 0
     while heap:
         _, _, i, j, lcm = heapq.heappop(heap)
@@ -165,38 +177,33 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
             COUNTS["chain"] += 1
             continue
         COUNTS["reduced"] += 1
-        r = normal_form(_spoly(basis[i], basis[j], order), view)
+        r = normal_form(_spoly(basis.polys[i], basis.polys[j], order), basis)
         if r:
-            add(r.monic(order))
-            view = GroebnerBasis(ring, order, basis[:])
+            add(r)
         else:
             COUNTS["zero"] += 1
-    result = _interreduce(ring, order, basis)
+    result = _interreduce(basis)
     if os.environ.get("CHERNLAB_VERIFY_GB"):
         assert_groebner(result)
     return result
 
 
-def _interreduce(ring: PolyRing, order: MonomialOrder, basis: list[Poly]) -> GroebnerBasis:
-    # minimalize: drop members whose leading term another member divides
-    lts = [g.leading(order)[0] for g in basis]
-    keep = []
-    for i, lt in enumerate(lts):
-        if any(
-            j != i and mono_divides(lts[j], lt) and (lts[j] != lt or j < i)
-            for j in range(len(basis))
-        ):
-            continue
-        keep.append(basis[i])
-    # reduce tails against the others
-    reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        if others:
-            g = normal_form(g, GroebnerBasis(ring, order, others))
-        reduced.append(g.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
-    return GroebnerBasis(ring, order, reduced)
+def _interreduce(basis: GroebnerBasis) -> GroebnerBasis:
+    """The reduced basis of a Groebner basis's ideal, by descending leading term.
+
+    Members are taken by ascending leading term: one whose leading term a kept
+    member's divides is dropped, any other is reduced against the kept ones.
+    No later member could reduce a kept one, as a larger leading term divides
+    no smaller monomial (Cox, Little and O'Shea, IVA, section 2.7).
+    """
+    key = basis.order.key
+    reduced = GroebnerBasis(basis.ring, basis.order, [])
+    for lt, g in sorted(zip(basis.leading_terms, basis.polys), key=lambda m: key(m[0])):
+        if not any(mono_divides(kept, lt) for kept in reduced.leading_terms):
+            reduced.add(normal_form(g, reduced))
+    for members in (reduced.polys, reduced.leading_terms, reduced.reducers):
+        members.reverse()
+    return reduced
 
 
 def assert_groebner(basis: GroebnerBasis) -> None:
@@ -213,6 +220,8 @@ def standard_monomials(basis: GroebnerBasis, cap: int | None = None) -> list[tup
 
     When some variable has no pure-power leading-term bound the complement is
     infinite: raises InfiniteDimensional unless ``cap`` bounds every exponent.
+    Raises ResourceLimit when the box of exponents below the bounds has more
+    than STANDARD_MONOMIALS_CEILING cells.
     """
     ring = basis.ring
     n = ring.nvars
@@ -231,6 +240,11 @@ def standard_monomials(basis: GroebnerBasis, cap: int | None = None) -> list[tup
         elif cap is not None:
             bound = min(bound, cap)
         bounds.append(bound)
+    cells = math.prod(bounds)
+    if cells > STANDARD_MONOMIALS_CEILING:
+        raise ResourceLimit(
+            f"standard-monomial ceiling {STANDARD_MONOMIALS_CEILING} exceeded by {cells} cells"
+        )
     out = []
     stack = [(0, ())]
     while stack:
@@ -292,42 +306,29 @@ class QuotientRing:
         return len(self.std_monomials())
 
     # -- local-ring analysis -------------------------------------------------
-    def verify_local(self) -> None:
-        """Check the span of non-constant standard monomials is the unique
-        maximal ideal: each variable is nilpotent and products with basis
-        monomials have no constant term."""
-        std = self.std_monomials()
-        n = self.ring.nvars
-        dim = len(std)
-        for i in range(n):
-            x = self.ring.gen(self.ring.variables[i])
-            power = self.reduce(x)
-            steps = 0
-            while power:
-                power = self.mul(power, x)
-                steps += 1
-                if steps > dim + 1:
-                    raise NotLocal(f"variable {self.ring.variables[i]!r} is not nilpotent")
-            for m in std:
-                prod = self.mul(self.ring.monomial(m), x)
-                if prod.constant_term():
-                    raise NotLocal("maximal-ideal span is not an ideal")
-
     def socle(self) -> list[Poly]:
         """Basis of the annihilator of the maximal ideal, by exact linear algebra.
 
-        Requires a finite-dimensional local quotient; the returned normal
-        forms are sorted and normalized.  The ring is Gorenstein iff the
-        result has length one.
+        Requires a finite-dimensional local quotient, and raises NotLocal
+        unless every variable is nilpotent.  Then the quotient by the
+        variables is the field, so the non-constant standard monomials span
+        the unique maximal ideal.  The returned normal forms are sorted and
+        normalized.  The ring is Gorenstein iff the result has length one.
         """
         std = self.std_monomials()
-        self.verify_local()
         fld = self.field
         dim = len(std)
         index = {m: k for k, m in enumerate(std)}
         rows: list[list[int]] = []
         for vname in self.ring.variables:
             x = self.ring.gen(vname)
+            power = self.reduce(x)
+            for _ in range(dim):
+                if not power:
+                    break
+                power = self.mul(power, x)
+            if power:
+                raise NotLocal(f"variable {vname!r} is not nilpotent")
             cols = []
             for m in std:
                 prod = self.mul(self.ring.monomial(m), x)

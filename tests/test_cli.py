@@ -57,6 +57,23 @@ def test_groebner_subcommand(capsys):
     assert doc["clauses"][1]["witness"]["dimension"] == 4
 
 
+def test_groebner_positive_dimensional_reports_infinite(capsys):
+    code, out = run_capture(capsys, "groebner", "--q", "2", "--vars", "x,y", "--gens", "x*y")
+    assert code == 0
+    witness = json.loads(out)["clauses"][1]["witness"]
+    assert witness["dimension"] == "infinite"
+    assert witness["detail"] == "no pure power of 'x' among leading terms"
+
+
+def test_fgl_series_past_the_period(capsys):
+    # 2^520 - 1 is read mod 2^5 = 32, the least power of 2 at least prec
+    huge = run_capture(capsys, "fgl", "--p", "2", "--n", "1", "--prec", "32",
+                       "--series", str(2**520 - 1), "--format", "text")
+    small = run_capture(capsys, "fgl", "--p", "2", "--n", "1", "--prec", "32",
+                        "--series", "31", "--format", "text")
+    assert huge == small and huge[0] == 0
+
+
 def test_omega_ch_sigma3(capsys):
     code, out = run_capture(capsys, "omega", "--group", "sigma3", "--p", "3",
                             "--n", "2", "--variant", "ch")
@@ -326,6 +343,9 @@ def test_an_ingested_table_gives_the_census_without_maps(tmp_path, capsys):
     "omega --group sigma3 --p 3 --n 2 --v 3 --variant ch",
     "omega --group c2 --p 2 --n 1500",
     "omega --group c2 --p 2 --n 40 --variant dprime",
+    # standard-monomial boxes past the ceiling: 10^9 and 10^8 cells
+    "groebner --q 2 --vars x,y,z --gens x^1000;y^1000;z^1000",
+    "groebner --q 2 --vars x --gens x^100000000",
     # degree and precision ceilings of the Chern-ring presentation and the laws
     "chern --group extraspecial(5,1) --p 5 --n 1",
     "chern --group extraspecial(3,1) --p 3 --n 1",

@@ -53,11 +53,16 @@ def gens():
     return st.lists(term, min_size=1, max_size=3).map("; ".join)
 
 
+def series_k():
+    """Small k, and k far past the period p^N on either side of 0."""
+    return st.one_of(ints(-2, 3), st.sampled_from([str(2**600 + 3), str(-(2**600))]))
+
+
 ARGVS = {
     "fgl": argv(
         "fgl", "--p", word(st.sampled_from(["1", "2", "3", "4"])), "--n", word(ints(-2, 3)),
         option("--prec", st.sampled_from(["-1", "0", "2", "8"])),
-        "--series", word(ints(-2, 3)), flag("--multiplicative"),
+        "--series", word(series_k()), flag("--multiplicative"),
     ),
     "omega": argv(
         "omega", "--p", word(st.sampled_from(["2", "3"])), "--n", word(ints(-2, 3)),

@@ -126,6 +126,32 @@ def test_negative_series_cancels(make):
         assert law.add_series(law.mul_series(k), law.mul_series(-k)) == {}, k
 
 
+def _doubling_chain(law, k):
+    """[k](x) by binary doubling and adding x, without reading k mod p^N."""
+    out = {}
+    for bit in bin(k)[2:]:
+        out = law.add_series(out, out)
+        if bit == "1":
+            out = law.add_series(out, {1: 1})
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: honda_fgl(2, 1, 32), lambda: honda_fgl(3, 2, 16), lambda: multiplicative_fgl(2, 64),
+], ids=["honda-2-1-32", "honda-3-2-16", "mult-2-64"])
+def test_series_past_the_period_reads_k_mod_period(make):
+    # [k + p^N] = F([k], [p^N]) = F([k], 0) = [k] mod x^prec; a k past p^N
+    # is read mod p^N instead of walking a doubling chain of its bit length
+    law = make()
+    period = law.p
+    while period < law.prec:
+        period *= law.p
+    for k in (period, period + 1, 3 * period + 5, 2**600 + 3):
+        assert law.mul_series(k) == _doubling_chain(law, k), k
+    if law.p == 2:
+        assert law.mul_series(2**600 + 3) == law.mul_series(3)
+
+
 def test_negative_series_checks_p_power_torsion():
     # x + y + x^2 y^2 is no formal group law over F_3: [9](x) != 0 mod x^8
     law = FGL(3, 1, 8, {(1, 0): 1, (0, 1): 1, (2, 2): 1}, "test")

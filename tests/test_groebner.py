@@ -4,7 +4,7 @@ import pytest
 
 from chernlab import cli, groebner
 from chernlab.divisor import SplitTower
-from chernlab.errors import InfiniteDimensional, ResourceLimit
+from chernlab.errors import InfiniteDimensional, NotLocal, ResourceLimit
 from chernlab.field import GF
 from chernlab.groebner import (
     COUNTS,
@@ -98,6 +98,17 @@ def test_standard_monomials_infinite_reported():
     assert (2, 0) in capped and (0, 2) in capped and (1, 1) not in capped
 
 
+def test_standard_monomial_ceiling_bounds_the_box(monkeypatch):
+    ring = PolyRing(GF(2), ["x", "y"])
+    with pytest.raises(ResourceLimit, match="ceiling 1048576 exceeded by 1049600 cells"):
+        standard_monomials(gb_of(ring, ["x^1025", "y^1024"]))
+    # the box, not the count of standard monomials, is bounded
+    monkeypatch.setattr(groebner, "STANDARD_MONOMIALS_CEILING", 12)
+    assert len(standard_monomials(gb_of(ring, ["x^3", "y^4", "x*y"]))) == 6
+    with pytest.raises(ResourceLimit):
+        standard_monomials(gb_of(ring, ["x^3", "y^5", "x*y"]))
+
+
 def test_dimension_agrees_with_multiplication_closure():
     # dim = rank of the span of 1 under repeated multiplication by variables
     ring = PolyRing(GF(2), ["x", "y"])
@@ -153,6 +164,14 @@ def test_socle_non_gorenstein():
     socle = q.socle()
     assert len(socle) == 2  # both x and y annihilate the maximal ideal
     assert not q.is_gorenstein()
+
+
+def test_socle_requires_a_local_ring():
+    # x^2 = x in F_2[x]/(x^2 + x), so x is an idempotent, not nilpotent
+    ring = PolyRing(GF(2), ["x"])
+    q = QuotientRing(gb_of(ring, ["x^2 + x"]))
+    with pytest.raises(NotLocal, match="'x' is not nilpotent"):
+        q.socle()
 
 
 def test_socle_requires_finite_dimension():
@@ -256,9 +275,15 @@ def oracle_cases():
         ring = PolyRing(GF((2, 3, 4)[k % 3]), ["x", "y", "z"][: 2 + k % 2])
         order = ring.lex() if k % 4 < 2 else ring.grlex()
         yield random_ideal(rng, ring), order
+    # a repeated leading term, a leading term that divides another, a unit
+    f3 = PolyRing(GF(3), ["x", "y"])
+    yield [parse_poly(f3, t) for t in ["x^2+y", "x^2+1"]], f3.lex()
+    yield [parse_poly(f3, t) for t in ["x^2+y", "x^2", "x^3+y^2"]], f3.lex()
+    f5 = PolyRing(GF(5), ["x", "y"])
+    yield [parse_poly(f5, t) for t in ["x*y+1", "3"]], f5.lex()
 
 
-@pytest.mark.parametrize("case", range(23))
+@pytest.mark.parametrize("case", range(26))
 def test_buchberger_matches_textbook_oracle(case):
     gens, order = list(oracle_cases())[case]
     gb = buchberger(gens, order)
@@ -272,6 +297,8 @@ def test_counts_add_up_and_chain_criterion_fires():
     assert run["chain"] > 0
     assert run["pairs"] == run["product"] + run["chain"] + run["reduced"]
     assert 0 < run["zero"] <= run["reduced"]
+    # the exact counts pin the pair sequence
+    assert run == {"pairs": 325, "product": 63, "chain": 226, "reduced": 36, "zero": 13}
 
 
 def test_pair_ceiling_raises_and_exits_2(monkeypatch, capsys):
@@ -304,9 +331,9 @@ def tower_basis():
     return tower.ext.basis
 
 
-@pytest.mark.parametrize("case", range(24))
+@pytest.mark.parametrize("case", range(27))
 def test_normal_form_matches_textbook_division(case):
-    if case < 23:
+    if case < 26:
         gb = buchberger(*list(oracle_cases())[case])
     else:
         gb = tower_basis()
