@@ -49,7 +49,7 @@ from .omega import (
     enumerate_omega_dprime,
     enumerate_omega_prime,
     kappa,
-    xi_class_map,
+    xi_class_maps,
 )
 from .poly import MonomialOrder, Poly, PolyRing, parse_poly
 from .presentation import Presentation, build_presentation
@@ -115,6 +115,6 @@ __all__ = [
     "symmetrize",
     "table_from_json",
     "table_to_json",
-    "xi_class_map",
+    "xi_class_maps",
     "xspec_census",
 ]

@@ -30,7 +30,7 @@ from .omega import (
     hom_images,
     kappa,
     pointwise_signature,
-    xi_class_map,
+    xi_class_maps,
 )
 from .pipelines import (
     nonpositive_divisor_witness,
@@ -428,7 +428,7 @@ def criterion_11_properties(seed: int = 20260811) -> Certificate:
     # xi injectivity and compatibility on the small symmetric groups
     t3 = table_sigma3()
     och3 = enumerate_omega_ch(RepRing(t3), 3, 2)
-    xis = {xi_class_map(f, t3) for f in och3}
+    xis = set(xi_class_maps(och3, t3))
     cert.add("xi_injective_sigma3", len(xis) == len(och3), {})
     s4 = model_symmetric(4)
     t4 = table_sigma4()
@@ -436,9 +436,8 @@ def criterion_11_properties(seed: int = 20260811) -> Certificate:
     star = Theta(2, 2, 2)
     cert.add_cases(
         "xi_after_kappa_is_canonical",
-        zip(om4, kappa(t4, om4, 2, 2)),
-        lambda case: xi_class_map(case[1], t4)
-        == pointwise_signature(s4, case[0], star),
+        zip(om4, xi_class_maps(kappa(t4, om4, 2, 2), t4)),
+        lambda case: case[1] == pointwise_signature(s4, case[0], star),
     )
     return cert
 

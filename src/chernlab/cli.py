@@ -18,6 +18,7 @@ from . import acceptance
 from .cert import SCHEMA, Certificate, dumps
 from .errors import (
     ChernlabError,
+    DegreeCeiling,
     InfiniteDimensional,
     ResourceLimit,
     SchemaError,
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .fgl import honda_fgl, multiplicative_fgl
 from .field import GF, is_prime
-from .groebner import buchberger, standard_monomials
+from .groebner import GENERATOR_DEGREE_CEILING, buchberger, standard_monomials
 from .groups import builtin_model
 from .omega import (
     enumerate_omega,
@@ -34,7 +35,7 @@ from .omega import (
     enumerate_omega_dprime,
     enumerate_omega_prime,
     kappa,
-    xi_class_map,
+    xi_class_maps,
 )
 from .pipelines import nonpositive_divisor_witness, sdiv_checks, sigma4_pipeline
 from .poly import PolyRing, grlex_order, lex_order, parse_poly
@@ -98,6 +99,11 @@ def cmd_groebner(args) -> int:
     ring = PolyRing(field, names)
     order = lex_order(ring.nvars) if args.order == "lex" else grlex_order(ring.nvars)
     gens = [parse_poly(ring, g) for g in args.gens.split(";") if g.strip()]
+    for g in gens:
+        degree = max(map(sum, g.terms), default=0)
+        if degree > GENERATOR_DEGREE_CEILING:
+            raise DegreeCeiling(
+                f"generator degree {degree} exceeds ceiling {GENERATOR_DEGREE_CEILING}")
     gb = buchberger(gens, order)
     cert = Certificate(
         "groebner",
@@ -121,15 +127,20 @@ def cmd_omega(args) -> int:
     )
     if args.variant == "ch":
         ring = _table_or_builtin(args)
+        model = ring.table.model
+        # kappa first: it refuses a --v past the p-part of the exponent
+        # before any search runs
+        if model is not None:
+            images = kappa(ring.table, enumerate_omega(model, args.p, args.n),
+                           args.p, args.n, args.v)
         och = enumerate_omega_ch(ring, args.p, args.n, args.v)
         witness = {"count": len(och),
                    "representatives": [e.text() for e in och]}
-        if ring.table.model is not None:
-            om = enumerate_omega(ring.table.model, args.p, args.n)
+        if model is not None:
             position = {e: i for i, e in enumerate(och)}
             witness["maps"] = {
-                "kappa": [position[e] for e in kappa(ring.table, om, args.p, args.n, args.v)],
-                "xi": [list(xi_class_map(e, ring.table)) for e in och],
+                "kappa": [position[e] for e in images],
+                "xi": list(map(list, xi_class_maps(och, ring.table))),
             }
         cert.add("census", True, witness)
         return _finish(cert, args)

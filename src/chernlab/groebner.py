@@ -34,6 +34,7 @@ COUNTS = {"pairs": 0, "product": 0, "chain": 0, "reduced": 0, "zero": 0}
 
 BUCHBERGER_PAIRS = 200000  # pairs one buchberger call may pop, skipped ones included
 STANDARD_MONOMIALS_CEILING = 1 << 20  # cells of the exponent box standard_monomials scans
+GENERATOR_DEGREE_CEILING = 64  # total degree of a generator the groebner command takes
 
 
 class GroebnerBasis:
@@ -218,13 +219,17 @@ def assert_groebner(basis: GroebnerBasis) -> None:
 def standard_monomials(basis: GroebnerBasis, cap: int | None = None) -> list[tuple[int, ...]]:
     """Monomials not divisible by any leading term, sorted ascending.
 
-    When some variable has no pure-power leading-term bound the complement is
-    infinite: raises InfiniteDimensional unless ``cap`` bounds every exponent.
-    Raises ResourceLimit when the box of exponents below the bounds has more
-    than STANDARD_MONOMIALS_CEILING cells.
+    A constant leading term (the unit ideal) divides every monomial, so
+    there are none.  Otherwise, when some variable has no pure-power
+    leading-term bound the complement is infinite: raises
+    InfiniteDimensional unless ``cap`` bounds every exponent.  Raises
+    ResourceLimit when the box of exponents below the bounds has more than
+    STANDARD_MONOMIALS_CEILING cells.
     """
     ring = basis.ring
     n = ring.nvars
+    if not all(map(any, basis.leading_terms)):
+        return []
     bounds = []
     for i in range(n):
         bound = None

@@ -26,10 +26,10 @@ class Theta:
     order.  A lattice of more than THETA_POINTS_CEILING points, or whose
     modulus p^v may have more bits than that, is refused here.  The point
     list and every table of |Theta| entries derived from it (the translation
-    and scaling rows of the index arithmetic, and the Fourier pair's
-    transforms) are built on first use and kept on the Theta, one dict per
-    kind of table; a kind that holds ENTRIES_KEPT point entries is emptied
-    before it takes another table.
+    and scaling rows of the index arithmetic, the pairing rows, and the
+    Fourier pair's transforms) are built on first use and kept on the
+    Theta, one dict per kind of table; a kind that holds ENTRIES_KEPT point
+    entries is emptied before it takes another table.
     """
 
     def __init__(self, p: int, v: int, n: int):
@@ -48,11 +48,12 @@ class Theta:
         self.size = self.modulus ** n
         self._points = None
         self._indices: tuple[int, ...] = ()
-        # the kinds of table: index rows by point and by multiplier, and by
-        # (e, function) the transform of a count vector and the checked
-        # count vector of a row of values in Z[zeta_e]
+        # the kinds of table: index rows by point and by multiplier, pairing
+        # rows by point, and by (e, function) the transform of a count vector
+        # and the checked count vector of a row of values in Z[zeta_e]
         self._shifts: dict = {}
         self._scales: dict = {}
+        self._pairings: dict = {}
         self._forward: dict = {}
         self._inverse: dict = {}
 
@@ -124,6 +125,19 @@ class Theta:
             # one column per coordinate, so at n = 0 no residue is listed (p^v may be huge there)
             row = self._keep(self._scales, k, self._index_row(
                 [k * y % m for y in range(m)] for _ in range(self.n)))
+        return row
+
+    def pairing(self, i: int) -> tuple[int, ...]:
+        """The pairing with point i: pairing(i)[j] is <pts[j], pts[i]> mod
+        p^v, built one coordinate per pass."""
+        row = self._pairings.get(i)
+        if row is None:
+            m = self.modulus
+            out = [0]
+            for x in self.points()[i]:
+                column = [y * x % m for y in range(m)]
+                out = [(s + d) % m for s in out for d in column]
+            row = self._keep(self._pairings, i, tuple(out))
         return row
 
     def __eq__(self, other):

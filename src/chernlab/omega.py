@@ -306,7 +306,15 @@ def enumerate_omega_ch(
     side's memoised count vector as it is.  Every participant is assigned
     by a leaf, so every relation's count reaches 0 on every path and settle
     has checked it or solved it, and a solved relation holds by
-    construction: at a leaf every relation holds.  Adds to COUNTS.
+    construction: at a leaf every relation holds.
+
+    A branch on D_k of dimension d > 1 is pinned by its determinant: when
+    lambda^d(D_k) = D_l, one linear D_l with c = 1, and D_l is assigned
+    (the linear characters come first), lambda^d of d points is the one
+    point at their sum, so only the first d - 1 points are enumerated and
+    the last is pt(D_l) minus their sum, kept when it is not below them
+    so that each multiset is made once.  settle still checks that
+    relation.  Adds to COUNTS.
     """
     table = ring.table
     if v is None:
@@ -326,6 +334,11 @@ def enumerate_omega_ch(
         one = terms[0][0] if len(terms) == 1 and terms[0][1] == 1 else None
         relations.append((i, j, r, terms, one))
     participants = [sorted({i, j} | {k for k, _ in terms}) for i, j, _, terms, _ in relations]
+    # det_of[k]: the linear D_l with lambda^{dims[k]}(D_k) = D_l, else None
+    det_of: list = [None] * h
+    for i, _, r, _, one in relations:
+        if r == dims[i] > 1 and one is not None and dims[one] == 1:
+            det_of[i] = one
     watch: list[list[int]] = [[] for _ in range(h)]
     for rel, parts in enumerate(participants):
         for x in parts:
@@ -401,6 +414,25 @@ def enumerate_omega_ch(
             assign(values, left, queue, k, LatticeDivisor.of_vec(theta, solved))
         return True
 
+    def branches(values, k):
+        """The point multisets to try for D_k, in lexicographic order."""
+        d, l = dims[k], det_of[k]
+        if l is None or values[l] is None:
+            return combinations_with_replacement(range(size), d)
+        # the last point is pt(D_l) - sum(head): translate by pt(D_l) the
+        # negative of the head's sum, walked along the shift rows
+        shift, neg = theta.shift, theta.scaling(-1)
+        to_det = shift(values[l].vec.index(1))
+        out = []
+        for head in combinations_with_replacement(range(size), d - 1):
+            total = head[0]
+            for x in head[1:]:
+                total = shift(x)[total]
+            last = to_det[neg[total]]
+            if last >= head[-1]:
+                out.append(head + (last,))
+        return out
+
     results: list[OmegaChElem] = []
     nodes = 0
 
@@ -417,7 +449,7 @@ def enumerate_omega_ch(
         if k is None:
             results.append(OmegaChElem(values))
             return
-        for combo in combinations_with_replacement(range(size), dims[k]):
+        for combo in branches(values, k):
             vec = [0] * size
             for x in combo:
                 vec[x] += 1
@@ -433,30 +465,67 @@ def enumerate_omega_ch(
     return sorted(set(results), key=OmegaChElem.sort_key)
 
 
-def xi_class_map(f: OmegaChElem, table: CharacterTable) -> tuple[int, ...]:
-    """The class-valued map a -> [h] with chi_V(h) = sum_x mult(x) zeta^{<a,x>},
-    h a p-power class of table.model's group, p that of f's Theta.
+def xi_class_maps(elems: list[OmegaChElem], table: CharacterTable) -> list[tuple[int, ...]]:
+    """For each element f, the class-valued map a -> [h] with
+    chi_V(h) = sum_x mult(x) zeta^{<a,x>}, h a p-power class of table.model's
+    group, p that of the elements' one Theta.
 
-    Uniqueness of h and Z-equivariance of the result are asserted.  A table
+    The class lookup, the power maps and the scaling rows are built once per
+    call.  A divisor that is one point x of multiplicity 1 is read off as
+    the roots w^{<a,x>} along Theta.pairing, w = zeta_e^{e/p^v}; every other
+    divisor goes through fourier.  Uniqueness of h and Z-equivariance of
+    each result (for every multiplier k < p^v) are asserted.  A table
     without a group model (an ingested one) raises ValidationError.
     """
     model = table.model
     if model is None:
         raise ValidationError(f"the table {table.name} has no group model")
-    theta = f.divisors[0].theta
-    values = fourier(theta, table.cyclo, f.divisors)
-    # the p-power classes by their column of character values
+    if not elems:
+        return []
+    theta = elems[0].divisors[0].theta
+    cy, m = table.cyclo, theta.modulus
+    if cy.e % m:
+        raise ValidationError(f"p^{theta.v} does not divide the exponent {cy.e}")
+    roots = [cy.root_power(y * (cy.e // m)) for y in range(m)]
+    # the p-power classes by their column of character values, and the
+    # columns that name exactly one
     classes_of: dict = {}
     for c in model.p_power_class_indices(theta.p):
         classes_of.setdefault(tuple(row[c] for row in table.rows), []).append(c)
+    unique = {column: cs[0] for column, cs in classes_of.items() if len(cs) == 1}
+    equivariance = [(theta.scaling(k), table.power_map(k)) for k in range(m)]
+    pts = theta.points()
+    point_values: dict[int, list] = {}
     out = []
-    for a, column in zip(theta.points(), zip(*values)):
-        matches = classes_of.get(column, [])
-        if len(matches) != 1:
-            raise NoMatchingClass(f"{len(matches)} classes match at {a}")
-        out.append(matches[0])
-    result = tuple(out)
-    for k in range(theta.modulus):
-        if any(result[j] != model.class_power(c, k) for c, j in zip(result, theta.scaling(k))):
-            raise NoMatchingClass("xi image is not Z-equivariant")
-    return result
+    for f in elems:
+        if any(d.theta != theta for d in f.divisors):
+            raise ValidationError("mixed lattice parameters")
+        values = [None] * len(f.divisors)
+        others = []
+        for i, d in enumerate(f.divisors):
+            if d.dim() == 1:
+                x = d.vec.index(1)
+                row = point_values.get(x)
+                if row is None:
+                    row = point_values[x] = list(map(roots.__getitem__, theta.pairing(x)))
+                values[i] = row
+            else:
+                others.append(i)
+        if others:
+            for i, row in zip(others, fourier(theta, cy, [f.divisors[i] for i in others])):
+                values[i] = row
+        columns = list(zip(*values))
+        result = list(map(unique.get, columns))
+        if None in result:
+            a = result.index(None)
+            matches = len(classes_of.get(columns[a], ()))
+            raise NoMatchingClass(f"{matches} classes match at {pts[a]}")
+        for row, power in equivariance:
+            if list(map(result.__getitem__, row)) != list(map(power.__getitem__, result)):
+                raise NoMatchingClass("xi image is not Z-equivariant")
+        out.append(tuple(result))
+    return out
+
+
+# the name perfbench's tracer wraps as the omega.xi_class_map span
+xi_class_map = xi_class_maps

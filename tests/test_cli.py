@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from chernlab import cli
 from chernlab.cli import COMMANDS, build_parser, run
 
 
@@ -63,6 +64,16 @@ def test_groebner_positive_dimensional_reports_infinite(capsys):
     witness = json.loads(out)["clauses"][1]["witness"]
     assert witness["dimension"] == "infinite"
     assert witness["detail"] == "no pure power of 'x' among leading terms"
+
+
+def test_groebner_unit_ideal_has_dimension_zero(capsys):
+    # x*y + 1 and the unit 3 generate the whole ring: no standard monomials
+    code, out = run_capture(capsys, "groebner", "--q", "5", "--vars", "x,y",
+                            "--gens", "x*y+1;3")
+    assert code == 0
+    clauses = json.loads(out)["clauses"]
+    assert clauses[0]["witness"] == {"basis": ["1"]}
+    assert clauses[1]["witness"] == {"dimension": 0, "monomials": []}
 
 
 def test_fgl_series_past_the_period(capsys):
@@ -300,6 +311,36 @@ def test_large_model_certificates_are_pinned(capsys, argv):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LARGE_MODEL_PINNED[argv]
 
 
+# the determinant pin keeps these under the OmegaCh node ceiling
+@pytest.mark.parametrize("argv,count", [
+    ("omega --group d8 --p 2 --n 3 --variant ch", 92),
+    ("omega --group extraspecial(3,1) --p 3 --n 2 --variant ch", 105),
+])
+def test_censuses_once_past_the_node_ceiling_pass(capsys, argv, count):
+    code, out = run_capture(capsys, *argv.split())
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "pass" and doc["clauses"][0]["witness"]["count"] == count
+
+
+def test_an_abelian_census_at_n3_is_pinned(capsys):
+    # xi reads every divisor of this census off a pairing row
+    code, out = run_capture(capsys, *"omega --group c4 --p 2 --n 3 --variant ch".split())
+    assert code == 0
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == "41a3da18755d29f406f001aea37563089630f57a00d7185cc47bbac4bb61bfa2")
+
+
+def test_a_bad_v_is_refused_before_the_search(capsys, monkeypatch):
+    def no_search(*args):
+        raise AssertionError("the OmegaCh search ran")
+
+    monkeypatch.setattr(cli, "enumerate_omega_ch", no_search)
+    code = run("omega --group sigma3 --p 3 --n 2 --v 3 --variant ch".split())
+    assert code == 2
+    assert capsys.readouterr().err == "error: group exponent not divisible by p^v\n"
+
+
 def test_an_ingested_table_gives_the_census_without_maps(tmp_path, capsys):
     path = tmp_path / "sigma4.json"
     assert run(["export-table", "--group", "sigma4", "--out", str(path)]) == 0
@@ -340,12 +381,16 @@ def test_an_ingested_table_gives_the_census_without_maps(tmp_path, capsys):
     # lattices too large to search: a ResourceLimit, not a hang or a RecursionError
     "omega --group c8 --p 2 --n 2 --variant dprime",
     "omega --group trivial --p 3 --n 3 --v 3 --variant dprime",
+    # a --v past the p-part of the exponent, refused by kappa before the search
     "omega --group sigma3 --p 3 --n 2 --v 3 --variant ch",
     "omega --group c2 --p 2 --n 1500",
     "omega --group c2 --p 2 --n 40 --variant dprime",
-    # standard-monomial boxes past the ceiling: 10^9 and 10^8 cells
+    # a standard-monomial box past the ceiling: 64^4 cells
+    "groebner --q 2 --vars x,y,z,w --gens x^64;y^64;z^64;w^64",
+    # generators past the degree ceiling, refused before any reduction
     "groebner --q 2 --vars x,y,z --gens x^1000;y^1000;z^1000",
     "groebner --q 2 --vars x --gens x^100000000",
+    "groebner --q 2 --vars x --gens x^10000000+1;x^2+x",
     # degree and precision ceilings of the Chern-ring presentation and the laws
     "chern --group extraspecial(5,1) --p 5 --n 1",
     "chern --group extraspecial(3,1) --p 3 --n 1",

@@ -89,6 +89,17 @@ def test_standard_monomials_trivial():
     assert standard_monomials(gb) == [(0,)]
 
 
+def test_standard_monomials_of_the_unit_ideal():
+    # a constant leading term divides every monomial, though no pure power bounds x or y
+    ring = PolyRing(GF(5), ["x", "y"])
+    gb = gb_of(ring, ["x*y+1", "3"])
+    assert gb.leading_terms == [(0, 0)]
+    assert standard_monomials(gb) == [] and standard_monomials(gb, cap=3) == []
+    # the zero ring: no basis, every variable is 0, so nilpotent, and the socle is 0
+    zero = QuotientRing(gb)
+    assert zero.dimension() == 0 and zero.socle() == [] and not zero.is_gorenstein()
+
+
 def test_standard_monomials_infinite_reported():
     ring = PolyRing(GF(2), ["x", "y"])
     gb = gb_of(ring, ["x*y"])
@@ -310,6 +321,15 @@ def test_pair_ceiling_raises_and_exits_2(monkeypatch, capsys):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: Buchberger pair ceiling 5")
     assert captured.err.count("\n") == 1
+
+
+def test_generator_degree_ceiling_is_inclusive(monkeypatch, capsys):
+    # the total degree of each generator, x^2*y being 3, is bounded
+    monkeypatch.setattr(cli, "GENERATOR_DEGREE_CEILING", 3)
+    assert cli.run(["groebner", "--q", "2", "--vars", "x,y", "--gens", "x^2*y+1;y^2"]) == 0
+    capsys.readouterr()
+    assert cli.run(["groebner", "--q", "2", "--vars", "x,y", "--gens", "x^2*y^2+1;y"]) == 2
+    assert capsys.readouterr().err == "error: generator degree 4 exceeds ceiling 3\n"
 
 
 def random_poly(rng, ring, terms=6, deg=6):

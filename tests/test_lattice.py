@@ -350,6 +350,21 @@ def test_transform_matches_the_pairing_sum(p, v, n, e, sign):
 
 
 @pytest.mark.parametrize("p,v,n,e", FOURIER_SHAPES)
+def test_pairing_rows_match_the_pairing_sum(p, v, n, e):
+    # a point's transform is the root of unity w^<a,x> at each a, whose
+    # exponent the pairing row holds
+    th = Theta(p, v, n)
+    cy = Cyclo(e)
+    pts = th.points()
+    for i, x in enumerate(pts):
+        row = th.pairing(i)
+        assert row == tuple(sum(a * b for a, b in zip(y, x)) % th.modulus for y in pts)
+        assert th.pairing(i) is row
+        assert fourier(th, cy, [LatticeDivisor(th, [x])])[0] == [
+            cy.root_power(k * (e // th.modulus)) for k in row]
+
+
+@pytest.mark.parametrize("p,v,n,e", FOURIER_SHAPES)
 def test_fourier_pair_matches_the_pairing_sum(p, v, n, e):
     th = Theta(p, v, n)
     cy = Cyclo(e)

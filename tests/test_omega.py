@@ -16,7 +16,7 @@ from chernlab.groups import (
     model_trivial,
     p_part_exponent,
 )
-from chernlab.lattice import LatticeDivisor, Theta, fourier_inverse
+from chernlab.lattice import LatticeDivisor, Theta, fourier, fourier_inverse
 from chernlab.omega import (
     OmegaChElem,
     enumerate_omega,
@@ -26,7 +26,7 @@ from chernlab.omega import (
     hom_images,
     kappa,
     pointwise_signature,
-    xi_class_map,
+    xi_class_maps,
 )
 from chernlab.repring import (
     RepRing,
@@ -285,8 +285,12 @@ def test_omega_dprime_visit_count_pinned(group, p, n, visits):
 
 def test_xi_injective_on_sigma3(s3_ring):
     och = enumerate_omega_ch(s3_ring, 3, 2)
-    images = {xi_class_map(f, s3_ring.table) for f in och}
+    images = set(xi_class_maps(och, s3_ring.table))
     assert len(images) == len(och)
+
+
+def test_xi_of_no_elements_is_empty(s4_ring):
+    assert xi_class_maps([], s4_ring.table) == []
 
 
 def test_kappa_and_xi_need_the_tables_group_model(s4_ring):
@@ -297,19 +301,62 @@ def test_kappa_and_xi_need_the_tables_group_model(s4_ring):
     om = enumerate_omega(model, 2, 2)
     with pytest.raises(ValidationError, match="no group model"):
         kappa(ingested, om, 2, 2)
-    [f] = kappa(s4_ring.table, om[:1], 2, 2)
+    census = kappa(s4_ring.table, om[:1], 2, 2)
     with pytest.raises(ValidationError, match="no group model"):
-        xi_class_map(f, ingested)
+        xi_class_maps(census, ingested)
 
 
 def test_xi_after_kappa_is_canonical_map(s4_ring):
     model = model_symmetric(4)
     om = enumerate_omega(model, 2, 2)
     theta = Theta(2, 2, 2)
-    for rep, f in zip(om, kappa(s4_ring.table, om, 2, 2)):
-        assert xi_class_map(f, s4_ring.table) == pointwise_signature(
-            model, rep, theta
-        )
+    images = xi_class_maps(kappa(s4_ring.table, om, 2, 2), s4_ring.table)
+    assert images == [pointwise_signature(model, rep, theta) for rep in om]
+
+
+# -- oracle: every divisor through the forward transform -------------------------
+# xi once sent every divisor of each element through fourier, one element
+# per call; that map is kept as the oracle for the point read-off.
+
+def xi_oracle(f, table):
+    model = table.model
+    theta = f.divisors[0].theta
+    classes_of: dict = {}
+    for c in model.p_power_class_indices(theta.p):
+        classes_of.setdefault(tuple(row[c] for row in table.rows), []).append(c)
+    result = []
+    for column in zip(*fourier(theta, table.cyclo, f.divisors)):
+        [c] = classes_of[column]
+        result.append(c)
+    for k in range(theta.modulus):
+        assert all(result[j] == model.class_power(c, k)
+                   for c, j in zip(result, theta.scaling(k)))
+    return tuple(result)
+
+
+@pytest.mark.parametrize("group,p", [("sigma4", 2), ("d8", 2), ("c2xc4", 2), ("c3xc3", 3)])
+def test_xi_matches_the_all_transform_oracle(group, p):
+    ring = RepRing(builtin_group(group))
+    och = enumerate_omega_ch(ring, p, 2)
+    assert len(och) > 1
+    assert xi_class_maps(och, ring.table) == [xi_oracle(f, ring.table) for f in och]
+
+
+def test_xi_of_an_abelian_census_transforms_nothing():
+    # every divisor of an abelian census is one point, read off its pairing row
+    ring = RepRing(builtin_group("c2xc4"))
+    och = enumerate_omega_ch(ring, 2, 2)
+    before = lattice.COUNTS["transforms"]
+    xi_class_maps(och, ring.table)
+    assert lattice.COUNTS["transforms"] == before
+
+
+def test_xi_rejects_elements_over_two_lattices_or_past_the_exponent(s3_ring):
+    wide = enumerate_omega_ch(s3_ring, 3, 1, v=2)  # 9 does not divide |sigma3|'s exponent 6
+    with pytest.raises(ValidationError, match="mixed lattice"):
+        xi_class_maps(enumerate_omega_ch(s3_ring, 3, 1)[:1] + wide[:1], s3_ring.table)
+    with pytest.raises(ValidationError, match="p\\^2 does not divide the exponent 6"):
+        xi_class_maps(wide, s3_ring.table)
 
 
 # -- oracle: one point's image as a product of powers ---------------------------
@@ -379,7 +426,7 @@ def test_abelian_identification():
 # counts depend only on the search order of the branching divisors; the
 # values forced and the nodes pruned are pinned as well
 NODES = [("c2xc4", 2, 273, 224, 192), ("c3xc6", 3, 91, 927, 0),
-         ("sigma4", 2, 3825, 204, 3799), ("d8", 2, 2257, 16, 2214),
+         ("sigma4", 2, 261, 204, 235), ("d8", 2, 241, 16, 198),
          ("c3xc3", 3, 91, 414, 0)]
 
 
@@ -414,9 +461,10 @@ def omega_ch_brute(ring, p, n):
 
 # no leaf of the search re-checks the relations: every relation is checked
 # or solved on each path before its leaf, so the search finds exactly the
-# assignments that satisfy them all
+# assignments that satisfy them all; sigma4's 2- and 3-dimensional
+# irreducibles branch on all but their last point, which their determinant fixes
 BRUTE = [("c2xc2", 2, 1), ("c3", 3, 2), ("sigma3", 3, 1), ("sigma3", 2, 2), ("d8", 2, 1),
-         ("c4", 2, 1), ("c6", 2, 1)]
+         ("c4", 2, 1), ("c6", 2, 1), ("sigma4", 2, 1), ("sigma4", 3, 1)]
 
 
 @pytest.mark.parametrize("group,p,n", BRUTE, ids=[f"{g}-{p}-{n}" for g, p, n in BRUTE])
