@@ -5,8 +5,9 @@ from __future__ import annotations
 import heapq
 import math
 import os
+import struct
 from itertools import combinations_with_replacement
-from operator import neg
+from operator import itemgetter
 
 from .errors import (
     IncompatibleRing,
@@ -23,7 +24,6 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 
@@ -35,6 +35,12 @@ COUNTS = {"pairs": 0, "product": 0, "chain": 0, "reduced": 0, "zero": 0}
 BUCHBERGER_PAIRS = 200000  # pairs one buchberger call may pop, skipped ones included
 STANDARD_MONOMIALS_CEILING = 1 << 20  # cells of the exponent box standard_monomials scans
 GENERATOR_DEGREE_CEILING = 64  # total degree of a generator the groebner command takes
+EXPONENT_BITS = 32  # width of one packed-key field, its guard bit included
+EXPONENT_CEILING = (1 << (EXPONENT_BITS - 1)) - 1  # largest exponent or degree a field holds
+
+
+def _ceiling_exceeded() -> ResourceLimit:
+    return ResourceLimit(f"an exponent or degree exceeds the packed-key ceiling {EXPONENT_CEILING}")
 
 
 class GroebnerBasis:
@@ -44,26 +50,61 @@ class GroebnerBasis:
     the reduced basis ``buchberger`` returns is sorted, by descending leading
     term, so that it is canonical; normal forms and assert_groebner's verdict
     do not depend on the order.
+
+    Beside each member's leading exponent tuple the basis keeps its leading
+    term and tail as packed keys (Monagan and Pearce, J. Symbolic Comput. 46
+    (2011)): one field of EXPONENT_BITS bits per variable, the first variable
+    most significant, under a total-degree field for grlex, so integer order
+    is the monomial order.  The top bit of every field, ``guard``, stays
+    clear: x^a divides x^b iff ``not (b - a) & guard``, and x^a x^b is a + b.
     """
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, polys: list[Poly]):
         self.ring = ring
         self.order = order
+        fields = ring.nvars + order.graded
+        self._struct = struct.Struct(f">{fields}I")  # "I": one unsigned 32-bit field
+        self.guard = sum(1 << (EXPONENT_BITS * k + EXPONENT_BITS - 1) for k in range(fields))
         self.polys: list[Poly] = []
         self.leading_terms: list[tuple] = []
-        # (leading exponent, tail terms) per member
+        self.packed_leading_terms: list[int] = []
+        # (packed leading term, [(packed tail term, coefficient)]) per member
         self.reducers: list[tuple] = []
         for g in polys:
             self.add(g)
+
+    def pack(self, e: tuple) -> int:
+        """The packed key of exponent tuple e.
+
+        Raises ResourceLimit when an exponent, or for grlex the degree,
+        exceeds EXPONENT_CEILING.
+        """
+        pack_fields = self._struct.pack
+        try:
+            m = int.from_bytes(pack_fields(sum(e), *e) if self.order.graded
+                               else pack_fields(*e), "big")
+        except struct.error:  # a field too large for EXPONENT_BITS
+            raise _ceiling_exceeded() from None
+        if m & self.guard:
+            raise _ceiling_exceeded()
+        return m
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        """The exponent tuple of packed key m."""
+        fields = self._struct.unpack(m.to_bytes(self._struct.size, "big"))
+        return fields[1:] if self.order.graded else fields
 
     def add(self, g: Poly) -> None:
         """Append nonzero g, made monic."""
         lt, lc = g.leading(self.order)
         if lc != 1:
             g = g.scale(self.ring.field.inv(lc))
+        pack = self.pack
+        packed_lt = pack(lt)
         self.polys.append(g)
         self.leading_terms.append(lt)
-        self.reducers.append((lt, [(e, c) for e, c in g.terms.items() if e != lt]))
+        self.packed_leading_terms.append(packed_lt)
+        self.reducers.append((packed_lt, [(pack(e), c) for e, c in g.terms.items() if e != lt]))
 
     def __iter__(self):
         return iter(self.polys)
@@ -78,41 +119,49 @@ class GroebnerBasis:
 def normal_form(p: Poly, basis: GroebnerBasis) -> Poly:
     """Full reduction: no monomial of the result is divisible by a leading term.
 
-    The work terms sit in a max-heap of order keys.  Every term a reduction
-    step adds lies below the term it reduces, so each monomial enters the heap
-    once; a cancelled term keeps a zero coefficient and is skipped when popped.
+    p's terms are packed once (see GroebnerBasis) and only the remainder's
+    are unpacked.  The work terms sit in a heap of negated packed keys, so
+    the largest pops first.  Every term a reduction step adds lies below the
+    term it reduces, so each monomial enters the heap once; a cancelled term
+    keeps a zero coefficient and is skipped when popped.  Members are tried
+    in insertion order.  Raises ResourceLimit when a term's exponent or
+    degree would exceed EXPONENT_CEILING, which shows as a guard bit.
     """
     if p.ring != basis.ring:
         raise IncompatibleRing("polynomial not in the basis ring")
-    key = basis.order.key
     fld = p.ring.field
     fsub, fmul = fld.sub, fld.mul
     heappop, heappush = heapq.heappop, heapq.heappush
+    guard = basis.guard
+    pack = basis.pack
     remainder: dict = {}
-    work = dict(p.terms)
-    heap = [(tuple(map(neg, key(e))), e) for e in work]
+    work = {pack(e): c for e, c in p.terms.items()}
+    heap = [-m for m in work]
     heapq.heapify(heap)
     reducers = basis.reducers
     while heap:
-        e = heappop(heap)[1]
-        c = work.pop(e)
+        m = -heappop(heap)
+        c = work.pop(m)
         if not c:
             continue
         for lt, tail in reducers:
-            if mono_divides(lt, e):
-                shift = mono_div(e, lt)
+            shift = m - lt
+            if not shift & guard:
                 # subtract c * x^shift * g; g is monic
                 for ge, gc in tail:
-                    me = mono_mul(ge, shift)
+                    me = ge + shift
                     old = work.get(me)
                     if old is None:
+                        if me & guard:
+                            raise _ceiling_exceeded()
                         old = 0
-                        heappush(heap, (tuple(map(neg, key(me))), me))
+                        heappush(heap, -me)
                     work[me] = fsub(old, fmul(c, gc))
                 break
         else:
-            remainder[e] = c
-    return Poly(p.ring, remainder)
+            remainder[m] = c
+    unpack = basis.unpack
+    return Poly(p.ring, {unpack(m): c for m, c in remainder.items()})
 
 
 def _spoly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
@@ -128,7 +177,7 @@ def _spoly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
 def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
     """Reduced Groebner basis; normal pair strategy, deterministic output.
 
-    Pending pairs sit in a heap keyed by (deg lcm, order key of lcm, i, j).  A
+    Pending pairs sit in a heap keyed by (deg lcm, packed lcm, i, j).  A
     popped pair is skipped when its leading terms are coprime (product
     criterion) or when some other member's leading term divides their lcm and
     neither pair with that member is still pending (chain criterion; Gebauer
@@ -145,6 +194,8 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
             raise IncompatibleRing("generators in mixed rings")
     basis = GroebnerBasis(ring, order, [])
     lts = basis.leading_terms
+    packed_lts = basis.packed_leading_terms
+    guard = basis.guard
     heap: list = []
     pending: set = set()
 
@@ -153,14 +204,14 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
         basis.add(g)
         for i in range(k):
             lcm = mono_lcm(lts[i], lts[k])
-            heapq.heappush(heap, (sum(lcm), order.key(lcm), i, k, lcm))
+            heapq.heappush(heap, (sum(lcm), basis.pack(lcm), i, k))
             pending.add((i, k))
 
     for g in gens:
         add(g)
     processed = 0
     while heap:
-        _, _, i, j, lcm = heapq.heappop(heap)
+        _, lcm, i, j = heapq.heappop(heap)
         pending.discard((i, j))
         processed += 1
         COUNTS["pairs"] += 1
@@ -170,10 +221,10 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
             COUNTS["product"] += 1
             continue
         if any(
-            k != i and k != j and mono_divides(lt, lcm)
+            k != i and k != j and not (lcm - lt) & guard
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
-            for k, lt in enumerate(lts)
+            for k, lt in enumerate(packed_lts)
         ):
             COUNTS["chain"] += 1
             continue
@@ -197,12 +248,14 @@ def _interreduce(basis: GroebnerBasis) -> GroebnerBasis:
     No later member could reduce a kept one, as a larger leading term divides
     no smaller monomial (Cox, Little and O'Shea, IVA, section 2.7).
     """
-    key = basis.order.key
+    guard = basis.guard
     reduced = GroebnerBasis(basis.ring, basis.order, [])
-    for lt, g in sorted(zip(basis.leading_terms, basis.polys), key=lambda m: key(m[0])):
-        if not any(mono_divides(kept, lt) for kept in reduced.leading_terms):
+    ascending = sorted(zip(basis.packed_leading_terms, basis.polys), key=itemgetter(0))
+    for lt, g in ascending:
+        if not any(not (lt - kept) & guard for kept in reduced.packed_leading_terms):
             reduced.add(normal_form(g, reduced))
-    for members in (reduced.polys, reduced.leading_terms, reduced.reducers):
+    for members in (reduced.polys, reduced.leading_terms, reduced.packed_leading_terms,
+                    reduced.reducers):
         members.reverse()
     return reduced
 
@@ -289,6 +342,8 @@ class QuotientRing:
         return self.reduce(a * b)
 
     def pow(self, a: Poly, n: int) -> Poly:
+        if n < 0:
+            raise ValidationError("negative power in a quotient ring")
         result = self.ring.one()
         base = a
         while n:

@@ -4,10 +4,11 @@ import pytest
 
 from chernlab import cli, groebner
 from chernlab.divisor import SplitTower
-from chernlab.errors import InfiniteDimensional, NotLocal, ResourceLimit
+from chernlab.errors import InfiniteDimensional, NotLocal, ResourceLimit, ValidationError
 from chernlab.field import GF
 from chernlab.groebner import (
     COUNTS,
+    GroebnerBasis,
     QuotientRing,
     assert_groebner,
     buchberger,
@@ -15,7 +16,7 @@ from chernlab.groebner import (
     normal_form,
     standard_monomials,
 )
-from chernlab.poly import PolyRing, parse_poly
+from chernlab.poly import PolyRing, mono_divides, parse_poly
 
 
 def gb_of(ring, texts, order=None):
@@ -363,3 +364,51 @@ def test_normal_form_matches_textbook_division(case):
     for _ in range(5):
         p = random_poly(rng, gb.ring)
         assert normal_form(p, gb) == textbook_reduce(p, gb.polys, gb.order)
+
+
+def test_quotient_power_rejects_a_negative_exponent():
+    q = cap_ring(GF(2), ("x",), caps=(3,))
+    x = q.gen("x")
+    assert q.pow(x, 0) == q.ring.one() and q.pow(x, 2).text() == "x^2"
+    assert not q.pow(x, 3)
+    with pytest.raises(ValidationError, match="negative power"):
+        q.pow(x, -1)
+
+
+@pytest.mark.parametrize("kind", ["lex", "grlex"])
+@pytest.mark.parametrize("nvars", range(5))
+def test_packed_keys_match_exponent_tuples(kind, nvars):
+    ring = PolyRing(GF(2), [f"x{i}" for i in range(nvars)])
+    order = ring.lex() if kind == "lex" else ring.grlex()
+    basis = GroebnerBasis(ring, order, [])
+    rng = random.Random(100 * nvars + len(kind))
+    bound = groebner.EXPONENT_CEILING // max(nvars, 1)
+    exps = [tuple(rng.choice((rng.randrange(4), rng.randrange(bound + 1)))
+                  for _ in range(nvars)) for _ in range(40)]
+    exps.append((0,) * nvars)
+    packed = {e: basis.pack(e) for e in exps}
+    for e in exps:
+        assert basis.unpack(packed[e]) == e
+    assert sorted(exps, key=order.key) == sorted(exps, key=packed.get)
+    for a in exps:
+        for b in exps:
+            assert (not (packed[b] - packed[a]) & basis.guard) is mono_divides(a, b)
+
+
+def test_exponent_ceiling_of_packed_keys():
+    assert groebner.EXPONENT_CEILING == 2**31 - 1
+    ring = PolyRing(GF(2), ["x", "y"])
+    lex = GroebnerBasis(ring, ring.lex(), [])
+    assert lex.unpack(lex.pack((2**31 - 1, 0))) == (2**31 - 1, 0)
+    with pytest.raises(ResourceLimit, match="packed-key ceiling"):
+        lex.pack((0, 2**31))
+    # the grlex degree field bounds the total degree
+    grlex = GroebnerBasis(ring, ring.grlex(), [])
+    with pytest.raises(ResourceLimit, match="packed-key ceiling"):
+        grlex.pack((2**30, 2**30))
+    # a reduction step that would make y^(2^31) stops instead
+    x, y = ring.gen("x"), ring.gen("y")
+    basis = GroebnerBasis(ring, ring.lex(), [x - y ** (2**31 - 1)])
+    with pytest.raises(ResourceLimit, match="packed-key ceiling"):
+        normal_form(x * y, basis)
+    assert normal_form(x, basis) == y ** (2**31 - 1)
