@@ -41,7 +41,6 @@ from .lattice import (
     Theta,
     newton_lambda_to_psi,
     newton_psi_to_lambda,
-    parse_divisor,
 )
 from .omega import (
     enumerate_omega,
@@ -108,7 +107,6 @@ __all__ = [
     "newton_lambda_to_psi",
     "newton_psi_to_lambda",
     "normal_form",
-    "parse_divisor",
     "parse_poly",
     "restriction_kernel",
     "standard_monomials",

@@ -9,7 +9,6 @@ through the translation and scaling rows that Theta builds on first use.
 
 from __future__ import annotations
 
-import re
 from itertools import combinations, compress, product
 
 from .errors import InexactDivision, LambdaOutOfRange, ResourceLimit, ValidationError
@@ -26,10 +25,11 @@ class Theta:
     order.  A lattice of more than THETA_POINTS_CEILING points, or whose
     modulus p^v may have more bits than that, is refused here.  The point
     list and every table of |Theta| entries derived from it (the translation
-    and scaling rows of the index arithmetic, the pairing rows, and the
-    Fourier pair's transforms) are built on first use and kept on the
-    Theta, one dict per kind of table; a kind that holds ENTRIES_KEPT point
-    entries is emptied before it takes another table.
+    and scaling rows of the index arithmetic, the pairing rows, whose roots
+    are the transform of a point, and the checked count vectors of the
+    inverse transform) are built on first use and kept on the Theta, one
+    dict per kind of table; a kind that holds ENTRIES_KEPT point entries is
+    emptied before it takes another table.
     """
 
     def __init__(self, p: int, v: int, n: int):
@@ -49,12 +49,11 @@ class Theta:
         self._points = None
         self._indices: tuple[int, ...] = ()
         # the kinds of table: index rows by point and by multiplier, pairing
-        # rows by point, and by (e, function) the transform of a count vector
-        # and the checked count vector of a row of values in Z[zeta_e]
+        # rows by point, and by (e, row) the checked count vector of a row of
+        # values in Z[zeta_e]
         self._shifts: dict = {}
         self._scales: dict = {}
         self._pairings: dict = {}
-        self._forward: dict = {}
         self._inverse: dict = {}
 
     def reduce(self, point) -> tuple[int, ...]:
@@ -297,43 +296,26 @@ class LatticeDivisor:
         return f"<divisor {self.text()}>"
 
 
-_DIV_TERM = re.compile(r"^(\d*)\[([0-9,\s]*)\]$")
+# -- the inverse Fourier transform on Theta -----------------------------------
+# The transform of a divisor, a -> sum_x mult(x) w^{<a,x>}, is a sum of
+# pairing rows' roots, which omega.xi_class_maps adds up itself.  The way
+# back depends only on Theta, the exponent e and the row, so each Theta
+# keeps the checked count vector of each row it sends back.
+
+COUNTS = {"transforms": 0}  # rows transformed, kept count vectors not counted
 
 
-def parse_divisor(theta: Theta, text: str) -> LatticeDivisor:
-    text = text.strip()
-    if text == "0":
-        return LatticeDivisor(theta)
-    counts: dict = {}
-    for part in text.split("+"):
-        m = _DIV_TERM.match(part.strip())
-        if not m:
-            raise ValidationError(f"bad divisor term {part!r}")
-        mult = int(m.group(1)) if m.group(1) else 1
-        pt = theta.reduce(tuple(int(x) for x in m.group(2).split(",")))
-        counts[pt] = counts.get(pt, 0) + mult
-    return LatticeDivisor.from_counts(theta, counts)
-
-
-# -- the Fourier pair on Theta -------------------------------------------------
-# A transform depends only on Theta, the exponent e, its sign and the
-# function, so each Theta keeps the values of each count vector it sends
-# forward and the checked count vector of each row it sends back.
-
-COUNTS = {"transforms": 0}  # functions transformed, kept tables not counted
-
-
-def _transform(theta: Theta, cy, f, sign: int) -> list[tuple[int, ...]]:
-    """y -> sum_z f(z) w^{sign <y,z>}, where w = zeta_e^{e/p^v}, one
+def _transform(theta: Theta, cy, f) -> list[tuple[int, ...]]:
+    """y -> sum_z f(z) w^{-<y,z>}, where w = zeta_e^{e/p^v}, one
     coordinate per pass: each line of m = p^v values along the leading
-    coordinate is summed against the lifted roots w^{sign y z} through
+    coordinate is summed against the lifted roots w^{-yz} through
     cy.product_sum, and the value at z * rest + r goes to r * m + y, so
     after n passes the points are back in their own order."""
     e, m = cy.e, theta.modulus
     if e % m:
         raise ValidationError(f"p^{theta.v} does not divide the exponent {e}")
     COUNTS["transforms"] += 1
-    step = sign * (e // m)
+    step = -(e // m)
     roots = [((k, 1),) for k in range(e)]  # one lifted root per exponent, shared
     twiddle = [[roots[y * z * step % e] for z in range(m)] for y in range(m)]
     ones = [1] * m
@@ -344,20 +326,6 @@ def _transform(theta: Theta, cy, f, sign: int) -> list[tuple[int, ...]]:
         values = [cy.product_sum(ones, lifted[r::rest], w)
                   for r in range(rest) for w in twiddle]
     return values
-
-
-def fourier(theta: Theta, cy, divisors) -> list[list[tuple[int, ...]]]:
-    """The transform a -> sum_x mult(x) w^{<a,x>} of each divisor."""
-    kept = theta._forward
-    out = []
-    for d in divisors:
-        key = (cy.e, d.vec)
-        values = kept.get(key)
-        if values is None:
-            values = theta._keep(kept, key, tuple(
-                _transform(theta, cy, [cy.from_int(m) for m in d.vec], 1)))
-        out.append(list(values))
-    return out
 
 
 def fourier_inverse(theta: Theta, cy, rows) -> list[LatticeDivisor]:
@@ -375,7 +343,7 @@ def fourier_inverse(theta: Theta, cy, rows) -> list[LatticeDivisor]:
         vec = kept.get(key)
         if vec is None:
             vec = tuple(cy.rational_value(cy.divide_exact(value, theta.size))
-                        for value in _transform(theta, cy, row, -1))
+                        for value in _transform(theta, cy, row))
             if min(vec) < 0:
                 raise ValidationError("negative multiplicity")
             theta._keep(kept, key, vec)

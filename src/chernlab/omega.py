@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import GroupModel, orbit_of, p_part_exponent
-from .lattice import LatticeDivisor, Theta, fourier, fourier_inverse
+from .lattice import LatticeDivisor, Theta, fourier_inverse
 from .repring import CharacterTable, RepRing
 
 OMEGA_TUPLE_ENTRIES = 1 << 24  # tuple entries written by one commuting-tuple search
@@ -471,11 +471,12 @@ def xi_class_maps(elems: list[OmegaChElem], table: CharacterTable) -> list[tuple
     group, p that of the elements' one Theta.
 
     The class lookup, the power maps and the scaling rows are built once per
-    call.  A divisor that is one point x of multiplicity 1 is read off as
-    the roots w^{<a,x>} along Theta.pairing, w = zeta_e^{e/p^v}; every other
-    divisor goes through fourier.  Uniqueness of h and Z-equivariance of
-    each result (for every multiplier k < p^v) are asserted.  A table
-    without a group model (an ingested one) raises ValidationError.
+    call.  A divisor's values are sum_x mult(x) w^{<a,x>}, w = zeta_e^{e/p^v}:
+    the roots along Theta.pairing(x), built once per point x, summed with
+    the multiplicities of the support, once per count vector.  Uniqueness
+    of h and Z-equivariance of each result (for every multiplier k < p^v)
+    are asserted.  A table without a group model (an ingested one) raises
+    ValidationError.
     """
     model = table.model
     if model is None:
@@ -495,25 +496,27 @@ def xi_class_maps(elems: list[OmegaChElem], table: CharacterTable) -> list[tuple
     unique = {column: cs[0] for column, cs in classes_of.items() if len(cs) == 1}
     equivariance = [(theta.scaling(k), table.power_map(k)) for k in range(m)]
     pts = theta.points()
-    point_values: dict[int, list] = {}
+    point_values: dict[int, list] = {}  # roots along the pairing row, by point
+    divisor_values: dict[tuple, list] = {}  # values, by count vector
     out = []
     for f in elems:
         if any(d.theta != theta for d in f.divisors):
             raise ValidationError("mixed lattice parameters")
-        values = [None] * len(f.divisors)
-        others = []
-        for i, d in enumerate(f.divisors):
-            if d.dim() == 1:
-                x = d.vec.index(1)
-                row = point_values.get(x)
-                if row is None:
-                    row = point_values[x] = list(map(roots.__getitem__, theta.pairing(x)))
-                values[i] = row
-            else:
-                others.append(i)
-        if others:
-            for i, row in zip(others, fourier(theta, cy, [f.divisors[i] for i in others])):
-                values[i] = row
+        values = []
+        for d in f.divisors:
+            row = divisor_values.get(d.vec)
+            if row is None:
+                for x, mult in d.support():
+                    point = point_values.get(x)
+                    if point is None:
+                        point = point_values[x] = list(map(roots.__getitem__, theta.pairing(x)))
+                    if mult != 1:
+                        point = [cy.scale(mult, value) for value in point]
+                    row = point if row is None else list(map(cy.add, row, point))
+                if row is None:  # the zero divisor
+                    row = [cy.zero] * theta.size
+                divisor_values[d.vec] = row
+            values.append(row)
         columns = list(zip(*values))
         result = list(map(unique.get, columns))
         if None in result:

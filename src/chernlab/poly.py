@@ -131,7 +131,7 @@ class PolyRing:
         return grlex_order(self.nvars)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.field == other.field
             and self.variables == other.variables

@@ -9,11 +9,9 @@ from chernlab.errors import InexactDivision, LambdaOutOfRange, ValidationError
 from chernlab.lattice import (
     LatticeDivisor,
     Theta,
-    fourier,
     fourier_inverse,
     newton_lambda_to_psi,
     newton_psi_to_lambda,
-    parse_divisor,
     unit_elementary,
 )
 from chernlab.omega import OmegaChElem
@@ -89,14 +87,6 @@ def test_lambda_addition_law_exhaustive_small(theta):
                 assert (D + E).lam(k) == total
 
 
-def test_text_round_trip():
-    th = Theta(2, 2, 2)
-    D = parse_divisor(th, "2[0,0] + [1,0] + [1,1]")
-    assert D.text() == "2[0,0] + [1,0] + [1,1]"
-    assert D.dim() == 4
-    assert parse_divisor(th, "0").is_zero()
-
-
 def test_newton_line_element():
     # a line bundle has lambda^k = 0 above 1, so psi^k = l^k
     lams = [5]  # stand-in ring: plain integers, "l" = 5
@@ -148,6 +138,29 @@ def test_psi_pv_collapse():
             assert D.psi(p ** v) == expected
 
 
+# -- oracle: the Fourier pair as one |Theta|^2 pairing sum ---------------------
+# The pair summed every product f(z) w^{sign <y,z>} for each y at once before
+# it ran one coordinate at a time; that sum is kept to check the inverse
+# passes against, and with sign 1 it is the forward transform of a divisor.
+
+def pairing_sum(theta, cy, f, sign):
+    step = sign * (cy.e // theta.modulus)
+    pts = theta.points()
+    out = []
+    for y in pts:
+        acc = cy.zero
+        for z, value in zip(pts, f):
+            pair = sum(a * b for a, b in zip(y, z))
+            acc = cy.add(acc, cy.mul(value, cy.root_power(pair * step)))
+        out.append(acc)
+    return out
+
+
+def forward(theta, cy, d):
+    """The transform a -> sum_x mult(x) w^{<a,x>} of the divisor d."""
+    return pairing_sum(theta, cy, [cy.from_int(m) for m in d.vec], 1)
+
+
 @pytest.mark.parametrize("p,v,n,e", [(2, 2, 2, 4), (2, 2, 2, 8), (3, 1, 2, 3), (3, 1, 2, 9)])
 def test_fourier_inverse_undoes_fourier(p, v, n, e):
     th = Theta(p, v, n)
@@ -158,13 +171,14 @@ def test_fourier_inverse_undoes_fourier(p, v, n, e):
         LatticeDivisor(th, [rng.choice(pts) for _ in range(rng.randint(0, 6))])
         for _ in range(12)
     ]
-    assert fourier_inverse(th, cy, fourier(th, cy, divisors)) == divisors
+    assert fourier_inverse(th, cy, [forward(th, cy, d) for d in divisors]) == divisors
 
 
 def test_fourier_pairs_points_with_roots_of_unity(theta):
-    # over Z[zeta_2], [x] transforms to a -> (-1)^<a,x>
-    row = fourier(theta, Cyclo(2), [LatticeDivisor(theta, [(1, 1)])])[0]
-    assert row == [((-1) ** (a + b),) for a, b in theta.points()]
+    # over Z[zeta_2], a -> (-1)^<a,x> is the transform of [x]
+    row = [((-1) ** (a + b),) for a, b in theta.points()]
+    assert forward(theta, Cyclo(2), LatticeDivisor(theta, [(1, 1)])) == row
+    assert fourier_inverse(theta, Cyclo(2), [row]) == [LatticeDivisor(theta, [(1, 1)])]
 
 
 def test_fourier_inverse_rejects_a_non_transform(theta):
@@ -185,7 +199,7 @@ def delta_row(theta, cy, m):
 def test_fourier_inverse_of_a_repeated_row_is_equal(theta):
     cy = Cyclo(2)
     D = LatticeDivisor(theta, [(1, 0), (1, 1), (1, 1)])
-    row = fourier(theta, cy, [D])[0]
+    row = forward(theta, cy, D)
     first, second = fourier_inverse(theta, cy, [row, row])
     assert first == second == D
     assert fourier_inverse(theta, cy, [row]) == [D]
@@ -194,7 +208,7 @@ def test_fourier_inverse_of_a_repeated_row_is_equal(theta):
 def test_a_non_transform_raises_on_every_call(theta):
     cy = Cyclo(2)
     bad = delta_row(theta, cy, 1)
-    good = fourier(theta, cy, [LatticeDivisor(theta, [(0, 1)])])[0]
+    good = forward(theta, cy, LatticeDivisor(theta, [(0, 1)]))
     negative = [cy.neg(value) for value in good]  # the transform of -[(0, 1)]
     for _ in range(2):
         with pytest.raises(InexactDivision):
@@ -209,7 +223,7 @@ def test_a_non_transform_raises_on_every_call(theta):
 def test_the_first_failing_row_raises_cold_and_warm():
     cy = Cyclo(2)
     theta = Theta(2, 1, 2)
-    good = fourier(theta, cy, [LatticeDivisor(theta, [(1, 0)])])[0]
+    good = forward(theta, cy, LatticeDivisor(theta, [(1, 0)]))
     bad1, bad2 = delta_row(theta, cy, 1), delta_row(theta, cy, 2)
     with pytest.raises(InexactDivision) as alone:
         fourier_inverse(theta, cy, [bad1])
@@ -225,23 +239,20 @@ def test_the_first_failing_row_raises_cold_and_warm():
 
 
 def test_the_fourier_memo_stays_within_its_bound():
-    # a full kind of table is emptied before it takes another: fill each
-    # transform's kind to ENTRIES_KEPT entries with stand-ins, then transform
+    # a full kind of table is emptied before it takes another: fill the
+    # inverse transform's kind to ENTRIES_KEPT entries with stand-ins
     theta = Theta(2, 1, 10)
     tables = lattice.ENTRIES_KEPT // theta.size
     cy = Cyclo(2)
     D = LatticeDivisor(theta, [(1,) * 10, (0,) * 10])
-    for kind in (theta._forward, theta._inverse):
-        kind.update(((0, (k,)), ()) for k in range(tables))
-    row = fourier(theta, cy, [D])[0]
-    assert list(theta._forward) == [(cy.e, D.vec)]
-    assert len(theta._inverse) == tables
+    row = [cy.from_int(1 + (-1) ** sum(a)) for a in theta.points()]  # the transform of D
+    theta._inverse.update(((0, (k,)), ()) for k in range(tables))
     assert fourier_inverse(theta, cy, [row]) == [D]
     assert list(theta._inverse) == [(cy.e, tuple(row))]
-    # one table short of full, a kind keeps what it holds
-    theta._forward.update(((0, (k,)), ()) for k in range(tables - 2))
-    fourier(theta, cy, [D * 2])
-    assert len(theta._forward) == tables
+    # one table short of full, the kind keeps what it holds
+    theta._inverse.update(((0, (k,)), ()) for k in range(tables - 2))
+    fourier_inverse(theta, cy, [[cy.scale(2, value) for value in row]])  # of D * 2
+    assert len(theta._inverse) == tables
 
 
 def test_index_rows_stay_within_the_bound():
@@ -255,22 +266,22 @@ def test_index_rows_stay_within_the_bound():
 
 
 def test_a_kept_row_is_not_evicted_by_the_transform(theta):
-    # each kind of table has its own bound: index rows and forward
-    # transforms taken between two inverse transforms leave the row kept
+    # each kind of table has its own bound: index and pairing rows taken
+    # between two inverse transforms leave the row kept
     cy = Cyclo(2)
     D = LatticeDivisor(theta, [(1, 0), (1, 1)])
-    row = fourier(theta, cy, [D])[0]
+    row = forward(theta, cy, D)
     before = lattice.COUNTS["transforms"]
     assert fourier_inverse(theta, cy, [row]) == [D]
-    for i, pt in enumerate(theta.points()):
-        theta.shift(i), theta.scaling(i), fourier(theta, cy, [LatticeDivisor(theta, [pt])])
+    for i in range(theta.size):
+        theta.shift(i), theta.scaling(i), theta.pairing(i)
     assert fourier_inverse(theta, cy, [row]) == [D]
-    assert lattice.COUNTS["transforms"] - before == 1 + len(theta.points())
+    assert lattice.COUNTS["transforms"] - before == 1
 
 
 def test_transforms_count_distinct_functions(theta):
     cy = Cyclo(2)
-    rows = fourier(theta, cy, [LatticeDivisor(theta, [(1, 0)] * 3)] * 2)
+    rows = [forward(theta, cy, LatticeDivisor(theta, [(1, 0)] * 3))] * 2
     before = lattice.COUNTS["transforms"]
     fourier_inverse(theta, cy, rows)
     assert lattice.COUNTS["transforms"] - before == 1
@@ -283,14 +294,13 @@ def test_a_fresh_theta_transforms_again_and_two_share_nothing():
     cy = Cyclo(4)
     first, second = Theta(2, 2, 2), Theta(2, 2, 2)
     D = LatticeDivisor(first, [(1, 2), (3, 3)])
-    row = fourier(first, cy, [D])[0]
+    row = forward(first, cy, D)
     before = lattice.COUNTS["transforms"]
     assert fourier_inverse(first, cy, [row]) == [D]
     assert fourier_inverse(second, cy, [row]) == [D]  # equal Thetas, equal divisors
-    assert fourier(second, cy, [D]) == [row]
-    assert lattice.COUNTS["transforms"] - before == 3
-    first.shift(1), second.shift(1), second.scaling(3)
-    for kind in ("_shifts", "_scales", "_forward", "_inverse"):
+    assert lattice.COUNTS["transforms"] - before == 2
+    first.shift(1), second.shift(1), second.scaling(3), first.pairing(1), second.pairing(1)
+    for kind in ("_shifts", "_scales", "_pairings", "_inverse"):
         mine, theirs = getattr(first, kind), getattr(second, kind)
         assert mine is not theirs
         assert all(mine[key] is not theirs[key] for key in mine.keys() & theirs.keys())
@@ -300,27 +310,9 @@ def test_a_fresh_theta_transforms_again_and_two_share_nothing():
 def test_the_exponent_is_checked_before_any_transform(theta):
     before = lattice.COUNTS["transforms"]
     with pytest.raises(ValidationError, match="does not divide the exponent 3"):
-        fourier(theta, Cyclo(3), [LatticeDivisor(theta, [(1, 0)])])
-    with pytest.raises(ValidationError, match="does not divide the exponent 3"):
         fourier_inverse(theta, Cyclo(3), [[Cyclo(3).one] * 4])
     assert lattice.COUNTS["transforms"] == before
-    assert not theta._forward and not theta._inverse
-
-# -- oracle: the Fourier pair as one |Theta|^2 pairing sum ---------------------
-# The pair summed every product f(z) w^{sign <y,z>} for each y at once before
-# it ran one coordinate at a time; that sum is kept to check the passes against.
-
-def pairing_sum(theta, cy, f, sign):
-    step = sign * (cy.e // theta.modulus)
-    pts = theta.points()
-    out = []
-    for y in pts:
-        acc = cy.zero
-        for z, value in zip(pts, f):
-            pair = sum(a * b for a, b in zip(y, z))
-            acc = cy.add(acc, cy.mul(value, cy.root_power(pair * step)))
-        out.append(acc)
-    return out
+    assert not theta._inverse
 
 
 FOURIER_SHAPES = [
@@ -339,14 +331,14 @@ def _random_row(cy, size, rng):
 
 
 @pytest.mark.parametrize("p,v,n,e", FOURIER_SHAPES)
-@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("sign", [-1])  # the one direction _transform takes
 def test_transform_matches_the_pairing_sum(p, v, n, e, sign):
     th = Theta(p, v, n)
     cy = Cyclo(e)
     rng = random.Random(1000 * p + 100 * v + 10 * n + e + sign)
     for _ in range(6):
         row = _random_row(cy, len(th.points()), rng)
-        assert lattice._transform(th, cy, row, sign) == pairing_sum(th, cy, row, sign)
+        assert lattice._transform(th, cy, row) == pairing_sum(th, cy, row, sign)
 
 
 @pytest.mark.parametrize("p,v,n,e", FOURIER_SHAPES)
@@ -360,7 +352,7 @@ def test_pairing_rows_match_the_pairing_sum(p, v, n, e):
         row = th.pairing(i)
         assert row == tuple(sum(a * b for a, b in zip(y, x)) % th.modulus for y in pts)
         assert th.pairing(i) is row
-        assert fourier(th, cy, [LatticeDivisor(th, [x])])[0] == [
+        assert forward(th, cy, LatticeDivisor(th, [x])) == [
             cy.root_power(k * (e // th.modulus)) for k in row]
 
 
@@ -375,8 +367,7 @@ def test_fourier_pair_matches_the_pairing_sum(p, v, n, e):
         LatticeDivisor(th, [rng.choice(pts) for _ in range(rng.randint(0, 5))])
         for _ in range(6)
     ]
-    rows = [pairing_sum(th, cy, [cy.from_int(m) for m in d.vec], 1) for d in divisors]
-    assert fourier(th, cy, divisors) == rows
+    rows = [forward(th, cy, d) for d in divisors]
     assert fourier_inverse(Theta(p, v, n), cy, rows) == divisors
     for d, row in zip(divisors, rows):
         back = pairing_sum(th, cy, row, -1)

@@ -16,7 +16,7 @@ from chernlab.groups import (
     model_trivial,
     p_part_exponent,
 )
-from chernlab.lattice import LatticeDivisor, Theta, fourier, fourier_inverse
+from chernlab.lattice import LatticeDivisor, Theta, fourier_inverse
 from chernlab.omega import (
     OmegaChElem,
     enumerate_omega,
@@ -36,6 +36,8 @@ from chernlab.repring import (
     table_trivial,
 )
 from chernlab.table_io import table_from_json, table_to_json
+
+from test_lattice import forward
 
 
 @pytest.fixture(scope="module")
@@ -314,18 +316,19 @@ def test_xi_after_kappa_is_canonical_map(s4_ring):
     assert images == [pointwise_signature(model, rep, theta) for rep in om]
 
 
-# -- oracle: every divisor through the forward transform -------------------------
-# xi once sent every divisor of each element through fourier, one element
-# per call; that map is kept as the oracle for the point read-off.
+# -- oracle: every divisor through the |Theta|^2 pairing sum --------------------
+# xi once sent every divisor of each element through a forward transform, one
+# element per call; test_lattice's forward pairing sum, which does not read
+# the pairing rows, is kept as the oracle for the values xi adds up.
 
 def xi_oracle(f, table):
-    model = table.model
+    model, cy = table.model, table.cyclo
     theta = f.divisors[0].theta
     classes_of: dict = {}
     for c in model.p_power_class_indices(theta.p):
         classes_of.setdefault(tuple(row[c] for row in table.rows), []).append(c)
     result = []
-    for column in zip(*fourier(theta, table.cyclo, f.divisors)):
+    for column in zip(*(forward(theta, cy, d) for d in f.divisors)):
         [c] = classes_of[column]
         result.append(c)
     for k in range(theta.modulus):
@@ -334,7 +337,8 @@ def xi_oracle(f, table):
     return tuple(result)
 
 
-@pytest.mark.parametrize("group,p", [("sigma4", 2), ("d8", 2), ("c2xc4", 2), ("c3xc3", 3)])
+@pytest.mark.parametrize("group,p", [("sigma4", 2), ("d8", 2), ("c2xc4", 2), ("c3xc3", 3),
+                                     ("extraspecial(3,1)", 3)])
 def test_xi_matches_the_all_transform_oracle(group, p):
     ring = RepRing(builtin_group(group))
     och = enumerate_omega_ch(ring, p, 2)
@@ -342,12 +346,12 @@ def test_xi_matches_the_all_transform_oracle(group, p):
     assert xi_class_maps(och, ring.table) == [xi_oracle(f, ring.table) for f in och]
 
 
-def test_xi_of_an_abelian_census_transforms_nothing():
-    # every divisor of an abelian census is one point, read off its pairing row
-    ring = RepRing(builtin_group("c2xc4"))
-    och = enumerate_omega_ch(ring, 2, 2)
+def test_xi_of_a_census_transforms_nothing(s4_ring):
+    # every divisor, of one point or of several, is read off pairing rows
+    och = enumerate_omega_ch(s4_ring, 2, 2)
+    assert any(d.dim() > 1 for f in och for d in f.divisors)
     before = lattice.COUNTS["transforms"]
-    xi_class_maps(och, ring.table)
+    xi_class_maps(och, s4_ring.table)
     assert lattice.COUNTS["transforms"] == before
 
 

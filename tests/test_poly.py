@@ -22,6 +22,16 @@ def ring():
     return PolyRing(GF(3), ["x", "y", "z"])
 
 
+def test_rings_compare_by_field_and_variables(ring):
+    # a ring is equal to itself at once, and to another ring of the same
+    # field and variables
+    assert ring == ring and ring == PolyRing(GF(3), ["x", "y", "z"])
+    assert hash(ring) == hash(PolyRing(GF(3), ["x", "y", "z"]))
+    assert ring != PolyRing(GF(5), ["x", "y", "z"])
+    assert ring != PolyRing(GF(3), ["x", "y"])
+    assert ring != "ring"
+
+
 def random_poly(ring, rng, terms=4, deg=3):
     p = ring.zero()
     for _ in range(terms):
