@@ -269,7 +269,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _common(sp, p=False, n=False, v=False, prec=False, group=False, table=False):
+def _common(sp, p=False, n=False, v=False, prec=False, source=False):
     if p:
         sp.add_argument("--p", type=prime, required=True)
     if n:
@@ -278,10 +278,11 @@ def _common(sp, p=False, n=False, v=False, prec=False, group=False, table=False)
         sp.add_argument("--v", type=natural, default=None)
     if prec:
         sp.add_argument("--prec", type=int, default=32)
-    if group:
-        sp.add_argument("--group", type=str, default=None)
-    if table:
-        sp.add_argument("--table", type=str, default=None)
+    if source:
+        # the character table comes from a builtin group or a table file, not both
+        sources = sp.add_mutually_exclusive_group()
+        sources.add_argument("--group", type=str, default=None)
+        sources.add_argument("--table", type=str, default=None)
     sp.add_argument("--out", type=str, default=None)
     sp.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -302,13 +303,13 @@ def _groebner_options(sp):
 
 
 def _omega_options(sp):
-    _common(sp, p=True, n=True, v=True, group=True, table=True)
+    _common(sp, p=True, n=True, v=True, source=True)
     sp.add_argument("--variant", choices=("plain", "ch", "prime", "dprime"),
                     default="plain")
 
 
 def _chern_options(sp):
-    _common(sp, p=True, n=True, v=True, prec=True, group=True, table=True)
+    _common(sp, p=True, n=True, v=True, prec=True, source=True)
 
 
 def _witness_options(sp):

@@ -287,6 +287,37 @@ def kappa(
     return out
 
 
+def _plan(relations, dims) -> list[tuple[int, list[tuple[int, int | None]]]]:
+    """The OmegaCh search plan of ring.relations() and ring.dims: plan[s] =
+    (k, ops).  Step s places D_k (D_0, then each irreducible in increasing
+    dimension order that no earlier step solved) and runs ops: (rel, None)
+    checks relation rel, (rel, k2) solves it for D_k2.  A step checks every
+    relation whose participants are all placed, in relation order, then
+    solves the first one with one unplaced participant, not on its
+    left-hand side, and repeats until neither applies."""
+    parts = [{i, j} | {k for k, c in enumerate(coeffs) if c} for i, j, _, coeffs in relations]
+    placed: set[int] = set()
+    pending = list(range(len(relations)))
+    plan = []
+    for k in sorted(range(len(dims)), key=lambda i: (dims[i], i)):
+        if k in placed:
+            continue
+        placed.add(k)
+        ops: list[tuple[int, int | None]] = []
+        while True:
+            ops += [(rel, None) for rel in pending if parts[rel] <= placed]
+            pending = [rel for rel in pending if not parts[rel] <= placed]
+            solve = next(((rel, k2) for rel in pending if len(parts[rel] - placed) == 1
+                          for k2 in parts[rel] - placed if k2 not in relations[rel][:2]), None)
+            if solve is None:
+                break
+            ops.append(solve)
+            placed.add(solve[1])
+            pending.remove(solve[0])
+        plan.append((k, ops))
+    return plan
+
+
 def enumerate_omega_ch(
     ring: RepRing,
     p: int,
@@ -294,26 +325,23 @@ def enumerate_omega_ch(
     v: int | None = None,
 ) -> list[OmegaChElem]:
     """All Lambda-semiring homomorphisms into N[Theta(v)], by depth-first
-    assignment in increasing dimension order with constraint propagation.
+    search along _plan, worked out once: a node (values, step) runs
+    plan[step]'s ops and branches on plan[step + 1]'s irreducible.
 
-    Each relation of ring.relations(), D_i D_j = sum c_k D_k or
-    lambda^r(D_i) = sum c_k D_k, is watched by its participants and counts
-    those still unassigned.  When only one is left and it is not on the
-    left-hand side, the relation forces its value (exact multiset
-    subtraction and division, and the dimension check); when none is left,
-    it is checked.  A relation whose right-hand side is one D_k with c = 1
-    (every relation of an abelian group) compares or assigns the left-hand
-    side's memoised count vector as it is.  Every participant is assigned
-    by a leaf, so every relation's count reaches 0 on every path and settle
-    has checked it or solved it, and a solved relation holds by
-    construction: at a leaf every relation holds.
+    Each relation, D_i D_j = sum c_k D_k or lambda^r(D_i) = sum c_k D_k, is
+    checked once its participants are placed or solved for its one
+    unplaced participant off the left-hand side (exact multiset subtraction
+    and division, and the dimension check); a solved relation holds by
+    construction, so at a leaf every relation holds.  A right-hand side of
+    one D_k with c = 1 (every relation of an abelian group) is compared
+    with, or set to, the left-hand side's memoised count vector.
 
     A branch on D_k of dimension d > 1 is pinned by its determinant: when
-    lambda^d(D_k) = D_l, one linear D_l with c = 1, and D_l is assigned
-    (the linear characters come first), lambda^d of d points is the one
+    lambda^d(D_k) = D_l, one linear D_l with c = 1 (placed by then, as the
+    linear characters come first), lambda^d of d points is the one
     point at their sum, so only the first d - 1 points are enumerated and
     the last is pt(D_l) minus their sum, kept when it is not below them
-    so that each multiset is made once.  settle still checks that
+    so that each multiset is made once.  The plan still checks that
     relation.  Adds to COUNTS.
     """
     table = ring.table
@@ -321,9 +349,7 @@ def enumerate_omega_ch(
         v = p_part_exponent(table.exponent, p)
     theta = Theta(p, v, n)
     size = len(theta.points())
-    h = ring.h
     dims = ring.dims
-    order = sorted(range(1, h), key=lambda i: (dims[i], i))
 
     # (i, j, r, terms, one): D_i * D_j when r == 0, else lambda^r(D_i); the
     # right-hand side is sum c * D_k over terms (k, c), and one is k when
@@ -333,16 +359,12 @@ def enumerate_omega_ch(
         terms = [(k, c) for k, c in enumerate(coeffs) if c]
         one = terms[0][0] if len(terms) == 1 and terms[0][1] == 1 else None
         relations.append((i, j, r, terms, one))
-    participants = [sorted({i, j} | {k for k, _ in terms}) for i, j, _, terms, _ in relations]
+    plan = _plan(ring.relations(), dims)
     # det_of[k]: the linear D_l with lambda^{dims[k]}(D_k) = D_l, else None
-    det_of: list = [None] * h
+    det_of: list = [None] * ring.h
     for i, _, r, _, one in relations:
         if r == dims[i] > 1 and one is not None and dims[one] == 1:
             det_of[i] = one
-    watch: list[list[int]] = [[] for _ in range(h)]
-    for rel, parts in enumerate(participants):
-        for x in parts:
-            watch[x].append(rel)
 
     lhs_memo: dict = {}
 
@@ -358,45 +380,22 @@ def enumerate_omega_ch(
             out = lhs_memo[key] = (values[i].lam(r) if r else values[i] * values[j]).vec
         return out
 
-    def combination(values, terms):
-        acc = [0] * size
-        for k, c in terms:
-            for x, m in values[k].support():
-                acc[x] += c * m
-        return acc
-
-    def assign(values, left, queue, k, div):
-        values[k] = div
-        for rel in watch[k]:
-            left[rel] -= 1
-            if 0 <= left[rel] <= 1:
-                queue.append(rel)
-
-    def settle(values, left, queue) -> bool:
-        """Solve or check the queued relations until none is left; False on
-        a contradiction.  A finished relation's count goes negative."""
-        while queue:
-            rel = queue.pop()
-            if left[rel] < 0:
-                continue
-            i, j, _, terms, one = relations[rel]
-            if left[rel] == 0:
-                left[rel] = -1
-                if one is not None:
+    def run(values, ops) -> bool:
+        """Check or solve each op's relation in turn, placing the solved
+        divisors in values; False on a contradiction."""
+        for rel, k in ops:
+            _, _, _, terms, one = relations[rel]
+            if one is not None:
+                if k is None:
                     if lhs_vec(values, rel) != values[one].vec:
                         return False
-                elif list(lhs_vec(values, rel)) != combination(values, terms):
-                    return False
-                continue
-            k = next(x for x in participants[rel] if values[x] is None)
-            if k == i or k == j:
-                continue  # the left-hand side is not known yet
-            left[rel] = -1
-            if one is not None:
+                    continue
                 # D_k is the left-hand side itself: a count vector, so
                 # nonnegative and divisible by c = 1
                 solved = lhs_vec(values, rel)
             else:
+                # the left-hand side less every known term: zero for a
+                # check, c times D_k for a solve
                 acc = list(lhs_vec(values, rel))
                 m = 0
                 for k2, c in terms:
@@ -405,19 +404,23 @@ def enumerate_omega_ch(
                         continue
                     for x, mm in values[k2].support():
                         acc[x] -= c * mm
+                if k is None:
+                    if any(acc):
+                        return False
+                    continue
                 if min(acc) < 0 or any(a % m for a in acc):
                     return False
                 solved = tuple(a // m for a in acc)
             if sum(solved) != dims[k]:
                 return False
             COUNTS["forced"] += 1
-            assign(values, left, queue, k, LatticeDivisor.of_vec(theta, solved))
+            values[k] = LatticeDivisor.of_vec(theta, solved)
         return True
 
     def branches(values, k):
         """The point multisets to try for D_k, in lexicographic order."""
         d, l = dims[k], det_of[k]
-        if l is None or values[l] is None:
+        if l is None:
             return combinations_with_replacement(range(size), d)
         # the last point is pt(D_l) - sum(head): translate by pt(D_l) the
         # negative of the head's sum, walked along the shift rows
@@ -436,32 +439,28 @@ def enumerate_omega_ch(
     results: list[OmegaChElem] = []
     nodes = 0
 
-    def dfs(values, left, queue):
+    def dfs(values, step):
         nonlocal nodes
         nodes += 1
         COUNTS["nodes"] += 1
         if nodes > OMEGA_CH_NODES:
             raise ResourceLimit(f"OmegaCh search exceeds {OMEGA_CH_NODES} nodes")
-        if not settle(values, left, queue):
+        if not run(values, plan[step][1]):
             COUNTS["pruned"] += 1
             return
-        k = next((i for i in order if values[i] is None), None)
-        if k is None:
+        if step + 1 == len(plan):
             results.append(OmegaChElem(values))
             return
+        k = plan[step + 1][0]
         for combo in branches(values, k):
             vec = [0] * size
             for x in combo:
                 vec[x] += 1
-            child, child_left, child_queue = list(values), list(left), []
-            assign(child, child_left, child_queue, k, LatticeDivisor.of_vec(theta, tuple(vec)))
-            dfs(child, child_left, child_queue)
+            child = list(values)
+            child[k] = LatticeDivisor.of_vec(theta, tuple(vec))
+            dfs(child, step + 1)
 
-    values: list = [None] * h
-    left = [len(parts) for parts in participants]
-    queue: list[int] = []
-    assign(values, left, queue, 0, LatticeDivisor(theta, [theta.zero()]))
-    dfs(values, left, queue)
+    dfs([LatticeDivisor(theta, [theta.zero()])] + [None] * (ring.h - 1), 0)
     return sorted(set(results), key=OmegaChElem.sort_key)
 
 
@@ -474,8 +473,8 @@ def xi_class_maps(elems: list[OmegaChElem], table: CharacterTable) -> list[tuple
     call.  A divisor's values are sum_x mult(x) w^{<a,x>}, w = zeta_e^{e/p^v}:
     the roots along Theta.pairing(x), built once per point x, summed with
     the multiplicities of the support, once per count vector.  Uniqueness
-    of h and Z-equivariance of each result (for every multiplier k < p^v)
-    are asserted.  A table without a group model (an ingested one) raises
+    of h and Z-equivariance of each result (for every multiplier k < p^v
+    but k = 1, where both maps are the identity) are asserted.  A table without a group model (an ingested one) raises
     ValidationError.
     """
     model = table.model
@@ -494,7 +493,7 @@ def xi_class_maps(elems: list[OmegaChElem], table: CharacterTable) -> list[tuple
     for c in model.p_power_class_indices(theta.p):
         classes_of.setdefault(tuple(row[c] for row in table.rows), []).append(c)
     unique = {column: cs[0] for column, cs in classes_of.items() if len(cs) == 1}
-    equivariance = [(theta.scaling(k), table.power_map(k)) for k in range(m)]
+    equivariance = [(theta.scaling(k), table.power_map(k)) for k in range(m) if k != 1]
     pts = theta.points()
     point_values: dict[int, list] = {}  # roots along the pairing row, by point
     divisor_values: dict[tuple, list] = {}  # values, by count vector

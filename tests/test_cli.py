@@ -165,8 +165,8 @@ def test_a_named_command_builds_only_its_subparser():
 
 @pytest.mark.parametrize("argv", [
     ["table-check", "--table", "", "--p", "3", "--d", "1"],
-    ["omega", "--table", "", "--group", "c4", "--p", "2", "--n", "1", "--variant", "ch"],
-    ["chern", "--table", "", "--group", "c2", "--p", "2", "--n", "1"],
+    ["omega", "--table", "", "--p", "2", "--n", "1", "--variant", "ch"],
+    ["chern", "--table", "", "--p", "2", "--n", "1"],
 ])
 def test_an_empty_table_path_is_a_usage_error(capsys, argv):
     # an empty --table is given, not absent: it is read and cannot be
@@ -314,11 +314,10 @@ def test_an_ingested_table_gives_the_census_without_maps(tmp_path, capsys):
     _, builtin = run_capture(capsys, "omega", "--group", "sigma4", *census)
     expected = json.loads(builtin)["clauses"][0]["witness"]
     del expected["maps"]
-    # the table wins over --group: it has no group model, so no maps
-    for source in (["--table", str(path)], ["--group", "sigma4", "--table", str(path)]):
-        code, out = run_capture(capsys, "omega", *source, *census)
-        assert code == 0
-        assert json.loads(out)["clauses"][0]["witness"] == expected
+    # the table has no group model, so no maps
+    code, out = run_capture(capsys, "omega", "--table", str(path), *census)
+    assert code == 0
+    assert json.loads(out)["clauses"][0]["witness"] == expected
 
 
 @pytest.mark.parametrize("argv", [
@@ -344,6 +343,10 @@ def test_an_ingested_table_gives_the_census_without_maps(tmp_path, capsys):
     "groebner --q 3 --vars x --gens y",
     "groebner --q 3 --vars x --gens x^-1",
     "omega --group c4 --p 2 --n 2 --variant ch --table /nonexistent.json",
+    "omega --p 2 --n 2 --variant ch --table /nonexistent.json",
+    # --group and --table name two tables: refused, not one silently ignored
+    "omega --group sigma4 --table {tmp}/c2.json --p 2 --n 1 --variant ch",
+    "chern --group c2 --table {tmp}/c2.json --p 2 --n 1",
     # lattices too large to search: a ResourceLimit, not a hang or a RecursionError
     "omega --group c8 --p 2 --n 2 --variant dprime",
     "omega --group trivial --p 3 --n 3 --v 3 --variant dprime",

@@ -5,6 +5,7 @@ import pytest
 from chernlab import lattice, omega
 from chernlab.errors import (
     InexactDivision,
+    NoMatchingClass,
     NonIntegralMultiplicity,
     ResourceLimit,
     ValidationError,
@@ -363,6 +364,17 @@ def test_xi_rejects_elements_over_two_lattices_or_past_the_exponent(s3_ring):
         xi_class_maps(wide, s3_ring.table)
 
 
+def test_xi_rejects_a_divisor_tuple_that_is_not_a_homomorphism():
+    # on c4, D_k = [k] is the census's identity map; D_1 = D_2 = [1] with
+    # D_3 = [3] breaks D_1 D_1 = D_2, so at the point 1 the column of values
+    # (1, i, i, -i) is no class's column of the character table
+    theta = Theta(2, 2, 1)
+    point = [LatticeDivisor(theta, [(x,)]) for x in range(4)]
+    elem = OmegaChElem([point[0], point[1], point[1], point[3]])
+    with pytest.raises(NoMatchingClass, match="0 classes match at \\(1,\\)"):
+        xi_class_maps([elem], builtin_group("c4"))
+
+
 # -- oracle: one point's image as a product of powers ---------------------------
 # The hom's image of each point was built with n calls to power before the
 # images were walked one coordinate at a time; that loop is kept as the oracle.
@@ -425,10 +437,11 @@ def test_abelian_identification():
     assert len(och) == 16 and gens == set(points)
 
 
-# search nodes of one enumerate_omega_ch call at n = 2: propagation reaches
-# the same fixpoint in whatever order the relations are visited, so these
+# search nodes of one enumerate_omega_ch call at n = 2: a plan step solves
+# the same irreducibles in whatever order its relations are visited, so these
 # counts depend only on the search order of the branching divisors; the
-# values forced and the nodes pruned are pinned as well
+# values forced (the solves before a node's first contradiction, so they
+# follow the order of the plan's ops) and the nodes pruned are pinned as well
 NODES = [("c2xc4", 2, 273, 224, 192), ("c3xc6", 3, 91, 927, 0),
          ("sigma4", 2, 261, 204, 235), ("d8", 2, 241, 16, 198),
          ("c3xc3", 3, 91, 414, 0)]
@@ -442,6 +455,29 @@ def test_omega_ch_node_count_pinned(group, p, nodes, forced, pruned):
     assert omega.COUNTS["nodes"] - before["nodes"] == nodes
     assert omega.COUNTS["forced"] - before["forced"] == forced
     assert omega.COUNTS["pruned"] - before["pruned"] == pruned
+
+
+PLANNED = ["sigma4", "d8", "c2xc4", "c3xc6", "extraspecial(3,1)"]
+
+
+@pytest.mark.parametrize("group", PLANNED)
+def test_the_omega_ch_plan_places_every_irreducible_and_runs_every_relation_once(group):
+    ring = RepRing(builtin_group(group))
+    relations = ring.relations()
+    placed, run = set(), []
+    for k, ops in omega._plan(relations, ring.dims):
+        assert k not in placed and (placed or k == 0)
+        placed.add(k)
+        for rel, k2 in ops:
+            i, j, _, coeffs = relations[rel]
+            if k2 is not None:
+                # a solve's unknown is unplaced and not on its left-hand side
+                assert k2 not in placed and k2 not in (i, j)
+                placed.add(k2)
+            assert {i, j} | {x for x, c in enumerate(coeffs) if c} <= placed
+            run.append(rel)
+    assert placed == set(range(ring.h))
+    assert sorted(run) == list(range(len(relations)))
 
 
 def omega_ch_brute(ring, p, n):
