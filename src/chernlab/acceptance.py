@@ -48,7 +48,7 @@ from .repring import (
     table_sigma3,
     table_sigma4,
 )
-from .xspec import enumerate_U, xspec_census
+from .xspec import xspec_census
 
 # golden values recorded after the first verified (3,2,2) census run
 XSPEC_322_GOLDEN = {"U": 7209, "omega": 2889, "deficit": 4320}
@@ -406,10 +406,7 @@ def criterion_11_properties(seed: int = 20260811) -> Certificate:
         model = builtin_model(name)
         om = enumerate_omega(model, p, n)
         _, sigs, _ = enumerate_omega_prime(model, p, n)
-        if name == "extraspecial(3,1)":
-            och_count = len(enumerate_U(3, 1, 1))
-        else:
-            och_count = len(enumerate_omega_ch(RepRing(builtin_group(name)), p, n))
+        och_count = len(enumerate_omega_ch(RepRing(builtin_group(name)), p, n))
         dp_count = len(enumerate_omega_dprime(model, p, n)[1])
         chain_witness[name] = [len(om), len(sigs), och_count, dp_count]
     cert.add_cases("cardinality_chain", chain_witness.items(),

@@ -2,11 +2,11 @@
 
 A degree-d divisor is f_D(t) = t^d + c_1 t^{d-1} + ... + c_d.  Products,
 lambda and psi operations are computed exactly by adjoining roots (a
-splitting tower of free extensions), forming the required symmetric
-functions of formal-group expressions in the roots, and extracting the
-coefficients back into the base ring.  No truncation beyond the ring's own
-relations is introduced, so results are exact whenever the formal group law
-carries enough precision for the (nilpotent) roots.
+splitting tower: one ring and one growing Groebner basis), forming the
+required symmetric functions of formal-group expressions in the roots, and
+extracting the coefficients back into the base ring.  No truncation beyond
+the ring's own relations is introduced, so results are exact whenever the
+formal group law carries enough precision for the (nilpotent) roots.
 """
 
 from __future__ import annotations
@@ -94,55 +94,46 @@ def _coeffs_from_roots(qring: QuotientRing, roots) -> list[Poly]:
 # -- splitting towers ----------------------------------------------------------
 
 class SplitTower:
-    """A free extension of the base quotient ring where a set of monic
-    divisor polynomials splits into linear factors.
+    """The base quotient ring with roots adjoined until each of a list of
+    monic divisor polynomials splits into linear factors; ``roots[i]`` holds
+    the roots of ``polys[i]``, given by its coefficients c_1..c_d.
 
-    New root variables are prepended (later adjunctions get higher lex
-    precedence), so the base Groebner basis stays a Groebner basis and the
-    extended basis is again reduced with pairwise-coprime new leading terms.
-    Extraction back to the base is reading off normal forms with no root
-    variables.
+    One ring holds every root: the root variables _sK, ..., _s1 come first
+    (later adjunctions get higher lex precedence), then the base variables.
+    Each relation ``adjoin_root`` adds is led by a pure power of its own
+    root, coprime to every other leading term, so the one basis stays a
+    Groebner basis as it grows and normal forms in the base variables are
+    those of the base.  Coefficients are read back by normal form.
     """
 
-    def __init__(self, base: QuotientRing):
-        self.base = base
-        self.ext = base
+    def __init__(self, base: QuotientRing, polys: list[list[Poly]]):
+        count = sum(max(len(coeffs) - 1, 0) for coeffs in polys)
+        names = tuple(f"_s{k}" for k in range(count, 0, -1))
+        ring = PolyRing(base.field, names + base.ring.variables)
+        basis = [g.to_ring(ring) for g in base.basis.polys]
+        self.ext = QuotientRing(GroebnerBasis(ring, lex_order(ring.nvars), basis))
         self._counter = 0
-
-    def extract(self, p: Poly) -> Poly:
-        return self.ext.reduce(p).to_ring(self.base.ring)
-
-    def _extend_ring(self, name: str) -> PolyRing:
-        ring = self.ext.ring
-        return PolyRing(ring.field, (name,) + ring.variables)
+        self.roots = [self.split([c.to_ring(ring) for c in coeffs]) for coeffs in polys]
 
     def adjoin_root(self, monic_coeffs: list[Poly]) -> Poly:
-        """Adjoin a root of t^m + a_1 t^{m-1} + ... + a_m (a_i in the current
-        extension); returns the root as an element of the new extension."""
+        """Adjoin a root of t^m + a_1 t^{m-1} + ... + a_m, the a_i in the
+        roots adjoined so far and the base; returns the root."""
         m = len(monic_coeffs)
         self._counter += 1
-        name = f"_s{self._counter}"
-        new_ring = self._extend_ring(name)
-        order = lex_order(new_ring.nvars)
-
-        root = new_ring.gen(name)
+        root = self.ext.ring.gen(f"_s{self._counter}")
         rel = root ** m
         for k, a in enumerate(monic_coeffs, start=1):
-            rel = rel + a.to_ring(new_ring) * root ** (m - k)
-        # rel leads with root^m, above every old member: root is the first lex variable
-        new_polys = [rel] + [g.to_ring(new_ring) for g in self.ext.basis.polys]
-        self.ext = QuotientRing(GroebnerBasis(new_ring, order, new_polys))
+            rel = rel + a * root ** (m - k)
+        self.ext.basis.add(rel)
         return root
 
     def split(self, coeffs: list[Poly]) -> list[Poly]:
         """Adjoin roots until the monic polynomial with the given c_1..c_d
-        splits; returns the d root values in the final extension."""
+        splits; returns its d roots."""
         work = list(coeffs)
         roots: list[Poly] = []
         while len(work) > 1:
             root = self.adjoin_root(work)
-            roots = [r.to_ring(self.ext.ring) for r in roots]
-            work = [c.to_ring(self.ext.ring) for c in work]
             # divide by (t - root): quotient coefficients by Horner
             quotient = []
             prev = self.ext.ring.one()
@@ -155,7 +146,7 @@ class SplitTower:
             roots.append(root)
             work = quotient[1:]
         if work:
-            roots = roots + [self.ext.reduce(-work[0])]
+            roots.append(self.ext.reduce(-work[0]))
         return roots
 
 
@@ -166,7 +157,7 @@ def _check_ceiling(deg: int):
 
 def _extract_divisor(base: QuotientRing, law: FGL, tower: SplitTower, roots) -> DivisorPoly:
     coeffs = _coeffs_from_roots(tower.ext, roots)
-    return DivisorPoly(base, law, [tower.extract(c) for c in coeffs])
+    return DivisorPoly(base, law, [c.to_ring(base.ring) for c in coeffs])
 
 
 def divisor_mul(D: DivisorPoly, E: DivisorPoly) -> DivisorPoly:
@@ -175,18 +166,10 @@ def divisor_mul(D: DivisorPoly, E: DivisorPoly) -> DivisorPoly:
         raise IncompatibleRing("divisors over different rings or laws")
     _check_ceiling(D.degree * E.degree)
     law = D.law
-    tower = SplitTower(D.qring)
-    roots_d = tower.split(list(D.coeffs))
-    if E.coeffs == D.coeffs:
-        roots_e = roots_d
-    else:
-        roots_e = tower.split([c.to_ring(tower.ext.ring) for c in E.coeffs])
-    # move every root into the final extension
-    roots_d = [tower.ext.reduce(r.to_ring(tower.ext.ring)) for r in roots_d]
-    roots_e = [tower.ext.reduce(r.to_ring(tower.ext.ring)) for r in roots_e]
+    tower = SplitTower(D.qring, [D.coeffs] if E.coeffs == D.coeffs else [D.coeffs, E.coeffs])
     sums = []
-    for r in roots_d:
-        for s in roots_e:
+    for r in tower.roots[0]:
+        for s in tower.roots[-1]:
             sums.append(law.add_in_ring(r, s, tower.ext))
     return _extract_divisor(D.qring, law, tower, sums)
 
@@ -199,10 +182,9 @@ def divisor_lambda(D: DivisorPoly, r: int) -> DivisorPoly:
     law = D.law
     if r == 0:
         return DivisorPoly(D.qring, law, [D.qring.ring.zero()])
-    tower = SplitTower(D.qring)
-    roots = tower.split(list(D.coeffs))
+    tower = SplitTower(D.qring, [D.coeffs])
     new_roots = []
-    for subset in combinations(roots, r):
+    for subset in combinations(tower.roots[0], r):
         new_roots.append(law.sum_in_ring(list(subset), tower.ext))
     return _extract_divisor(D.qring, law, tower, new_roots)
 
@@ -223,8 +205,7 @@ def divisor_psi(D: DivisorPoly, k: int) -> DivisorPoly:
             q = law.p ** (law.n * m)
             return DivisorPoly(D.qring, law, [D.qring.pow(c, q) for c in D.coeffs])
     _check_ceiling(D.degree)
-    tower = SplitTower(D.qring)
-    roots = tower.split(list(D.coeffs))
+    tower = SplitTower(D.qring, [D.coeffs])
     series = law.mul_series(k)
-    new_roots = [law.eval_series(series, r, tower.ext) for r in roots]
+    new_roots = [law.eval_series(series, r, tower.ext) for r in tower.roots[0]]
     return _extract_divisor(D.qring, law, tower, new_roots)

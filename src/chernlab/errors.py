@@ -65,7 +65,7 @@ class NotACharacterTable(ValidationError):
     """Orthogonality or consistency failure in a character table."""
 
 
-class NegativeStructureConstant(ChernlabError):
+class NegativeStructureConstant(NotACharacterTable):
     pass
 
 

@@ -91,9 +91,19 @@ def pointwise_signature(model: GroupModel, hom: tuple[int, ...], theta: Theta) -
     return tuple(map(model.class_of.__getitem__, hom_images(model, hom, theta)))
 
 
+def _check_annihilated(model: GroupModel, hom: tuple[int, ...], theta: Theta) -> None:
+    """Raise ValidationError unless p^v kills every u_i, so that hom is a
+    homomorphism on Theta's (Z/p^v)^n."""
+    for ui in hom:
+        o = model.orders[ui]
+        if theta.modulus % o:
+            raise ValidationError(f"p^{theta.v} does not annihilate an image of order {o}")
+
+
 def enumerate_omega_prime(model: GroupModel, p: int, n: int, w: int | None = None):
     """Omega'(G) as distinct pointwise-class signatures, plus the projection
-    from Omega(G) as an index map."""
+    from Omega(G) as an index map.  Raises ValidationError, as kappa does,
+    when p^w does not annihilate an image."""
     if w is None:
         w = p_part_exponent(model.exponent, p)
     om = enumerate_omega(model, p, n)
@@ -102,6 +112,7 @@ def enumerate_omega_prime(model: GroupModel, p: int, n: int, w: int | None = Non
     projection = []
     sigs = []
     for rep in om:
+        _check_annihilated(model, rep, theta)
         sig = pointwise_signature(model, rep, theta)
         if sig not in sig_index:
             sig_index[sig] = len(sigs)
@@ -256,10 +267,7 @@ def kappa(
     masses: dict[int, LatticeDivisor] = {}
     out = []
     for hom in homs:
-        for ui in hom:
-            o = model.orders[ui]
-            if modulus % o:
-                raise ValidationError(f"p^{v} does not annihilate an image of order {o}")
+        _check_annihilated(model, hom, theta)
         divisors = [None] * len(table.rows)
         indices = [0] * len(linear)
         for c in map(model.class_of.__getitem__, hom):

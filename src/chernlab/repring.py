@@ -350,9 +350,10 @@ class RepRing:
         d = self.dims[i]
         v = self.irreducible(i)
         psis = [self.adams(v, k) for k in range(1, d + 2)]
-        lams = newton_psi_to_lambda(
-            psis, d + 1, divide=lambda x, k: x.divide_exact(k)
-        )
+        try:
+            lams = newton_psi_to_lambda(psis, d + 1, divide=lambda x, k: x.divide_exact(k))
+        except InexactDivision as exc:
+            raise NotACharacterTable(f"lambda of irreducible {i} is not integral: {exc}") from exc
         for r, lam in enumerate(lams, start=1):
             if r <= d:
                 if not lam.is_positive():

@@ -100,6 +100,25 @@ def test_omega_plain_sigma4(capsys):
     assert json.loads(out)["clauses"][0]["witness"]["count"] == 17
 
 
+@pytest.mark.parametrize("v", ["0", "1"])
+def test_omega_prime_refuses_a_v_that_leaves_an_image_unannihilated(capsys, v):
+    # as kappa does for the ch variant: u(a) is not a homomorphism on (Z/p^v)^n
+    code = run(["omega", "--group", "sigma4", "--p", "2", "--n", "2", "--v", v,
+                "--variant", "prime"])
+    assert code == 2
+    order = 2 if v == "0" else 4
+    assert capsys.readouterr().err == f"error: p^{v} does not annihilate an image of order {order}\n"
+
+
+@pytest.mark.parametrize("n,v,count", [("2", "2", 17), ("0", "0", 1)])
+def test_omega_prime_sigma4_where_p_to_the_v_annihilates(capsys, n, v, count):
+    # at n = 0 there are no images to annihilate
+    code, out = run_capture(capsys, "omega", "--group", "sigma4", "--p", "2", "--n", n,
+                            "--v", v, "--variant", "prime")
+    assert code == 0
+    assert json.loads(out)["clauses"][0]["witness"]["count"] == count
+
+
 def test_chern_sigma3(capsys):
     code, out = run_capture(capsys, "chern", "--group", "sigma3", "--p", "3",
                             "--n", "2", "--prec", "64")
@@ -208,6 +227,25 @@ def test_table_check_rejects_corruption(tmp_path, capsys):
     code, out = run_capture(capsys, "table-check", "--table", str(path))
     assert code == 1  # failed validation certificate
     assert json.loads(out)["status"] == "fail"
+
+
+def test_a_table_with_non_integral_lambdas_is_refused(tmp_path, capsys):
+    # c3 with psi^2 the identity: the power maps are consistent and ingest,
+    # but lambda^2(chi1) = (chi1^2 - chi1)/2 is not integral
+    path = tmp_path / "c3.json"
+    assert run(["export-table", "--group", "c3", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    for k, cls in enumerate(doc["classes"]):
+        cls["power"] = {"2": k}
+    path.write_text(json.dumps(doc))
+    error = "lambda of irreducible 1 is not integral: coefficient -1 not divisible by 2"
+    code, out = run_capture(capsys, "table-check", "--table", str(path))
+    assert code == 1  # failed validation certificate
+    assert json.loads(out)["clauses"][0]["witness"] == {"error": error}
+    for argv in ("omega --p 3 --n 1 --variant ch", "chern --p 3 --n 1"):
+        assert run([*argv.split(), "--table", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {error}\n"
 
 
 def test_table_check_schema_error_is_usage(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 
 from chernlab.divisor import (
     DivisorPoly,
+    SplitTower,
     divisor_from_roots,
     divisor_lambda,
     divisor_mul,
@@ -13,7 +14,7 @@ from chernlab.divisor import (
 from chernlab.errors import DegreeCeiling
 from chernlab.fgl import honda_fgl, multiplicative_fgl
 from chernlab.field import GF
-from chernlab.groebner import cap_ring
+from chernlab.groebner import assert_groebner, cap_ring
 from chernlab.lattice import LatticeDivisor, Theta
 
 
@@ -99,6 +100,37 @@ def test_psi_generic_k(law, Q):
         Q, law, [law.mul_in_ring(3, x, Q), law.mul_in_ring(3, y, Q)]
     )
     assert ps3 == expect
+
+
+def test_a_product_splits_in_one_ring_with_one_growing_basis(law, Q, monkeypatch):
+    x, y = Q.gen("x"), Q.gen("y")
+    D = divisor_from_roots(Q, law, [x, y])
+    E = divisor_from_roots(Q, law, [x, y, Q.reduce(x * y)])
+    calls = []
+    adjoin = SplitTower.adjoin_root
+
+    def counted(tower, monic_coeffs):
+        calls.append(tower)
+        return adjoin(tower, monic_coeffs)
+
+    monkeypatch.setattr(SplitTower, "adjoin_root", counted)
+    divisor_mul(D, E)
+    tower = calls[0]
+    assert len(calls) == 3 and all(t is tower for t in calls)
+    ring = tower.ext.ring
+    assert ring.variables == ("_s3", "_s2", "_s1", "x", "y")
+    assert len(tower.ext.basis) == len(Q.basis) + 3
+    assert_groebner(tower.ext.basis)
+    one = ring.one()
+    for coeffs, roots in zip((D.coeffs, E.coeffs), tower.roots, strict=True):
+        prod = [one]
+        for r in roots:
+            prod = tpoly_mul(tower.ext, prod, [one, -r])
+        assert prod[1:] == [c.to_ring(ring) for c in coeffs]
+    # a square splits its factor once
+    calls.clear()
+    divisor_mul(D, D)
+    assert len(calls) == D.degree - 1 and len(calls[0].roots) == 1
 
 
 def split_points(law, Q, theta, coord):

@@ -342,14 +342,11 @@ def random_poly(rng, ring, terms=6, deg=6):
 
 
 def tower_basis():
-    """The basis of a two-step split tower over F_4[x, y]/(x^4, y^4)."""
+    """The basis of the tower splitting t^3 + (x+y) t^2 + xy t + x over
+    F_4[x, y]/(x^4, y^4)."""
     base = cap_ring(GF(4), ["x", "y"], [4, 4])
     x, y = base.gen("x"), base.gen("y")
-    tower = SplitTower(base)
-    tower.adjoin_root([x + y, x * y])
-    ring = tower.ext.ring
-    tower.adjoin_root([x.to_ring(ring), ring.gen("_s1") * y.to_ring(ring), x.to_ring(ring)])
-    return tower.ext.basis
+    return SplitTower(base, [[x + y, x * y, x]]).ext.basis
 
 
 @pytest.mark.parametrize("case", range(27))
