@@ -175,8 +175,8 @@ class FGL:
 
     def sum_in_ring(self, elems: list[Poly], ring: QuotientRing) -> Poly:
         """Iterated formal sum a_1 +_F ... +_F a_m (empty sum is 0)."""
-        out = ring.ring.zero()
-        for e in elems:
+        out = ring.reduce(elems[0]) if elems else ring.ring.zero()  # F(0, a_1) = a_1
+        for e in elems[1:]:
             out = self.add_in_ring(out, e, ring)
         return out
 

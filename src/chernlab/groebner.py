@@ -416,17 +416,21 @@ class QuotientRing:
 def cap_ring(field, names, caps=(), total=None) -> QuotientRing:
     """field[names]/(x_i^caps[i], every monomial of total degree ``total``).
 
+    Monomials form a Groebner basis, and those no other one divides form the
+    reduced basis (Cox, Little and O'Shea, IVA, sections 2.4 and 2.7); they are
+    kept by descending lex leading term, as ``buchberger`` orders its output.
     With no relations this is field[names] itself: the field when ``names``
     is empty.
     """
-    ring = PolyRing(field, names)
-    gens = [ring.gen(name) ** c for name, c in zip(names, caps)]
+    n = len(names)
+    monos = {tuple(c if k == i else 0 for k in range(n)) for i, c in zip(range(n), caps)}
     if total is not None:
-        gens += [ring.monomial(tuple(picks.count(i) for i in range(len(names))))
-                 for picks in combinations_with_replacement(range(len(names)), total)]
-    if not gens:
-        return QuotientRing(GroebnerBasis(ring, ring.lex(), []))
-    return QuotientRing(buchberger(gens, ring.lex()))
+        monos.update(tuple(picks.count(i) for i in range(n))
+                     for picks in combinations_with_replacement(range(n), total))
+    minimal = [m for m in monos if not any(d != m and mono_divides(d, m) for d in monos)]
+    ring = PolyRing(field, names)
+    return QuotientRing(GroebnerBasis(ring, ring.lex(),
+                                      [ring.monomial(m) for m in sorted(minimal, reverse=True)]))
 
 
 def _field_kernel(rows: list[list[int]], ncols: int, fld) -> list[list[int]]:

@@ -11,7 +11,12 @@ p^{n*v(G)} with v(G) the p-part of the group exponent, which the finiteness
 theory makes harmless; raising v cannot change the presented quotient.  A
 truncation past the law's precision is refused before it is built, since the
 law is unknown on a generator whose prec-th power survives.
-"""
+
+Each relation is computed once.  Products of two line characters come first;
+a generator one equates to zero (times a unit) is killed, and those relations
+are reduced into the narrower capped ring: a divisor operation is ring
+operations and normal forms, so that is what the narrower ring would compute
+(base change, as in Strickland's "Formal schemes and formal groups")."""
 
 from __future__ import annotations
 
@@ -33,14 +38,9 @@ TOWER_WORK_CEILING = 1 << 14
 
 
 class Presentation:
-    def __init__(self, rep, law, v, truncation, ambient_q, generators, relations, killed):
-        self.rep = rep
-        self.law = law
-        self.v = v
-        self.truncation = truncation
-        self.qring = ambient_q
+    def __init__(self, qring, generators, killed):
+        self.qring = qring
         self.generators = generators
-        self.relations = relations
         self.killed = killed
 
     def dimension(self) -> int:
@@ -109,11 +109,8 @@ def build_presentation(
     """Generators, relations and the Groebner-reduced quotient of the
     Chern-class ring of a representation ring over a finite field."""
     p = law.p
-    table = rep.table
-    v_g = p_part_exponent(table.exponent, p)
-    if v is None:
-        v = v_g
-    if v < v_g:
+    v_g = p_part_exponent(rep.table.exponent, p)
+    if v is not None and v < v_g:
         raise ValidationError(f"v={v} is below the p-part {v_g} of the exponent")
     field = GF(p)
 
@@ -167,32 +164,29 @@ def build_presentation(
                     rels.append(diff)
         return rels
 
-    # phase A: products of two line characters; variables forced to zero are
-    # eliminated before the heavy relations are computed.
+    # phase A: products of two line characters, reduced as generators are killed
     ambient_q = make_quotient()
     divs = tautological(ambient_q)
-    line_products = [rel for rel in relations if dims[rel[0]] == dims[rel[1]] == 1]
-    rels_a = relations_for(ambient_q, divs, line_products)
-    changed = True
-    while changed:
-        changed = False
-        for rel in rels_a:
-            name = _unit_times_variable(rel, ambient_q)
-            if name and name not in killed:
-                killed.add(name)
-                changed = True
-        if changed:
-            ambient_q = make_quotient()
-            divs = tautological(ambient_q)
-            rels_a = relations_for(ambient_q, divs, line_products)
+    line_products, others = [], []
+    for rel in relations:
+        (line_products if dims[rel[0]] == dims[rel[1]] == 1 else others).append(rel)
+    rels = relations_for(ambient_q, divs, line_products)
+    while True:
+        names = {name for rel in rels if (name := _unit_times_variable(rel, ambient_q))}
+        names -= killed
+        if not names:
+            break
+        killed |= names
+        ambient_q = make_quotient()
+        rels = [rel for rel in map(ambient_q.reduce, rels) if rel]
 
-    # phase B: every product and lambda relation
-    rels = relations_for(ambient_q, divs, relations)
+    # phase B: every other product and lambda relation
+    if killed:
+        divs = tautological(ambient_q)
+    rels += relations_for(ambient_q, divs, others)
 
     final_q = ambient_q
     if rels:
         final_q = QuotientRing(buchberger(ambient_q.basis.polys + rels, ambient_q.order))
     final_q.std_monomials()
-    return Presentation(
-        rep, law, v, trunc, final_q, var_names, rels, sorted(killed)
-    )
+    return Presentation(final_q, var_names, sorted(killed))

@@ -202,6 +202,24 @@ def test_the_acceptance_suite_is_pinned(capsys):
             == "146d243f3a9f650c671e4ae720ca88191293a7100ce3dbe32857c7d529b8564e")
 
 
+# Chern-ring presentations; c12 at p = 3 kills generators in two rounds
+CHERN_PINNED = {
+    "chern --group d8 --p 2 --n 2 --prec 64":
+        "a2e25ddfda7f38ecc062419d0421b7ae8f43f0bdeb4bf814a765ebb1eb3a225b",
+    "chern --group c12 --p 3 --n 2 --prec 64":
+        "9519179ee9e2b39f00fbbde3cbb27cd87834fe7c52468c6d91d240e50fffd9db",
+    "chern --group c3xc3 --p 3 --n 2":
+        "16f672d249778fb6abf9cea04709c740422affa1487312d86b4dfe24dfd8654d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(CHERN_PINNED))
+def test_chern_presentations_are_pinned(capsys, argv):
+    code, out = run_capture(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CHERN_PINNED[argv]
+
+
 def test_out_file_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -253,6 +253,22 @@ def test_precision_guard():
         law.add_in_ring(q.gen("x"), q.gen("x"), q)
 
 
+def test_a_lone_summand_comes_back_reduced():
+    law = honda_fgl(2, 2, 32)
+    q = cap_ring(GF(2), ["x"], [8])
+    x = q.ring.gen("x")
+    assert law.sum_in_ring([x ** 9 + x], q) == x
+    assert law.sum_in_ring([], q) == q.ring.zero()
+
+
+def test_a_first_summand_past_the_precision_still_raises():
+    # x^8 survives in the cap at 12, so x is not nilpotent within 8
+    law = honda_fgl(2, 2, 8)
+    q = cap_ring(GF(2), ["x"], [12])
+    with pytest.raises(PrecisionExceeded):
+        law.sum_in_ring([q.gen("x"), q.ring.zero()], q)
+
+
 def test_precision_ceiling():
     with pytest.raises(ResourceLimit):
         honda_fgl(2, 2, 100)

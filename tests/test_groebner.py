@@ -200,6 +200,39 @@ def test_cap_ring_dimensions():
     assert cap_ring(GF(2), []).dimension() == 1
 
 
+@pytest.mark.parametrize("caps,total", [
+    ([4, 4, 2], None),
+    ([], 5),
+    ([3, 6, 2], 4),
+    ([1, 4, 3], 3),
+    ([0, 4, 3], None),
+    ([5, 2, 1], 2),
+])
+def test_cap_ring_is_the_reduced_basis_of_its_monomials(monkeypatch, caps, total):
+    names = ["x", "y", "z"]
+    ring = PolyRing(GF(3), names)
+    gens = [ring.gen(name) ** c for name, c in zip(names, caps)]
+    if total is not None:
+        gens += [ring.monomial((a, b, total - a - b))
+                 for a in range(total + 1) for b in range(total + 1 - a)]
+    expected = buchberger(gens, ring.lex()).polys
+
+    def no_buchberger(*args):
+        raise AssertionError("cap_ring ran buchberger")
+    monkeypatch.setattr(groebner, "buchberger", no_buchberger)
+    capped = cap_ring(GF(3), names, caps, total)
+    assert capped.basis.polys == expected
+    assert_groebner(capped.basis)
+
+
+def test_cap_ring_with_no_relations_has_an_empty_basis():
+    # buchberger refuses an empty generator list
+    with pytest.raises(ValidationError):
+        buchberger([], PolyRing(GF(2), []).lex())
+    assert len(cap_ring(GF(2), []).basis) == 0
+    assert len(cap_ring(GF(2), ["x", "y"]).basis) == 0
+
+
 # -- oracle: textbook Buchberger, no criteria, least pair first ---------------
 
 F7_LEX_IDEAL = ["x^2+4*y*z+4*z+6", "y^3+2*x*z+1", "z^3+3*x*y+y+6"]

@@ -1,6 +1,6 @@
 import pytest
 
-from chernlab import groebner
+from chernlab import groebner, presentation
 from chernlab.errors import DegreeCeiling, ResourceLimit, ValidationError
 from chernlab.fgl import honda_fgl
 from chernlab.field import GF
@@ -8,6 +8,7 @@ from chernlab.groebner import cap_ring
 from chernlab.presentation import build_presentation
 from chernlab.repring import (
     RepRing,
+    builtin_group,
     table_cyclic,
     table_cyclic_product,
     table_extraspecial,
@@ -89,3 +90,38 @@ def test_tower_work_ceiling_before_any_quotient():
     with pytest.raises(ResourceLimit, match=f"work {3 ** 6 * 36}, over ceiling"):
         build_presentation(ring, honda_fgl(3, 1, 32))
     assert groebner.COUNTS["pairs"] == pairs
+
+
+@pytest.mark.parametrize("group,p", [
+    ("sigma3", 3),
+    ("c12", 3),  # two kill rounds
+    ("c4", 2),
+    ("d8", 2),
+])
+def test_one_divisor_operation_per_relation(monkeypatch, group, p):
+    calls = []
+
+    def counted(op):
+        def wrapper(*args):
+            calls.append(op.__name__)
+            return op(*args)
+        return wrapper
+
+    for name in ("divisor_mul", "divisor_lambda"):
+        monkeypatch.setattr(presentation, name, counted(getattr(presentation, name)))
+    rep = RepRing(builtin_group(group))
+    build_presentation(rep, honda_fgl(p, 2, 64))
+    assert len(calls) == len(rep.relations())
+
+
+@pytest.mark.parametrize("p,error,match", [
+    (5, DegreeCeiling, "degree 25 "),
+    (3, ResourceLimit, "over ceiling"),
+])
+def test_ceilings_refuse_before_any_capped_ring(monkeypatch, p, error, match):
+    # cap_ring runs no buchberger, so the pair count alone cannot show this
+    def no_quotient(*args):
+        raise AssertionError("a capped ring was built")
+    monkeypatch.setattr(presentation, "cap_ring", no_quotient)
+    with pytest.raises(error, match=match):
+        build_presentation(RepRing(table_extraspecial(p, 1)), honda_fgl(p, 1, 32))
