@@ -3,16 +3,19 @@
 Exit codes: 0 when every certificate clause passes, 1 when a clause fails,
 2 on usage errors and on inputs a resource ceiling refuses.  Certificates are
 emitted as deterministic JSON (``cert.dumps``, the default) or a text
-summary; --out writes atomically.  A cold job builds only the subparser of
-the command it names (``build_parser``).
+summary; --out writes atomically.  Every command's options are rows of one
+table (``COMMANDS``): a well-formed command line is parsed from the option
+table (``_parse_exact``), and argparse is loaded for help and usage errors
+(``build_parser``, which builds only the subparser of the command argv
+names).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import tempfile
+from types import SimpleNamespace
 
 from . import acceptance
 from .cert import SCHEMA, Certificate, dumps
@@ -247,129 +250,142 @@ def cmd_all(args) -> int:
 
 
 def prime(text: str) -> int:
-    """argparse type of every --p: a prime."""
+    """Type of every --p: a prime."""
     p = int(text)
     if not is_prime(p):
-        raise argparse.ArgumentTypeError(f"{p} is not prime")
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"{p} is not prime")
     return p
 
 
 def natural(text: str) -> int:
-    """argparse type of every --n and --v: an integer >= 0."""
+    """Type of every --n and --v: an integer >= 0."""
     n = int(text)
     if n < 0:
-        raise argparse.ArgumentTypeError(f"{n} is negative")
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"{n} is negative")
     return n
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as one UsageError line, not usage text."""
+# Options as rows (flag, in the --group/--table exclusive group,
+# add_argument keywords), listed per command in help order.
+_P = ("--p", False, {"type": prime, "required": True})
+_N = ("--n", False, {"type": natural, "required": True})
+_V = ("--v", False, {"type": natural, "default": None})
+_PREC = ("--prec", False, {"type": int, "default": 32})
+# the character table comes from a builtin group or a table file, not both
+_SOURCE = (("--group", True, {"type": str, "default": None}),
+           ("--table", True, {"type": str, "default": None}))
+_OUTPUT = (("--out", False, {"type": str, "default": None}),
+           ("--format", False, {"choices": ("json", "text"), "default": "json"}))
 
-    def error(self, message):
-        raise UsageError(message)
-
-
-def _common(sp, p=False, n=False, v=False, prec=False, source=False):
-    if p:
-        sp.add_argument("--p", type=prime, required=True)
-    if n:
-        sp.add_argument("--n", type=natural, required=True)
-    if v:
-        sp.add_argument("--v", type=natural, default=None)
-    if prec:
-        sp.add_argument("--prec", type=int, default=32)
-    if source:
-        # the character table comes from a builtin group or a table file, not both
-        sources = sp.add_mutually_exclusive_group()
-        sources.add_argument("--group", type=str, default=None)
-        sources.add_argument("--table", type=str, default=None)
-    sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-
-
-def _fgl_options(sp):
-    _common(sp, p=True, n=True, prec=True)
-    sp.add_argument("--series", type=int, required=True)
-    sp.add_argument("--multiplicative", action="store_true")
-
-
-def _groebner_options(sp):
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--vars", type=str, required=True)
-    sp.add_argument("--gens", type=str, required=True,
-                    help="semicolon-separated polynomials")
-    sp.add_argument("--order", choices=("lex", "grlex"), default="lex")
-    _common(sp)
-
-
-def _omega_options(sp):
-    _common(sp, p=True, n=True, v=True, source=True)
-    sp.add_argument("--variant", choices=("plain", "ch", "prime", "dprime"),
-                    default="plain")
-
-
-def _chern_options(sp):
-    _common(sp, p=True, n=True, v=True, prec=True, source=True)
-
-
-def _witness_options(sp):
-    sp.add_argument("--n", type=natural, default=2)
-    _common(sp)
-
-
-def _xspec_options(sp):
-    sp.add_argument("--p", type=prime, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--n", type=natural, required=True)
-    _common(sp)
-
-
-def _table_check_options(sp):
-    sp.add_argument("--table", type=str, default=None)
-    sp.add_argument("--p", type=prime, default=None)
-    sp.add_argument("--d", type=int, default=None)
-    _common(sp)
-
-
-def _export_table_options(sp):
-    sp.add_argument("--group", type=str, required=True)
-    _common(sp)
-
-
-# (name, help, command, function that adds the subparser's options), in the
-# order the root help and the invalid-choice error list them
+# (name, help, command, option rows), in the order the root help and the
+# invalid-choice error list them
 COMMANDS = (
-    ("fgl", "print a [k]-series of a formal group law", cmd_fgl, _fgl_options),
-    ("groebner", "reduced Groebner basis of given generators", cmd_groebner, _groebner_options),
-    ("omega", "homomorphism censuses", cmd_omega, _omega_options),
-    ("chern", "presentation of the Chern-class ring", cmd_chern, _chern_options),
-    ("sigma4", "the order-24 symmetric group over F_4", cmd_sigma4, _common),
-    ("sdiv", "special-divisor expansions at p = 2", cmd_sdiv, _common),
+    ("fgl", "print a [k]-series of a formal group law", cmd_fgl,
+     (_P, _N, _PREC, *_OUTPUT, ("--series", False, {"type": int, "required": True}),
+      ("--multiplicative", False, {"action": "store_true"}))),
+    ("groebner", "reduced Groebner basis of given generators", cmd_groebner,
+     (("--q", False, {"type": int, "required": True}),
+      ("--vars", False, {"type": str, "required": True}),
+      ("--gens", False, {"type": str, "required": True,
+                         "help": "semicolon-separated polynomials"}),
+      ("--order", False, {"choices": ("lex", "grlex"), "default": "lex"}), *_OUTPUT)),
+    ("omega", "homomorphism censuses", cmd_omega,
+     (_P, _N, _V, *_SOURCE, *_OUTPUT,
+      ("--variant", False, {"choices": ("plain", "ch", "prime", "dprime"),
+                            "default": "plain"}))),
+    ("chern", "presentation of the Chern-class ring", cmd_chern,
+     (_P, _N, _V, _PREC, *_SOURCE, *_OUTPUT)),
+    ("sigma4", "the order-24 symmetric group over F_4", cmd_sigma4, _OUTPUT),
+    ("sdiv", "special-divisor expansions at p = 2", cmd_sdiv, _OUTPUT),
     ("witness", "the non-positive divisor witness at height --n", cmd_witness,
-     _witness_options),
+     (("--n", False, {"type": natural, "default": 2}), *_OUTPUT)),
     ("xspec", "census of the extraspecial group p^{1+2d} at height --n", cmd_xspec,
-     _xspec_options),
+     (_P, ("--d", False, {"type": int, "required": True}), _N, *_OUTPUT)),
     ("table-check", "validate a --table file or the --p/--d table", cmd_table_check,
-     _table_check_options),
-    ("export-table", "emit a builtin table as JSON", cmd_export_table, _export_table_options),
-    ("all", "run the full acceptance suite", cmd_all, _common),
+     (("--table", False, {"type": str, "default": None}),
+      ("--p", False, {"type": prime, "default": None}),
+      ("--d", False, {"type": int, "default": None}), *_OUTPUT)),
+    ("export-table", "emit a builtin table as JSON", cmd_export_table,
+     (("--group", False, {"type": str, "required": True}), *_OUTPUT)),
+    ("all", "run the full acceptance suite", cmd_all, _OUTPUT),
 )
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The parser of argv.  When argv[0] names a command only that
-    subparser is built, since a cold job runs one command; otherwise (no
-    argv, -h/--help or an unknown name) all are, so that the root help and
-    the invalid-choice error list every command."""
-    parser = _Parser(
+def _parse_exact(argv):
+    """The namespace argparse gives for argv when argv is a command name
+    followed only by distinct ``--flag value`` pairs of that command's
+    options (a store_true flag without its value), each value accepted by
+    the option's type and choices, no value starting with '-', every
+    required option present and at most one of an exclusive group; None for
+    any other argv, which argparse then parses, so that it alone writes
+    help, resolves abbreviations and reports usage errors."""
+    command = next((c for c in COMMANDS if argv and c[0] == argv[0]), None)
+    if command is None:
+        return None
+    name, _, fn, rows = command
+    values = {"command": name, "fn": fn}
+    options = {}
+    for flag, _, keywords in rows:
+        dest = flag[2:].replace("-", "_")
+        switch = keywords.get("action") == "store_true"
+        values[dest] = keywords.get("default", False if switch else None)
+        options[flag] = (dest, switch, keywords)
+    given = set()
+    k = 1
+    while k < len(argv):
+        if argv[k] not in options or argv[k] in given:
+            return None
+        given.add(argv[k])
+        dest, switch, keywords = options[argv[k]]
+        if switch:
+            values[dest] = True
+            k += 1
+            continue
+        if k + 1 == len(argv) or argv[k + 1].startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(argv[k + 1])
+        except Exception:
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+        k += 2
+    if any(keywords.get("required") and flag not in given for flag, _, keywords in rows):
+        return None
+    if sum(exclusive and flag in given for flag, exclusive, _ in rows) > 1:
+        return None
+    return SimpleNamespace(**values)
+
+
+def build_parser(argv=None):
+    """The argparse parser of argv.  When argv[0] names a command only that
+    subparser is built; otherwise (no argv, -h/--help or an unknown name)
+    all are, so that the root help and the invalid-choice error list every
+    command."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """Reports a bad command line as one UsageError line, not usage text."""
+
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = Parser(
         prog="chernlab",
         description="Exact formal-group / divisor / representation-ring computations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     named = [c for c in COMMANDS if argv and c[0] == argv[0]]
-    for name, text, fn, add_options in named or COMMANDS:
+    for name, text, fn, rows in named or COMMANDS:
         sp = sub.add_parser(name, help=text)
-        add_options(sp)
+        group = None
+        for flag, exclusive, keywords in rows:
+            if exclusive and group is None:
+                group = sp.add_mutually_exclusive_group()
+            (group if exclusive else sp).add_argument(flag, **keywords)
         sp.set_defaults(fn=fn)
     return parser
 
@@ -378,9 +394,8 @@ def run(argv=None) -> int:
     """Run the command argv (default sys.argv[1:]) names; returns the exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_exact(argv) or build_parser(argv).parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0

@@ -11,6 +11,7 @@ formal group law carries enough precision for the (nilpotent) roots.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -160,6 +161,13 @@ def _extract_divisor(base: QuotientRing, law: FGL, tower: SplitTower, roots) -> 
     return DivisorPoly(base, law, [c.to_ring(base.ring) for c in coeffs])
 
 
+def _root_powers(law: FGL, tower: SplitTower):
+    """root -> its power table in the tower, built once, when first asked
+    for: a sum of roots builds its tables, and fails its checks, in the
+    order ``FGL.add_in_ring`` would."""
+    return cache(lambda root: law.powers_in_ring(root, tower.ext))
+
+
 def divisor_mul(D: DivisorPoly, E: DivisorPoly) -> DivisorPoly:
     """The degree-de divisor with roots r_i +_F s_j."""
     if D.qring is not E.qring or D.law is not E.law:
@@ -167,10 +175,9 @@ def divisor_mul(D: DivisorPoly, E: DivisorPoly) -> DivisorPoly:
     _check_ceiling(D.degree * E.degree)
     law = D.law
     tower = SplitTower(D.qring, [D.coeffs] if E.coeffs == D.coeffs else [D.coeffs, E.coeffs])
-    sums = []
-    for r in tower.roots[0]:
-        for s in tower.roots[-1]:
-            sums.append(law.add_in_ring(r, s, tower.ext))
+    powers = _root_powers(law, tower)
+    sums = [law.add_powers(powers(r), powers(s), tower.ext)
+            for r in tower.roots[0] for s in tower.roots[-1]]
     return _extract_divisor(D.qring, law, tower, sums)
 
 
@@ -182,10 +189,16 @@ def divisor_lambda(D: DivisorPoly, r: int) -> DivisorPoly:
     law = D.law
     if r == 0:
         return DivisorPoly(D.qring, law, [D.qring.ring.zero()])
+    if r == 1:  # lambda^1 D = D, whose coefficients are normal forms already
+        return D
     tower = SplitTower(D.qring, [D.coeffs])
+    powers = _root_powers(law, tower)
     new_roots = []
-    for subset in combinations(tower.roots[0], r):
-        new_roots.append(law.sum_in_ring(list(subset), tower.ext))
+    for first, second, *rest in combinations(tower.roots[0], r):
+        out = law.add_powers(powers(first), powers(second), tower.ext)
+        for s in rest:
+            out = law.add_powers(law.powers_in_ring(out, tower.ext), powers(s), tower.ext)
+        new_roots.append(out)
     return _extract_divisor(D.qring, law, tower, new_roots)
 
 

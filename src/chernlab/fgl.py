@@ -123,8 +123,21 @@ class FGL:
             powers.append(ring.mul(powers[-1], a))
         return powers
 
+    def powers_in_ring(self, a: Poly, ring: QuotientRing) -> list[Poly]:
+        """The table [1, a, a^2, ...] of normal forms, up to the first zero
+        power, of an element a nilpotent within prec; ``add_powers`` reads it."""
+        if ring.field.p != self.p:
+            raise IncompatibleRing("ring characteristic differs from the law's prime")
+        return self._nilpotent_powers(a, ring, self.prec)
+
     def add_in_ring(self, a: Poly, b: Poly, ring: QuotientRing) -> Poly:
-        """F(a, b) evaluated exactly; a and b must be nilpotent within prec.
+        """F(a, b) evaluated exactly; a and b must be nilpotent within prec."""
+        return self.add_powers(self.powers_in_ring(a, ring), self.powers_in_ring(b, ring), ring)
+
+    def add_powers(self, pa: list[Poly], pb: list[Poly], ring: QuotientRing) -> Poly:
+        """F(a, b) from the power tables of a and b (``powers_in_ring``), so
+        that a caller adding each of several elements to several others
+        builds each table once.
 
         Terms of F beyond the precision are unknown, so the evaluation is
         exact only when every product a^i b^j in that range vanishes; this is
@@ -132,10 +145,6 @@ class FGL:
         linear, so the rows B_i = sum_j c_ij b^j are combinations of normal
         forms, and sum_i a^i B_i is reduced once.
         """
-        if ring.field.p != self.p:
-            raise IncompatibleRing("ring characteristic differs from the law's prime")
-        pa = self._nilpotent_powers(a, ring, self.prec)
-        pb = self._nilpotent_powers(b, ring, self.prec)
         na, nb = len(pa) - 1, len(pb) - 1
         if na + nb > self.prec:
             for i in range(1, na):

@@ -1,7 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +164,52 @@ def test_help_exits_0_with_usage_on_stdout(capsys, argv):
     if argv == ["--help"]:
         assert "{" + ",".join(name for name, *_ in COMMANDS) + "}" in out
 
+
+# SHA-256 of argparse's help text at 80 columns (Python 3.11), recorded
+# before the option rows became one table
+HELP_PINNED = {
+    "--help": "528d4919ecd20a21fdc8ac2fc38296bbd0fa200c5fe0be99d084ec0c141068f9",
+    "fgl --help": "f234df69e0d8c8b4130711dcd3fcaeb9cd77ce46794d12179dead4d41f7f62c2",
+    "groebner --help": "cda79953f95e93d293c52c891b06c6f89da01ad9dcb7c86c9043c42895e1b379",
+    "omega --help": "b7581ed501a837bc08981b68761050eb9470d11fcd6eccfb231e6460fca05020",
+    "chern --help": "7eb60fa64bebaca4a17f58617bf048c3aea20947cf9b5e26200c6858b9f46774",
+    "sigma4 --help": "9cef9c37762c769042147051d766a8d36f0ccd1125ceaf5dfa21a0570be857a0",
+    "sdiv --help": "70ff9c053f6c6e3bb20ca1aa3d8c32e2c848b8de71fbbfb876e74f3fcec73258",
+    "witness --help": "5795ef70728793832b4fc11bc746e24082d8b89dad4dcfd609bdd2988b4cc312",
+    "xspec --help": "9065f386c703f9dcbd318679c5459b3c2e1150fbc624b552709659f8e074857a",
+    "table-check --help": "90ed790beb385160d53c589d280db6d1dde9366007d869d0bd7685b75fce912d",
+    "export-table --help": "3da400a2b9ec7e2c7ae8bbf2bd0abf7584507009276bea320942981a3fe0037d",
+    "all --help": "799fb7b5828ef96d9c17140cfccf0d34c3d6777b20fa251f96dd754502dba2af",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's help layout")
+@pytest.mark.parametrize("argv", sorted(HELP_PINNED))
+def test_help_text_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out = run_capture(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == HELP_PINNED[argv]
+
+
+def test_well_formed_jobs_load_no_argparse(tmp_path):
+    # argparse, and the gettext and locale its first use loads, come in only
+    # for help and usage errors
+    script = """
+import contextlib, io, sys
+from chernlab.cli import run
+jobs = ["sdiv", "fgl --p 2 --n 2 --prec 8 --series 3 --format text",
+        "export-table --group c4 --out c4.json", "table-check --table c4.json",
+        "omega --group sigma3 --p 3 --n 2 --variant ch"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [run(job.split()) for job in jobs]
+    print(codes, sorted({"argparse", "gettext", "locale"} & set(sys.modules)), file=sys.stderr)
+    print(run(["fgl", "--help"]), "argparse" in sys.modules, file=sys.stderr)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stderr == "[0, 0, 0, 0, 0] []\n0 True\n"
 
 def test_run_without_argv_reads_sys_argv(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["chernlab", "fgl", "--p", "2", "--n", "2", "--prec", "4",

@@ -12,7 +12,7 @@ from chernlab.divisor import (
     tpoly_mul,
 )
 from chernlab.errors import DegreeCeiling
-from chernlab.fgl import honda_fgl, multiplicative_fgl
+from chernlab.fgl import FGL, honda_fgl, multiplicative_fgl
 from chernlab.field import GF
 from chernlab.groebner import assert_groebner, cap_ring
 from chernlab.lattice import LatticeDivisor, Theta
@@ -132,6 +132,53 @@ def test_a_product_splits_in_one_ring_with_one_growing_basis(law, Q, monkeypatch
     divisor_mul(D, D)
     assert len(calls) == D.degree - 1 and len(calls[0].roots) == 1
 
+
+
+def count_power_tables(monkeypatch):
+    calls = []
+    build = FGL._nilpotent_powers
+
+    def counted(law, a, ring, bound):
+        calls.append(a)
+        return build(law, a, ring, bound)
+
+    monkeypatch.setattr(FGL, "_nilpotent_powers", counted)
+    return calls
+
+
+def test_a_product_builds_each_roots_power_table_once(law, monkeypatch):
+    Q = cap_ring(GF(4), ["a1", "a2", "b1", "b2"], [2, 2, 2, 2])
+    D = DivisorPoly(Q, law, [Q.gen("a1"), Q.gen("a2")])
+    E = DivisorPoly(Q, law, [Q.gen("b1"), Q.gen("b2")])
+    calls = count_power_tables(monkeypatch)
+    divisor_mul(D, E)
+    assert len(calls) == 4  # one per root of D and of E, not two per pair
+    calls.clear()
+    divisor_mul(D, D)
+    assert len(calls) == 2
+
+
+def test_lambda_builds_each_roots_power_table_once(law, monkeypatch):
+    Q = cap_ring(GF(4), ["c1", "c2", "c3"], [2, 2, 2])
+    D = DivisorPoly(Q, law, [Q.gen("c1"), Q.gen("c2"), Q.gen("c3")])
+    calls = count_power_tables(monkeypatch)
+    divisor_lambda(D, 2)
+    assert len(calls) == 3  # one per root, not two per pair
+    calls.clear()
+    divisor_lambda(D, 3)
+    assert len(calls) == 4  # each root, and the partial sum r1 +_F r2
+
+
+def test_lambda_one_is_the_divisor_without_a_tower(law, monkeypatch):
+    # the tautological divisor of d8's 2-dimensional irreducible
+    Q = cap_ring(GF(4), ["c1", "c2"], [4, 4])
+    D = DivisorPoly(Q, law, [Q.gen("c1"), Q.gen("c2")])
+
+    def no_tower(*args):
+        raise AssertionError("a splitting tower was built")
+
+    monkeypatch.setattr(SplitTower, "adjoin_root", no_tower)
+    assert divisor_lambda(D, 1) == D
 
 def split_points(law, Q, theta, coord):
     """Coordinates of the lattice points of the p-torsion inside the ring."""
