@@ -163,9 +163,12 @@ class CyclotomicRing:
         return tuple(out)
 
     def embed_from(self, other: "CyclotomicRing", a):
-        """Image of a in this ring; requires other.e | self.e."""
+        """Image of a in this ring; requires other.e | self.e.  The identity
+        embedding returns a as it is."""
         if self.e % other.e:
             raise ValidationError(f"no embedding Q(zeta_{other.e}) -> Q(zeta_{self.e})")
+        if other.e == self.e:
+            return a
         step = self.e // other.e
         return self.reduce({k * step: c for k, c in other.lift(a)})
 

@@ -224,6 +224,18 @@ class OmegaChElem:
         return f"<OmegaCh {self.text()}>"
 
 
+def _theta_v(exponent: int, p: int, v: int | None) -> int:
+    """The v of Theta(p, v, n) for a group of this exponent: by default the
+    exponent of p in it.  Raises ValidationError when p^v does not divide
+    it, as kappa and enumerate_omega_ch require."""
+    w = p_part_exponent(exponent, p)
+    if v is None:
+        return w
+    if v > w:
+        raise ValidationError("group exponent not divisible by p^v")
+    return v
+
+
 def kappa(
     table: CharacterTable,
     homs: list[tuple[int, ...]],
@@ -249,10 +261,7 @@ def kappa(
     model = table.model
     if model is None:
         raise ValidationError(f"the table {table.name} has no group model")
-    if v is None:
-        v = p_part_exponent(table.exponent, p)
-    elif v > p_part_exponent(table.exponent, p):
-        raise ValidationError("group exponent not divisible by p^v")
+    v = _theta_v(table.exponent, p, v)
     modulus = p ** v
     theta = Theta(p, v, n)
     step = table.exponent // modulus
@@ -350,11 +359,11 @@ def enumerate_omega_ch(
     point at their sum, so only the first d - 1 points are enumerated and
     the last is pt(D_l) minus their sum, kept when it is not below them
     so that each multiset is made once.  The plan still checks that
-    relation.  Adds to COUNTS.
+    relation.  Raises ValidationError, as kappa does, when p^v does not
+    divide the group exponent.  Adds to COUNTS.
     """
     table = ring.table
-    if v is None:
-        v = p_part_exponent(table.exponent, p)
+    v = _theta_v(table.exponent, p, v)
     theta = Theta(p, v, n)
     size = len(theta.points())
     dims = ring.dims

@@ -5,8 +5,11 @@ class data (size, element order, power maps) and, for a builtin table, the
 GroupModel it was read off, whose canonical class order the rows follow.  All structure
 constants are computed by exact cyclotomic inner products, except that a row
 of roots of unity (a linear character) is also kept as its exponent vector
-mod e: products of such rows are sums of exponents, and their inner products
-depend only on differences of exponents, so each is computed once.
+mod e, packed into one int (PackedExponents): products of such rows are sums
+of exponents, their inner products depend only on differences of exponents,
+so each is computed once, and their conjugates negate the exponents.  The
+power maps are checked to compose, pm[k] o pm[l] = pm[kl], for k = 1 and k
+prime, which gives every k.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .errors import (
     UnknownGroup,
     ValidationError,
 )
+from .field import is_prime
 from .groups import (
     GroupModel,
     builtin_model,
@@ -52,6 +56,36 @@ def _class_inner(cy, class_sizes, order, values, conj_row) -> int:
     return cy.rational_value(
         cy.divide_exact(cy.product_sum(class_sizes, values, conj_row), order)
     )
+
+
+class PackedExponents:
+    """Vectors of h exponents mod e, each packed into one int with a field
+    of width = e.bit_length() + 1 bits per entry, entry c in field c.
+
+    A field holds any value below 2e, so the sum of two packed vectors, or
+    a + all_e - b (all_e holds e in every field), has no carry between
+    fields, and mod_e reduces every field at once: adding bias, which holds
+    2^(width-1) - e in every field, sets a field's top (guard) bit exactly
+    when the field is at least e.
+    """
+
+    def __init__(self, e: int, h: int):
+        self.e = e
+        self.width = e.bit_length() + 1
+        ones = sum(1 << (self.width * c) for c in range(h))
+        self.all_e = e * ones
+        self.bias = ((1 << (self.width - 1)) - e) * ones
+        self.guard = (1 << (self.width - 1)) * ones
+
+    def pack(self, vec) -> int:
+        x = 0
+        for k in reversed(vec):
+            x = (x << self.width) | k
+        return x
+
+    def mod_e(self, x: int) -> int:
+        """x with each field, below 2e, reduced mod e."""
+        return x - self.e * (((x + self.bias) & self.guard) >> (self.width - 1))
 
 
 class CharacterTable:
@@ -91,19 +125,25 @@ class CharacterTable:
             if not self.cyclo.is_rational(row[self.identity_class]):
                 raise NotACharacterTable(f"row {i} is not rational on the identity class")
             self.dims.append(row[self.identity_class][0])
-        # the rows and their conjugates lifted into Z[C_e], and each row's index
-        cy = self.cyclo
-        conj = [[cy.conjugate(v) for v in row] for row in self.rows]
-        self._lifted = tuple(
-            [[cy.lift(v) for v in row] for row in rows] for rows in (self.rows, conj)
-        )
-        self._row_index = {tuple(row): i for i, row in enumerate(self.rows)}
-        # a row of roots of unity (a linear character) as its exponents mod e
+        # the rows lifted into Z[C_e]; a row of roots of unity (a linear
+        # character) is also kept as its exponents mod e, packed into one int
+        cy, e = self.cyclo, exponent
+        lifted = [[cy.lift(v) for v in row] for row in self.rows]
         self._exps = [
-            tuple(v[0][0] for v in row)
-            if all(len(v) == 1 and v[0][1] == 1 for v in row) else None
-            for row in self._lifted[0]
+            tuple(t[0][0] for t in row)
+            if all(len(t) == 1 and t[0][1] == 1 for t in row) else None
+            for row in lifted
         ]
+        self._packing = PackedExponents(e, self.nclasses)
+        self._packed = [None if x is None else self._packing.pack(x) for x in self._exps]
+        # the conjugate rows lifted: zeta^k conjugates to zeta^(-k)
+        conj = [
+            [cy.lift(cy.conjugate(v)) for v in row] if x is None
+            else [((-k % e, 1),) for k in x]
+            for row, x in zip(self.rows, self._exps)
+        ]
+        self._lifted = (lifted, conj)
+        self._row_index = {tuple(row): i for i, row in enumerate(self.rows)}
         self.validate()
 
     def power_map(self, k: int) -> list[int]:
@@ -149,15 +189,16 @@ class CharacterTable:
         ):
             raise NotACharacterTable("first irreducible must be the trivial character")
         rows, conj = self._lifted
-        exps, e, memo = self._exps, self.exponent, {}
+        packed, memo = self._packed, {}
+        mod_e, all_e = self._packing.mod_e, self._packing.all_e
         for i in range(len(rows)):
             for j in range(i, len(rows)):
-                if exps[i] is None or exps[j] is None:
+                if packed[i] is None or packed[j] is None:
                     value = self._inner_conj(rows[i], conj[j])
                 else:
                     # two linear rows: the sum is over zeta^(a_c - b_c), so it
                     # is computed once per difference of exponent vectors mod e
-                    key = tuple((a - b) % e for a, b in zip(exps[i], exps[j]))
+                    key = mod_e(packed[i] + all_e - packed[j])
                     if key not in memo:
                         memo[key] = self._inner_conj(rows[i], conj[j])
                     value = memo[key]
@@ -166,7 +207,10 @@ class CharacterTable:
                         f"row orthogonality fails at ({i},{j})"
                     )
         # power-map consistency
-        for k, pm in self.power_maps.items():
+        pms, e = self.power_maps, self.exponent
+        for k in range(e):
+            self.power_map(k)  # raises for a missing k
+        for k, pm in pms.items():
             if len(pm) != self.nclasses:
                 raise NotACharacterTable(f"power map {k} has wrong length")
             for c in range(self.nclasses):
@@ -175,13 +219,15 @@ class CharacterTable:
                         raise NotACharacterTable(
                             f"power map {k} wrong on class {c} of order {self.class_orders[c]}"
                         )
-        for k in list(self.power_maps):
-            for l in list(self.power_maps):
-                kl = (k * l) % self.exponent
-                if kl in self.power_maps:
-                    composed = [self.power_maps[k][c] for c in self.power_maps[l]]
-                    if composed != self.power_maps[kl]:
-                        raise NotACharacterTable(f"power maps {k}*{l} inconsistent")
+        # pm[k] o pm[l] = pm[kl] for k = 1 and k prime gives it for every k:
+        # a composite k = p*m has pm[k] = pm[p] o pm[m], a checked instance,
+        # so pm[k] o pm[l] = pm[p] o pm[ml] = pm[kl] by induction on k.  (k = 0
+        # holds as pm[0] is constant; l runs over every key, which for e = 1
+        # is 0 and 1.)
+        for k in [1] + [k for k in range(2, e) if is_prime(k)]:
+            for l in pms:
+                if [pms[k][c] for c in pms[l]] != pms[(k * l) % e]:
+                    raise NotACharacterTable(f"power maps {k}*{l} inconsistent")
 
     def psi_row(self, i: int, k: int) -> list[tuple]:
         pm = self.power_map(k)
@@ -269,25 +315,40 @@ class RepRing:
         self.table = table
         self.h = len(table.rows)
         self.dims = list(table.dims)
-        cy, exps, e = table.cyclo, table._exps, table.exponent
-        index = {x: k for k, x in enumerate(exps) if x is not None}
+        cy, packed, mod_e = table.cyclo, table._packed, table._packing.mod_e
+        index = {x: k for k, x in enumerate(packed) if x is not None}
+        units: dict[int, list[int]] = {}  # shared, read-only unit vectors
+        products: dict = {}  # cy.mul of each value pair met in this call
         self.mijk = [[None] * self.h for _ in range(self.h)]
         for i in range(self.h):
             for j in range(i, self.h):
-                # a product of linear characters is the row of its summed exponents
-                hit = exps[i] and exps[j] and index.get(
-                    tuple((x + y) % e for x, y in zip(exps[i], exps[j])))
+                # a product of linear characters is the row of its summed
+                # exponents: a unit vector, so no multiplicity is negative
+                hit = None
+                if packed[i] is not None and packed[j] is not None:
+                    hit = index.get(mod_e(packed[i] + packed[j]))
                 if hit is not None:
-                    coeffs = [1 if k == hit else 0 for k in range(self.h)]
+                    coeffs = units.get(hit)
+                    if coeffs is None:
+                        coeffs = units[hit] = [0] * self.h
+                        coeffs[hit] = 1
+                    if self.dims[hit] != self.dims[i] * self.dims[j]:
+                        raise NotACharacterTable("product dimensions inconsistent")
                 else:
-                    prod = [cy.mul(a, b) for a, b in zip(table.rows[i], table.rows[j])]
+                    prod = []
+                    for pair in zip(table.rows[i], table.rows[j]):
+                        value = products.get(pair)
+                        if value is None:
+                            value = products[pair] = cy.mul(*pair)
+                        prod.append(value)
                     coeffs = table.decompose(prod)
-                if any(c < 0 for c in coeffs):
-                    raise NegativeStructureConstant(
-                        f"V{i+1} x V{j+1} decomposes with a negative multiplicity"
-                    )
-                if sum(c * d for c, d in zip(coeffs, self.dims)) != self.dims[i] * self.dims[j]:
-                    raise NotACharacterTable("product dimensions inconsistent")
+                    if any(c < 0 for c in coeffs):
+                        raise NegativeStructureConstant(
+                            f"V{i+1} x V{j+1} decomposes with a negative multiplicity"
+                        )
+                    if (sum(c * d for c, d in zip(coeffs, self.dims))
+                            != self.dims[i] * self.dims[j]):
+                        raise NotACharacterTable("product dimensions inconsistent")
                 self.mijk[i][j] = coeffs
                 self.mijk[j][i] = coeffs
         self._psi_cache: dict[int, list[list[int]]] = {}

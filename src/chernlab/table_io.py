@@ -145,7 +145,7 @@ def table_from_dict(doc: dict) -> CharacterTable:
             degree = len(cyclotomic_polynomial(conductor)) - 1
             _require(len(coeffs) == degree, vpath,
                      f"need {degree} coordinates for conductor {conductor}")
-            _require(all(_is_int(c) for c in coeffs), vpath, "integer coordinates")
+            _require(all(type(c) is int for c in coeffs), vpath, "integer coordinates")
             small = Cyclo(conductor)
             row.append(cy.embed_from(small, tuple(coeffs)))
         _require(_positive(item["dim"]), f"{path}.dim", "positive integer required")

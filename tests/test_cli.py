@@ -113,6 +113,16 @@ def test_omega_prime_refuses_a_v_that_leaves_an_image_unannihilated(capsys, v):
     assert capsys.readouterr().err == f"error: p^{v} does not annihilate an image of order {order}\n"
 
 
+def test_omega_ch_refuses_a_v_past_the_p_part_for_a_table_as_for_a_group(tmp_path, capsys):
+    path = str(tmp_path / "c4.json")
+    assert run(["export-table", "--group", "c4", "--out", path]) == 0
+    outcomes = []
+    for source in (["--group", "c4"], ["--table", path]):
+        code = run(["omega", *source, "--p", "2", "--n", "1", "--variant", "ch", "--v", "3"])
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes == [(2, "error: group exponent not divisible by p^v\n")] * 2
+
+
 @pytest.mark.parametrize("n,v,count", [("2", "2", 17), ("0", "0", 1)])
 def test_omega_prime_sigma4_where_p_to_the_v_annihilates(capsys, n, v, count):
     # at n = 0 there are no images to annihilate

@@ -73,8 +73,11 @@ def test_omega_ch_sigma3(s3_ring):
     assert len(och) == 5
 
 
-def test_omega_ch_sigma3_v2_same_count(s3_ring):
-    assert len(enumerate_omega_ch(s3_ring, 3, 2, v=2)) == 5
+def test_omega_ch_sigma3_takes_v_up_to_the_p_part_only(s3_ring):
+    # as kappa: 3^2 does not divide sigma3's exponent 6
+    assert enumerate_omega_ch(s3_ring, 3, 2, v=1) == enumerate_omega_ch(s3_ring, 3, 2)
+    with pytest.raises(ValidationError, match="^group exponent not divisible by p\\^v$"):
+        enumerate_omega_ch(s3_ring, 3, 2, v=2)
 
 
 def test_omega_ch_trivial():
@@ -357,7 +360,9 @@ def test_xi_of_a_census_transforms_nothing(s4_ring):
 
 
 def test_xi_rejects_elements_over_two_lattices_or_past_the_exponent(s3_ring):
-    wide = enumerate_omega_ch(s3_ring, 3, 1, v=2)  # 9 does not divide |sigma3|'s exponent 6
+    # the trivial hom's image on Theta(3, 2, 1): 9 does not divide sigma3's
+    # exponent 6, so no census makes it
+    wide = [OmegaChElem([LatticeDivisor(Theta(3, 2, 1), [(0,)] * d) for d in s3_ring.dims])]
     with pytest.raises(ValidationError, match="mixed lattice"):
         xi_class_maps(enumerate_omega_ch(s3_ring, 3, 1)[:1] + wide[:1], s3_ring.table)
     with pytest.raises(ValidationError, match="p\\^2 does not divide the exponent 6"):

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chernlab.cyclotomic import CyclotomicRing
 from chernlab.errors import InconsistentFusion, NotACharacterTable, UnknownGroup
 from chernlab.repring import (
     CharacterTable,
+    PackedExponents,
     RepRing,
     builtin_fusion,
     builtin_group,
@@ -280,7 +282,8 @@ def test_corrupted_table_rejected(group, edit, verdict, pair, monkeypatch):
         assert pairs[-1] == pair
 
 
-MIJK_GROUPS = ["c36", "c6xc6", "c3xc3", "extraspecial(5,1)", "sigma4", "d8"]
+MIJK_GROUPS = ["c36", "c6xc6", "c3xc3", "c30", "c2xc13", "extraspecial(5,1)", "sigma4",
+               "d8"]
 
 
 @pytest.mark.parametrize("group", MIJK_GROUPS)
@@ -291,6 +294,100 @@ def test_structure_constants_match_product_oracle(group):
     expected = [[t.decompose([cy.mul(a, b) for a, b in zip(ri, rj)]) for rj in t.rows]
                 for ri in t.rows]
     assert RepRing(t).mijk == expected
+
+
+def rebuilt(t, power_maps=None):
+    """t's data through the CharacterTable constructor, optionally with
+    other power maps."""
+    return CharacterTable(t.name, t.order, t.exponent, t.class_sizes, t.class_orders,
+                          t.power_maps if power_maps is None else power_maps, t.rows)
+
+
+def counting(monkeypatch, method):
+    """The argument tuples of every call of a CyclotomicRing method."""
+    calls = []
+    inner = getattr(CyclotomicRing, method)
+
+    def traced(self, *args):
+        calls.append(args)
+        return inner(self, *args)
+
+    monkeypatch.setattr(CyclotomicRing, method, traced)
+    return calls
+
+
+def test_a_cyclic_table_and_ring_conjugate_nothing(monkeypatch):
+    # a linear row's conjugate is read off its exponents
+    t = builtin_group("c36")
+    calls = counting(monkeypatch, "conjugate")
+    RepRing(rebuilt(t))
+    assert calls == []
+
+
+def test_ring_multiplies_each_value_pair_once(monkeypatch):
+    t = builtin_group("extraspecial(5,1)")
+    calls = counting(monkeypatch, "mul")
+    RepRing(t)
+    assert calls and len(calls) == len(set(calls))
+
+
+def check_packed(e, a, b):
+    """Packed a + b and a - b mod e against the tuple oracle."""
+    packing = PackedExponents(e, len(a))
+    pa, pb = packing.pack(a), packing.pack(b)
+    assert packing.mod_e(pa + pb) == packing.pack(tuple((x + y) % e for x, y in zip(a, b)))
+    assert (packing.mod_e(pa + packing.all_e - pb)
+            == packing.pack(tuple((x - y) % e for x, y in zip(a, b))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_packed_sums_and_differences_match_the_tuple_oracle(data):
+    # powers of 2 put e one below a field's guard bit
+    e = data.draw(st.one_of(st.integers(1, 100), st.sampled_from([1, 2, 4, 8, 16, 32, 64])),
+                  label="e")
+    h = data.draw(st.integers(1, 40), label="classes")
+    vec = st.lists(st.integers(0, e - 1), min_size=h, max_size=h)
+    check_packed(e, data.draw(vec, label="a"), data.draw(vec, label="b"))
+
+
+@pytest.mark.parametrize("e", [1, 2, 7, 8, 64, 100])
+def test_packed_fields_at_their_extremes(e):
+    # a field sum of 2e - 2, differences of e - 1 and 1 - e, and neighbours
+    # at those extremes
+    check_packed(e, [e - 1, e - 1, 0, e - 1], [e - 1, 0, e - 1, e - 1])
+
+
+@pytest.mark.parametrize("k", [4, 9])
+def test_a_wrong_power_map_at_a_composite_k_is_rejected(k):
+    """pm[k] moved, on a class whose order does not divide k, to another
+    class: the element-order check passes and the composition
+    pm[p] o pm[k/p] = pm[k] of a prime p fails."""
+    t = builtin_group("c36")
+    m = t.model
+    pms = {j: list(pm) for j, pm in t.power_maps.items()}
+    c = next(c for c in range(t.nclasses) if k % t.class_orders[c])
+    pms[k][c] = m.class_of[m.power(m.classes[c][0], k + 1)]
+    assert pms[k] != t.power_maps[k]
+    p = 2 if k == 4 else 3
+    with pytest.raises(NotACharacterTable, match=f"^power maps {p}\\*{p} inconsistent$"):
+        rebuilt(t, pms)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_a_missing_power_map_is_rejected(k):
+    t = builtin_group("c6")
+    pms = {j: pm for j, pm in t.power_maps.items() if j != k}
+    with pytest.raises(NotACharacterTable, match=f"^missing power map for k={k}$"):
+        rebuilt(t, pms)
+
+
+def test_a_table_claiming_exponent_one_with_two_classes_is_rejected():
+    # pm[1] is the identity map and pm[0] constant, so (1, 1) composes wrong
+    t = builtin_group("c2")
+    with pytest.raises(NotACharacterTable, match=r"^power maps 1\*1 inconsistent$"):
+        CharacterTable("bad", t.order, 1, t.class_sizes, t.class_orders, {},
+                       [[(v[0],) for v in row] for row in t.rows])
 
 
 # builtin tables of up to 11 classes, abelian and not

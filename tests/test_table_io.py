@@ -14,7 +14,7 @@ from chernlab.repring import (
     table_dihedral8,
     table_sigma4,
 )
-from chernlab.table_io import table_from_json, table_to_dict, table_to_json
+from chernlab.table_io import table_from_dict, table_from_json, table_to_dict, table_to_json
 
 
 @pytest.mark.parametrize("name", ["trivial", "c4", "sigma3", "sigma4", "d8",
@@ -83,13 +83,15 @@ BAD_FIELDS = [
     (_set("order", True), "$.order"),
     (_set("classes", 0, "power", 5), "$.classes[0].power"),
     (_no_identity_class, "$.classes"),
+    (_set("irreducibles", 1, "values", 1, [2, True]), "$.irreducibles[1].values[1]"),
+    (_set("irreducibles", 1, "values", 1, [2, -1.0]), "$.irreducibles[1].values[1]"),
 ]
 
 
 @pytest.mark.parametrize("edit,path", BAD_FIELDS, ids=[
     "size-string", "elt_order-string", "size-float", "elt_order-float", "elt_order-zero",
     "two-identity-classes", "size-bool", "dim-bool", "dim-zero", "order-bool",
-    "power-not-object", "no-identity-class",
+    "power-not-object", "no-identity-class", "coordinate-bool", "coordinate-float",
 ])
 def test_bad_field_is_a_schema_error(tmp_path, capsys, edit, path):
     doc = table_to_dict(builtin_group("c2"))
@@ -109,6 +111,19 @@ def test_bad_conductor_rejected():
     doc["irreducibles"][0]["values"][0] = [3, 1, 0]  # 3 does not divide 2
     with pytest.raises(SchemaError):
         table_from_json(json.dumps(doc))
+
+
+def test_a_value_at_a_smaller_conductor_ingests_as_at_the_exponent():
+    # c6's values written at conductor 6, then each at the least conductor
+    # that holds it: 1 at 1, -1 at 2, zeta_6^2 and zeta_6^4 at 3
+    doc = table_to_dict(builtin_group("c6"))
+    smaller = {(6, 1, 0): [1, 1], (6, -1, 0): [2, -1],
+               (6, -1, 1): [3, 0, 1], (6, 0, -1): [3, -1, -1]}
+    moved = json.loads(json.dumps(doc))
+    for item in moved["irreducibles"]:
+        item["values"] = [smaller.get(tuple(v), v) for v in item["values"]]
+    assert moved != doc
+    assert table_from_dict(moved).rows == table_from_dict(doc).rows == builtin_group("c6").rows
 
 
 def test_ingested_d8_usable_for_restriction():
