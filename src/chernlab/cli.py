@@ -131,8 +131,6 @@ def cmd_omega(args) -> int:
     if args.variant == "ch":
         ring = _table_or_builtin(args)
         model = ring.table.model
-        # kappa first: it refuses a --v that leaves an image unannihilated
-        # before any search runs
         if model is not None:
             images = kappa(ring.table, enumerate_omega(model, args.p, args.n),
                            args.p, args.n, args.v)

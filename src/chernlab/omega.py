@@ -3,8 +3,8 @@
 Omega(G): conjugacy classes of n-tuples of commuting p-power-order elements
 (images of the standard topological generators).  Omega'(G) quotients by
 pointwise conjugacy; Omega''(G) is the set of Z-equivariant maps from the
-dual lattice to p-power conjugacy classes, found by depth-first search
-with Z-equivariant propagation; OmegaCh(G) is enumerated by constraint
+dual lattice to p-power conjugacy classes, built by extending each partial
+map over one cyclic subgroup at a time; OmegaCh(G) is enumerated by constraint
 search over lattice divisors against the Lambda-semiring relations of
 RepRing.relations().  Class-valued maps on Theta are tuples indexed like
 Theta.points(), and their Z-equivariance is read off Theta's rows.
@@ -28,11 +28,11 @@ from .repring import CharacterTable, RepRing
 OMEGA_TUPLE_ENTRIES = 1 << 24  # tuple entries written by one commuting-tuple search
 OMEGA_CH_NODES = 10000  # search nodes of one OmegaCh enumeration
 OMEGA_CH_MEMO = 1 << 16  # multiplicities of the left-hand sides one OmegaCh search keeps
-OMEGA_DPRIME_VISITS = 1 << 20  # search nodes x |Theta| of one Omega'' enumeration
+OMEGA_DPRIME_VISITS = 1 << 20  # partial maps x |Theta| of one Omega'' enumeration
 
 # running totals over the process: OmegaCh search nodes, values forced by a
 # relation, and nodes cut by a contradiction; Omega'' point visits (the
-# search nodes x |Theta| that OMEGA_DPRIME_VISITS bounds)
+# partial maps x |Theta| that OMEGA_DPRIME_VISITS bounds)
 COUNTS = {"nodes": 0, "forced": 0, "pruned": 0, "visits": 0}
 
 
@@ -91,28 +91,15 @@ def pointwise_signature(model: GroupModel, hom: tuple[int, ...], theta: Theta) -
     return tuple(map(model.class_of.__getitem__, hom_images(model, hom, theta)))
 
 
-def _check_annihilated(model: GroupModel, hom: tuple[int, ...], theta: Theta) -> None:
-    """Raise ValidationError unless p^v kills every u_i, so that hom is a
-    homomorphism on Theta's (Z/p^v)^n."""
-    for ui in hom:
-        o = model.orders[ui]
-        if theta.modulus % o:
-            raise ValidationError(f"p^{theta.v} does not annihilate an image of order {o}")
-
-
 def enumerate_omega_prime(model: GroupModel, p: int, n: int, w: int | None = None):
     """Omega'(G) as distinct pointwise-class signatures, plus the projection
-    from Omega(G) as an index map.  Raises ValidationError, as kappa does,
-    when p^w does not annihilate an image."""
-    if w is None:
-        w = p_part_exponent(model.exponent, p)
+    from Omega(G) as an index map, on Theta(p, v, n) with v = _theta_v(w)."""
+    theta = Theta(p, _theta_v(model.exponent, p, n, w), n)
     om = enumerate_omega(model, p, n)
-    theta = Theta(p, w, n)
     sig_index: dict[tuple[int, ...], int] = {}
     projection = []
     sigs = []
     for rep in om:
-        _check_annihilated(model, rep, theta)
         sig = pointwise_signature(model, rep, theta)
         if sig not in sig_index:
             sig_index[sig] = len(sigs)
@@ -122,77 +109,61 @@ def enumerate_omega_prime(model: GroupModel, p: int, n: int, w: int | None = Non
 
 
 def enumerate_omega_dprime(model: GroupModel, p: int, n: int, w: int | None = None):
-    """Omega''(G): Z-equivariant maps Theta(w)* -> p-power classes.
+    """Omega''(G): Z-equivariant maps Theta(v)* -> p-power classes, v =
+    _theta_v(w), as the point list and the sorted maps, each a tuple of
+    class indices indexed like Theta.points().
 
-    Returned as the point list and the sorted maps, each a tuple of class
-    indices indexed like Theta.points().  Depth-first search over the points
-    in decreasing order (read off the scaling rows by p^t): assigning class
-    c to a point sets f(k a) = c^k on its multiples, which its translation
-    row walks.  Each search node costs |Theta| visits, added to COUNTS.
+    f(0) is the identity class; the nonzero points are taken in increasing
+    order of their order, read off the scaling rows by p.  A point a that no
+    earlier step has set stands for the cyclic group <a>: each partial map f
+    is extended once for every p-power class c with c^p = f(p a), by
+    f(u a) = c^u for u < ord(a) prime to p, along a's translation row.  p a
+    has smaller order, so f(p a) is set; c^p = f(p a) makes ord(c) divide
+    ord(a), and f(k a) = f(a)^k then holds for every k by induction on the
+    order, so no choice is undone.  Each partial map costs |Theta| visits
+    as it is built, added to COUNTS.
     """
-    if w is None:
-        w = p_part_exponent(model.exponent, p)
-    theta = Theta(p, w, n)
+    v = _theta_v(model.exponent, p, n, w)
+    theta = Theta(p, v, n)
     pts = theta.points()
     size = len(pts)
-    classes = model.p_power_class_indices(p)
-    class_orders = {c: model.orders[model.classes[c][0]] for c in classes}
-    # a point's order is p to the number of t < w with p^t a != 0; row holds
+    times_p = theta.scaling(p)
+    # a point's order is p to the number of t < v with p^t a != 0; row holds
     # the indices of p^t a, and once they are all the origin no t adds more
     orders = [1] * size
-    row, times_p = list(range(size)), theta.scaling(p)
-    for _ in range(w):
+    row = list(range(size))
+    for _ in range(v):
         if not any(row):
             break
         orders = [o * p if x else o for o, x in zip(orders, row)]
         row = [times_p[x] for x in row]
-    # process points in decreasing order so multiples propagate
-    seq = sorted(range(size), key=lambda i: -orders[i])
-    results: list[tuple[int, ...]] = []
-    stack: list = []
-    visits = 0
-
-    def assign(state: list, i: int, cls: int) -> list | None:
-        """state with f(k a) = cls^k for k < ord(a), a = pts[i] (the order
-        of cls divides ord(a), so larger k repeat these); None on a clash."""
-        step = theta.shift(i)
-        j, settled = 0, []
-        for k in range(orders[i]):
-            target = model.class_power(cls, k)
-            if state[j] is not None and state[j] != target:
-                return None
-            settled.append((j, target))
+    roots: dict[int, list[int]] = {}  # each p-power class's p-th roots
+    for c in model.p_power_class_indices(p):
+        roots.setdefault(model.class_power(c, p), []).append(c)
+    start = COUNTS["visits"]
+    COUNTS["visits"] += size  # at most THETA_POINTS_CEILING = OMEGA_DPRIME_VISITS
+    maps = [[model.class_of[model.identity]] + [None] * (size - 1)]
+    for a in sorted(range(1, size), key=orders.__getitem__):
+        if not maps or maps[0][a] is not None:
+            continue
+        # the generators u a of <a>, along a's translation row
+        step, j, walk = theta.shift(a), a, []
+        for u in range(1, orders[a]):
+            if u % p:
+                walk.append((j, u))
             j = step[j]
-        new = list(state)
-        for j, target in settled:
-            new[j] = target
-        return new
-
-    def visit(state: list, pos: int) -> None:
-        """Charge one search node; keep a complete map or queue its children
-        (built when popped, so only the states on the current path are held)."""
-        nonlocal visits
-        visits += size
-        COUNTS["visits"] += size
-        if visits > OMEGA_DPRIME_VISITS:
-            raise ResourceLimit(f"Omega'' search exceeds {OMEGA_DPRIME_VISITS} point visits")
-        while pos < size and state[seq[pos]] is not None:
-            pos += 1
-        if pos == size:
-            results.append(tuple(state))
-            return
-        i = seq[pos]
-        stack.extend((state, pos + 1, i, cls) for cls in classes
-                     if not orders[i] % class_orders[cls])
-
-    visit([None] * size, 0)
-    while stack:
-        state, pos, i, cls = stack.pop()
-        new = assign(state, i, cls)
-        if new is not None:
-            visit(new, pos)
-    results.sort()
-    return pts, results
+        grown = []
+        for f in maps:
+            for c in roots.get(f[times_p[a]], ()):
+                COUNTS["visits"] += size
+                if COUNTS["visits"] - start > OMEGA_DPRIME_VISITS:
+                    raise ResourceLimit(f"Omega'' search exceeds {OMEGA_DPRIME_VISITS} point visits")
+                g = list(f)
+                for j, u in walk:
+                    g[j] = model.class_power(c, u)
+                grown.append(g)
+        maps = grown
+    return pts, sorted(map(tuple, maps))
 
 
 # -- OmegaCh: Lambda-semiring homomorphisms into the lattice model --------------
@@ -224,15 +195,19 @@ class OmegaChElem:
         return f"<OmegaCh {self.text()}>"
 
 
-def _theta_v(exponent: int, p: int, v: int | None) -> int:
-    """The v of Theta(p, v, n) for a group of this exponent: by default the
-    exponent of p in it.  Raises ValidationError when p^v does not divide
-    it, as kappa and enumerate_omega_ch require."""
+def _theta_v(exponent: int, p: int, n: int, v: int | None) -> int:
+    """The v of Theta(p, v, n) for a group of this exponent, the one level
+    check of every lattice census: by default w, the exponent of p in it.
+    A v > w raises ValidationError, as p^v does not divide the exponent;
+    so does a v < w when n >= 1, since the group has an element of order
+    p^(v+1) and Omega(G) a hom with that image, which p^v does not kill."""
     w = p_part_exponent(exponent, p)
     if v is None:
         return w
     if v > w:
         raise ValidationError("group exponent not divisible by p^v")
+    if v < w and n:
+        raise ValidationError(f"p^{v} does not annihilate an image of order {p ** (v + 1)}")
     return v
 
 
@@ -255,13 +230,14 @@ def kappa(
     mult(x) = p^{-vn} sum_a chi(u(a)) zeta^{-<a,x>}; every multiplicity must
     be a nonnegative integer.  The homs are checked and decomposed in order,
     so the first failing hom raises; within a hom, the linear rows are read
-    first.  A table without a group model (an ingested one) raises
+    first.  A v that _theta_v refuses, a hom that p^v does not annihilate
+    and a table without a group model (an ingested one) raise
     ValidationError.
     """
+    v = _theta_v(table.exponent, p, n, v)
     model = table.model
     if model is None:
         raise ValidationError(f"the table {table.name} has no group model")
-    v = _theta_v(table.exponent, p, v)
     modulus = p ** v
     theta = Theta(p, v, n)
     step = table.exponent // modulus
@@ -276,7 +252,10 @@ def kappa(
     masses: dict[int, LatticeDivisor] = {}
     out = []
     for hom in homs:
-        _check_annihilated(model, hom, theta)
+        # p^v must kill every u_i, so that hom is a homomorphism on Theta
+        for o in map(model.orders.__getitem__, hom):
+            if modulus % o:
+                raise ValidationError(f"p^{v} does not annihilate an image of order {o}")
         divisors = [None] * len(table.rows)
         indices = [0] * len(linear)
         for c in map(model.class_of.__getitem__, hom):
@@ -359,11 +338,11 @@ def enumerate_omega_ch(
     point at their sum, so only the first d - 1 points are enumerated and
     the last is pt(D_l) minus their sum, kept when it is not below them
     so that each multiset is made once.  The plan still checks that
-    relation.  Raises ValidationError, as kappa does, when p^v does not
-    divide the group exponent.  Adds to COUNTS.
+    relation.  Raises ValidationError, as kappa does, on a v that
+    _theta_v refuses.  Adds to COUNTS.
     """
     table = ring.table
-    v = _theta_v(table.exponent, p, v)
+    v = _theta_v(table.exponent, p, n, v)
     theta = Theta(p, v, n)
     size = len(theta.points())
     dims = ring.dims

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 
 from .cert import SCHEMA, dumps
-from .cyclotomic import Cyclo, cyclotomic_polynomial
+from .cyclotomic import Cyclo, CyclotomicRing
 from .errors import SchemaError
 from .repring import CharacterTable
 
@@ -40,6 +40,28 @@ def _is_int(x) -> bool:
 
 def _positive(x) -> bool:
     return _is_int(x) and x >= 1
+
+
+def _read_value(val, e: int, cy: CyclotomicRing, rings: dict):
+    """A value [conductor, c0, c1, ...] as an element of cy = Cyclo(e);
+    SchemaError, with no path, when it breaks the schema.  rings maps each
+    conductor that has passed its check to Cyclo(conductor), so each
+    distinct conductor is checked once (a bool, a list or a float is never
+    looked up: true must fail, a list is unhashable and 2.0 == 2)."""
+    if not (isinstance(val, list) and len(val) >= 2):
+        raise SchemaError("[conductor, coeffs...] required")
+    conductor = val[0]
+    small = rings.get(conductor) if type(conductor) is int else None
+    if small is None:
+        if not (_positive(conductor) and e % conductor == 0):
+            raise SchemaError("conductor must divide the exponent")
+        small = rings[conductor] = Cyclo(conductor)
+    coeffs = val[1:]
+    if len(coeffs) != small.degree:
+        raise SchemaError(f"need {small.degree} coordinates for conductor {conductor}")
+    if not all(type(c) is int for c in coeffs):
+        raise SchemaError("integer coordinates")
+    return cy.embed_from(small, tuple(coeffs))
 
 
 def table_to_dict(table: CharacterTable) -> dict:
@@ -123,6 +145,7 @@ def table_from_dict(doc: dict) -> CharacterTable:
     _require(isinstance(irr, list) and len(irr) == nclasses,
              "$.irreducibles", "need one irreducible per class")
     cy = Cyclo(e)
+    rings: dict[int, CyclotomicRing] = {}
     rows = []
     for ii, item in enumerate(irr):
         path = f"$.irreducibles[{ii}]"
@@ -135,19 +158,10 @@ def table_from_dict(doc: dict) -> CharacterTable:
                  f"{path}.values", "need one value per class")
         row = []
         for vi, val in enumerate(values):
-            vpath = f"{path}.values[{vi}]"
-            _require(isinstance(val, list) and len(val) >= 2, vpath,
-                     "[conductor, coeffs...] required")
-            conductor = val[0]
-            _require(_positive(conductor) and e % conductor == 0,
-                     vpath, "conductor must divide the exponent")
-            coeffs = val[1:]
-            degree = len(cyclotomic_polynomial(conductor)) - 1
-            _require(len(coeffs) == degree, vpath,
-                     f"need {degree} coordinates for conductor {conductor}")
-            _require(all(type(c) is int for c in coeffs), vpath, "integer coordinates")
-            small = Cyclo(conductor)
-            row.append(cy.embed_from(small, tuple(coeffs)))
+            try:
+                row.append(_read_value(val, e, cy, rings))
+            except SchemaError as exc:
+                raise SchemaError(f"{path}.values[{vi}]: {exc}") from None
         _require(_positive(item["dim"]), f"{path}.dim", "positive integer required")
         _require(row[identity] == cy.from_int(item["dim"]), f"{path}.dim",
                  "dim disagrees with the identity value")

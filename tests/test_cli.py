@@ -113,16 +113,6 @@ def test_omega_prime_refuses_a_v_that_leaves_an_image_unannihilated(capsys, v):
     assert capsys.readouterr().err == f"error: p^{v} does not annihilate an image of order {order}\n"
 
 
-def test_omega_ch_refuses_a_v_past_the_p_part_for_a_table_as_for_a_group(tmp_path, capsys):
-    path = str(tmp_path / "c4.json")
-    assert run(["export-table", "--group", "c4", "--out", path]) == 0
-    outcomes = []
-    for source in (["--group", "c4"], ["--table", path]):
-        code = run(["omega", *source, "--p", "2", "--n", "1", "--variant", "ch", "--v", "3"])
-        outcomes.append((code, capsys.readouterr().err))
-    assert outcomes == [(2, "error: group exponent not divisible by p^v\n")] * 2
-
-
 @pytest.mark.parametrize("n,v,count", [("2", "2", 17), ("0", "0", 1)])
 def test_omega_prime_sigma4_where_p_to_the_v_annihilates(capsys, n, v, count):
     # at n = 0 there are no images to annihilate
@@ -412,6 +402,50 @@ def test_an_abelian_census_at_n3_is_pinned(capsys):
             == "41a3da18755d29f406f001aea37563089630f57a00d7185cc47bbac4bb61bfa2")
 
 
+# SHA-256 of Omega'' censuses, recorded from the backtracking search that the
+# extension walk replaced
+DPRIME_PINNED = {
+    "omega --group sigma4 --p 2 --n 2 --variant dprime":
+        "5f9b2ec17f3ca76d2379878df97ba3f704ab8db71577ab98583ac9b8dfcee87a",
+    "omega --group d8 --p 2 --n 2 --variant dprime":
+        "809935e3f5b298faa18656df9b10c489a44ac61342f5c5200c413da773bd2f66",
+    "omega --group c2xc4 --p 2 --n 2 --variant dprime":
+        "97aebd8a777c5deb9db2e73b0e4b53e7361be1c74772dddc436e9f86ca1b4517",
+    "omega --group extraspecial(3,1) --p 3 --n 2 --variant dprime":
+        "4834cd2e2b1b012231ef1f401c316e9d51b191a86f6cac6504be842ef0c50af1",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(DPRIME_PINNED))
+def test_omega_dprime_certificates_are_pinned(capsys, argv):
+    code, out = run_capture(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DPRIME_PINNED[argv]
+
+
+@pytest.mark.parametrize("group,n,v,expected", [
+    # w = 2 for both groups at p = 2: v = 1 leaves an image of order 4 at
+    # n >= 1, v = 3 is past the p-part, and at n = 0 a v < w is taken; the
+    # ch variant answers alike from a builtin group and from its exported table
+    ("c4", "1", "1", (2, "error: p^1 does not annihilate an image of order 4\n")),
+    ("c4", "1", "3", (2, "error: group exponent not divisible by p^v\n")),
+    ("sigma4", "1", "1", (2, "error: p^1 does not annihilate an image of order 4\n")),
+    ("sigma4", "1", "3", (2, "error: group exponent not divisible by p^v\n")),
+    ("c4", "0", "1", (0, "")),
+    ("c4", "0", "0", (0, "")),
+    ("c4", "0", "3", (2, "error: group exponent not divisible by p^v\n")),
+])
+def test_every_lattice_census_checks_v_alike(tmp_path, capsys, group, n, v, expected):
+    path = str(tmp_path / f"{group}.json")
+    assert run(["export-table", "--group", group, "--out", path]) == 0
+    outcomes = []
+    for source, variant in [(["--group", group], "prime"), (["--group", group], "dprime"),
+                            (["--group", group], "ch"), (["--table", path], "ch")]:
+        code = run(["omega", *source, "--p", "2", "--n", n, "--v", v, "--variant", variant])
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes == [expected] * 4
+
+
 def test_a_bad_v_is_refused_before_the_search(capsys, monkeypatch):
     def no_search(*args):
         raise AssertionError("the OmegaCh search ran")
@@ -464,8 +498,10 @@ def test_an_ingested_table_gives_the_census_without_maps(tmp_path, capsys):
     "chern --group c2 --table {tmp}/c2.json --p 2 --n 1",
     # lattices too large to search: a ResourceLimit, not a hang or a RecursionError
     "omega --group c8 --p 2 --n 2 --variant dprime",
+    "omega --group c4xc4 --p 2 --n 2 --variant dprime",
+    # a --v past the p-part of the exponent, refused by the level check
+    # before any lattice is built
     "omega --group trivial --p 3 --n 3 --v 3 --variant dprime",
-    # a --v past the p-part of the exponent, refused by kappa before the search
     "omega --group sigma3 --p 3 --n 2 --v 3 --variant ch",
     "omega --group c2 --p 2 --n 1500",
     "omega --group c2 --p 2 --n 40 --variant dprime",
@@ -499,7 +535,7 @@ def test_an_ingested_table_gives_the_census_without_maps(tmp_path, capsys):
     "chern --group c2 --p 2 --n 1000000000",
     "witness --n 1000000000",
     "omega --group c4 --p 2 --n 2 --variant ch --v 1000000000",
-    # at n = 0 the modulus p^v, not the single point, is what the ceiling bounds
+    # at n = 0 a huge --v is refused by the level check before any lattice
     "omega --group c2 --p 2 --n 0 --variant dprime --v 100000000",
     "omega --group c4 --p 2 --n 0 --variant ch --v 1000000000",
     # an --out path that cannot be written: no such directory, or a directory

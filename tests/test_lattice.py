@@ -5,7 +5,7 @@ import pytest
 
 from chernlab import lattice
 from chernlab.cyclotomic import Cyclo
-from chernlab.errors import InexactDivision, LambdaOutOfRange, ValidationError
+from chernlab.errors import InexactDivision, LambdaOutOfRange, ResourceLimit, ValidationError
 from chernlab.lattice import (
     LatticeDivisor,
     Theta,
@@ -506,3 +506,12 @@ def test_omega_ch_order_matches_pair_oracle(pvn):
         elems.append(elem)
         keys[elem] = [d for _, d in drawn]
     assert sorted(elems, key=OmegaChElem.sort_key) == sorted(elems, key=keys.__getitem__)
+
+
+def test_a_one_point_lattice_bounds_the_bits_of_its_modulus():
+    # n = 0: one point, but the modulus p^v is still built, so v times the
+    # bit length of p is what THETA_POINTS_CEILING bounds there
+    assert Theta(2, 40, 0).points() == ((),)
+    assert Theta(2, 1 << 19, 0).size == 1
+    with pytest.raises(ResourceLimit, match="modulus bits"):
+        Theta(2, (1 << 19) + 1, 0)

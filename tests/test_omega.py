@@ -277,9 +277,9 @@ def test_omega_dprime_closed_count_exponent_p():
     assert len(enumerate_omega_dprime(model, 3, 2)[1]) == 11 ** 4
 
 
-# point visits (search nodes x |Theta|) of one enumerate_omega_dprime call
-VISITS = [("sigma4", 2, 2, 26320), ("sigma3", 3, 2, 279), ("c4", 2, 2, 15696),
-          ("d8", 2, 2, 111024), ("extraspecial(3,1)", 3, 2, 144945), ("c2xc2", 2, 2, 340)]
+# point visits (partial maps x |Theta|) of one enumerate_omega_dprime call
+VISITS = [("sigma4", 2, 2, 27968), ("sigma3", 3, 2, 279), ("c4", 2, 2, 16368),
+          ("d8", 2, 2, 114768), ("extraspecial(3,1)", 3, 2, 144945), ("c2xc2", 2, 2, 340)]
 
 
 @pytest.mark.parametrize("group,p,n,visits", VISITS, ids=[g for g, *_ in VISITS])
@@ -531,10 +531,98 @@ def test_omega_ch_node_ceiling(monkeypatch, s4_ring):
         enumerate_omega_ch(s4_ring, 2, 2)
 
 
-def test_omega_dprime_one_point_lattice_with_huge_modulus():
-    # n = 0: Theta(2, 40, 0) is one point, and no row lists the 2^40 residues
-    pts, maps = enumerate_omega_dprime(builtin_model("c2"), 2, 0, 40)
-    assert pts == ((),) and maps == [(0,)]
-    # the largest v the modulus-bits ceiling admits: the point orders stop
-    # at the origin instead of scaling by each of the 2^19 powers of p
-    assert enumerate_omega_dprime(builtin_model("c2"), 2, 0, 1 << 19) == (pts, maps)
+def test_omega_dprime_one_point_lattice_with_huge_modulus(monkeypatch):
+    # n = 0 on c2, whose exponent has 2^1: v = 40 and v = 2^19 pass the
+    # level check's v <= 1 by far, so both are refused before any Theta
+    def no_theta(*args):
+        raise AssertionError("Theta built")
+
+    monkeypatch.setattr(omega, "Theta", no_theta)
+    for v in (40, 1 << 19):
+        with pytest.raises(ValidationError, match="^group exponent not divisible by p\\^v$"):
+            enumerate_omega_dprime(builtin_model("c2"), 2, 0, v)
+
+
+# -- oracle: the backtracking search that the extension walk replaced ----------
+# enumerate_omega_dprime once searched depth first over the points in
+# decreasing order of their order, assigning each unset point every class
+# whose order divides the point's and rejecting a branch on a clash with an
+# earlier choice; that search is kept as the oracle for the walk.
+
+def dprime_oracle(model, p, n, v=None):
+    if v is None:
+        v = p_part_exponent(model.exponent, p)
+    theta = Theta(p, v, n)
+    pts = theta.points()
+    size = len(pts)
+    classes = model.p_power_class_indices(p)
+    class_orders = {c: model.orders[model.classes[c][0]] for c in classes}
+    orders = []
+    for i in range(size):
+        k, j = 1, theta.shift(i)[0]
+        while j:
+            k, j = k + 1, theta.shift(i)[j]
+        orders.append(k)
+    seq = sorted(range(size), key=lambda i: -orders[i])
+    results = []
+
+    def assign(state, i, cls):
+        step, j, new = theta.shift(i), 0, list(state)
+        for k in range(orders[i]):
+            target = model.class_power(cls, k)
+            if new[j] is not None and new[j] != target:
+                return None
+            new[j] = target
+            j = step[j]
+        return new
+
+    def visit(state, pos):
+        while pos < size and state[seq[pos]] is not None:
+            pos += 1
+        if pos == size:
+            results.append(tuple(state))
+            return
+        i = seq[pos]
+        for cls in classes:
+            if not orders[i] % class_orders[cls]:
+                new = assign(state, i, cls)
+                if new is not None:
+                    visit(new, pos + 1)
+
+    visit([None] * size, 0)
+    return pts, sorted(results)
+
+
+# at p = 2, sigma4, d8 and c2xc4 reach partial maps whose f(2a) is a class
+# with no square root, which the walk drops (37, 122 and 224 of them); c4,
+# c12 and c8 reach none
+DPRIME_ORACLE = ([(g, p, 2) for g in ("sigma4", "d8", "c4", "c2xc2", "c2xc4", "c3xc3",
+                                      "c6xc3", "c12") for p in (2, 3)]
+                 + [("sigma3", 3, 2), ("extraspecial(3,1)", 3, 1),
+                    ("extraspecial(3,1)", 3, 2), ("c8", 2, 1)])
+
+
+@pytest.mark.parametrize("group,p,n", DPRIME_ORACLE, ids=[f"{g}-{p}-{n}" for g, p, n in DPRIME_ORACLE])
+def test_omega_dprime_matches_the_search_oracle(group, p, n):
+    model = builtin_model(group)
+    assert enumerate_omega_dprime(model, p, n) == dprime_oracle(model, p, n)
+
+
+@pytest.mark.parametrize("group,p,v", [("c4", 2, 0), ("c4", 2, 1), ("c2xc4", 2, 2),
+                                       ("sigma4", 2, 1), ("c12", 3, 0), ("c2", 2, 0)])
+def test_omega_dprime_matches_the_search_oracle_at_n_0(group, p, v):
+    # at n = 0 there is no image to annihilate, so any v up to the p-part is taken
+    model = builtin_model(group)
+    assert enumerate_omega_dprime(model, p, 0, v) == dprime_oracle(model, p, 0, v)
+
+
+@pytest.mark.parametrize("group", ["sigma4", "d8", "c2xc4"])
+def test_omega_dprime_maps_are_z_equivariant(group):
+    model = builtin_model(group)
+    pts, maps = enumerate_omega_dprime(model, 2, 2)
+    theta = Theta(2, p_part_exponent(model.exponent, 2), 2)
+    assert pts == theta.points() and len(maps) > 1
+    rows = [theta.scaling(k) for k in range(theta.modulus)]
+    for f in maps:
+        for k, row in enumerate(rows):
+            assert [f[row[a]] for a in range(len(pts))] == [model.class_power(c, k) for c in f]
