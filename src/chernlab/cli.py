@@ -6,8 +6,7 @@ emitted as deterministic JSON (``cert.dumps``, the default) or a text
 summary; --out writes atomically.  Every command's options are rows of one
 table (``COMMANDS``): a well-formed command line is parsed from the option
 table (``_parse_exact``), and argparse is loaded for help and usage errors
-(``build_parser``, which builds only the subparser of the command argv
-names).
+(``build_parser``).
 """
 
 from __future__ import annotations
@@ -358,11 +357,8 @@ def _parse_exact(argv):
     return SimpleNamespace(**values)
 
 
-def build_parser(argv=None):
-    """The argparse parser of argv.  When argv[0] names a command only that
-    subparser is built; otherwise (no argv, -h/--help or an unknown name)
-    all are, so that the root help and the invalid-choice error list every
-    command."""
+def build_parser():
+    """The argparse parser of every command."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -376,8 +372,7 @@ def build_parser(argv=None):
         description="Exact formal-group / divisor / representation-ring computations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = [c for c in COMMANDS if argv and c[0] == argv[0]]
-    for name, text, fn, rows in named or COMMANDS:
+    for name, text, fn, rows in COMMANDS:
         sp = sub.add_parser(name, help=text)
         group = None
         for flag, exclusive, keywords in rows:
@@ -393,7 +388,7 @@ def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _parse_exact(argv) or build_parser(argv).parse_args(argv)
+        args = _parse_exact(argv) or build_parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0

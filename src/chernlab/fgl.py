@@ -113,22 +113,20 @@ class FGL:
         return dict(out)
 
     # -- evaluation in quotient rings -----------------------------------------
-    def _nilpotent_powers(self, a: Poly, ring: QuotientRing, bound: int) -> list[Poly]:
+    def powers_in_ring(self, a: Poly, ring: QuotientRing) -> list[Poly]:
+        """The table [1, a, a^2, ...] of normal forms, up to the first zero
+        power, of an element a nilpotent within prec; ``add_powers`` and
+        ``eval_series`` read it."""
+        if ring.field.p != self.p:
+            raise IncompatibleRing("ring characteristic differs from the law's prime")
         powers = [ring.reduce(ring.ring.one()), ring.reduce(a)]
         while powers[-1]:
-            if len(powers) > bound:
+            if len(powers) > self.prec:
                 raise PrecisionExceeded(
                     f"nilpotency degree of input exceeds precision {self.prec}"
                 )
             powers.append(ring.mul(powers[-1], a))
         return powers
-
-    def powers_in_ring(self, a: Poly, ring: QuotientRing) -> list[Poly]:
-        """The table [1, a, a^2, ...] of normal forms, up to the first zero
-        power, of an element a nilpotent within prec; ``add_powers`` reads it."""
-        if ring.field.p != self.p:
-            raise IncompatibleRing("ring characteristic differs from the law's prime")
-        return self._nilpotent_powers(a, ring, self.prec)
 
     def add_in_ring(self, a: Poly, b: Poly, ring: QuotientRing) -> Poly:
         """F(a, b) evaluated exactly; a and b must be nilpotent within prec."""
@@ -169,7 +167,7 @@ class FGL:
     def eval_series(self, series: dict, a: Poly, ring: QuotientRing) -> Poly:
         """Evaluate a univariate truncated series at a nilpotent element: a
         combination of the normal forms a^d, so itself a normal form."""
-        pa = self._nilpotent_powers(a, ring, self.prec)
+        pa = self.powers_in_ring(a, ring)
         if len(pa) - 1 >= self.prec and series:
             raise PrecisionExceeded("element not nilpotent within precision")
         out = ring.ring.zero()

@@ -171,7 +171,7 @@ def sdiv_checks() -> Certificate:
             acc = law.add_in_ring(acc, T.gen(nm), T)
         e_names = [f"e{i}" for i in range(1, d + 1)]
         e_ring = PolyRing(F4, e_names)
-        sym = symmetrize(acc, names, e_ring, e_names)
+        sym = symmetrize(acc, e_ring)
         ideal = [parse_poly(e_ring, "e1^2")] + [e_ring.gen(n) for n in e_names[1:]]
         gb_e = buchberger(ideal, e_ring.lex())
         resid = normal_form(sym - e_ring.gen("e1"), gb_e)

@@ -351,7 +351,7 @@ class RepRing:
                         raise NotACharacterTable("product dimensions inconsistent")
                 self.mijk[i][j] = coeffs
                 self.mijk[j][i] = coeffs
-        self._psi_cache: dict[int, list[list[int]]] = {}
+        self._psi_rows: dict[tuple[int, int], list[int]] = {}
         self.lam_tables = [self._lambda_table(i) for i in range(self.h)]
 
     def _check(self, other):
@@ -387,23 +387,19 @@ class RepRing:
         return VirtualRep(self, out)
 
     # -- Adams operations -------------------------------------------------------
-    def psi_matrix(self, k: int) -> list[list[int]]:
-        k %= self.table.exponent
-        if k not in self._psi_cache:
-            mat = []
-            for i in range(self.h):
-                mat.append(self.table.decompose(self.table.psi_row(i, k)))
-            self._psi_cache[k] = mat
-        return self._psi_cache[k]
-
     def adams(self, v: VirtualRep, k: int) -> VirtualRep:
+        """psi^k v; the psi^k row of each irreducible v holds is decomposed
+        once per (i, k mod e)."""
         self._check(v)
-        mat = self.psi_matrix(k)
+        k %= self.table.exponent
         out = [0] * self.h
         for i, c in enumerate(v.coeffs):
             if c:
-                for j in range(self.h):
-                    out[j] += c * mat[i][j]
+                row = self._psi_rows.get((i, k))
+                if row is None:
+                    row = self._psi_rows[i, k] = self.table.decompose(self.table.psi_row(i, k))
+                for j, m in enumerate(row):
+                    out[j] += c * m
         return VirtualRep(self, out)
 
     # -- lambda operations -------------------------------------------------------

@@ -223,12 +223,10 @@ def _commands(parser):
     return list(action.choices)
 
 
-def test_a_named_command_builds_only_its_subparser():
-    assert _commands(build_parser(["witness"])) == ["witness"]
+def test_the_parser_builds_every_subparser():
     all_names = [name for name, *_ in COMMANDS]
     assert len(all_names) == 11
-    for argv in (None, [], ["--help"], ["-h"], ["bogus"]):
-        assert _commands(build_parser(argv)) == all_names
+    assert _commands(build_parser()) == all_names
 
 
 @pytest.mark.parametrize("argv", [

@@ -139,7 +139,7 @@ def argparse_vars(argv):
     """vars() of argparse's namespace, or None after a usage error or help."""
     try:
         with redirect_stdout(StringIO()):
-            return vars(cli.build_parser(argv).parse_args(argv))
+            return vars(cli.build_parser().parse_args(argv))
     except (UsageError, SystemExit):
         return None
 

@@ -136,13 +136,13 @@ def test_a_product_splits_in_one_ring_with_one_growing_basis(law, Q, monkeypatch
 
 def count_power_tables(monkeypatch):
     calls = []
-    build = FGL._nilpotent_powers
+    build = FGL.powers_in_ring
 
-    def counted(law, a, ring, bound):
+    def counted(law, a, ring):
         calls.append(a)
-        return build(law, a, ring, bound)
+        return build(law, a, ring)
 
-    monkeypatch.setattr(FGL, "_nilpotent_powers", counted)
+    monkeypatch.setattr(FGL, "powers_in_ring", counted)
     return calls
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from chernlab.errors import (
+    IncompatibleRing,
     NonIntegralCoefficient,
     PrecisionExceeded,
     ResourceLimit,
@@ -251,6 +252,19 @@ def test_precision_guard():
     q = cap_ring(GF(2), ["x"], [12])
     with pytest.raises(PrecisionExceeded):
         law.add_in_ring(q.gen("x"), q.gen("x"), q)
+
+
+def test_every_evaluation_checks_the_characteristic():
+    # a 2-typical law has no meaning in a ring of characteristic 3
+    law = honda_fgl(2, 2, 32)
+    q = cap_ring(GF(3), ["x"], [8])
+    x = q.gen("x")
+    with pytest.raises(IncompatibleRing):
+        law.add_in_ring(x, x, q)
+    with pytest.raises(IncompatibleRing):
+        law.mul_in_ring(2, x, q)
+    with pytest.raises(IncompatibleRing):
+        law.eval_series({1: 1}, x, q)
 
 
 def test_a_lone_summand_comes_back_reduced():

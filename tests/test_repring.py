@@ -331,6 +331,23 @@ def test_ring_multiplies_each_value_pair_once(monkeypatch):
     assert calls and len(calls) == len(set(calls))
 
 
+@pytest.mark.parametrize("name, count", [("extraspecial(5,1)", 180),
+                                         ("extraspecial(3,2)", 333)])
+def test_a_ring_decomposes_only_the_psi_rows_it_reads(monkeypatch, name, count):
+    # lambda of V_i reads psi^k V_i for k <= dim V_i + 1 only
+    t = builtin_group(name)
+    calls = []
+    inner = CharacterTable.decompose
+
+    def traced(self, values):
+        calls.append(values)
+        return inner(self, values)
+
+    monkeypatch.setattr(CharacterTable, "decompose", traced)
+    RepRing(t)
+    assert len(calls) == count
+
+
 def check_packed(e, a, b):
     """Packed a + b and a - b mod e against the tuple oracle."""
     packing = PackedExponents(e, len(a))
