@@ -257,6 +257,9 @@ CHERN_PINNED = {
         "9519179ee9e2b39f00fbbde3cbb27cd87834fe7c52468c6d91d240e50fffd9db",
     "chern --group c3xc3 --p 3 --n 2":
         "16f672d249778fb6abf9cea04709c740422affa1487312d86b4dfe24dfd8654d",
+    # the largest Buchberger run: a reduced basis of 135 generators
+    "chern --group c4xc4 --p 2 --n 2":
+        "17268354ea81d2ccbb806aab15ec65fd235f915fbdc7e83aedf726c0f30d27a7",
 }
 
 
