@@ -102,7 +102,7 @@ def cmd_groebner(args) -> int:
     order = lex_order(ring.nvars) if args.order == "lex" else grlex_order(ring.nvars)
     gens = [parse_poly(ring, g) for g in args.gens.split(";") if g.strip()]
     for g in gens:
-        degree = max(map(sum, g.terms), default=0)
+        degree = max((sum(ring.exponents(m)) for m in g.terms), default=0)
         if degree > GENERATOR_DEGREE_CEILING:
             raise DegreeCeiling(
                 f"generator degree {degree} exceeds ceiling {GENERATOR_DEGREE_CEILING}")
@@ -115,7 +115,7 @@ def cmd_groebner(args) -> int:
     try:
         std = standard_monomials(gb)
         cert.add("standard_monomials", True,
-                 {"dimension": len(std), "monomials": [list(m) for m in std]})
+                 {"dimension": len(std), "monomials": [list(ring.exponents(m)) for m in std]})
     except InfiniteDimensional as exc:
         cert.add("standard_monomials", True, {"dimension": "infinite", "detail": str(exc)})
     return _finish(cert, args)

@@ -191,7 +191,7 @@ class FGL:
     def series_text(self, k: int) -> str:
         ring = PolyRing(GF(self.p), ["x"])
         s = self.mul_series(k)
-        poly = Poly(ring, {(d,): c for d, c in s.items() if c})
+        poly = Poly(ring, {ring.pack((d,)): c for d, c in s.items() if c})
         return poly.text(ring.lex())
 
     def __repr__(self):

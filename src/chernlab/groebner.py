@@ -5,7 +5,6 @@ from __future__ import annotations
 import heapq
 import math
 import os
-import struct
 from itertools import combinations_with_replacement
 from operator import itemgetter
 
@@ -17,13 +16,12 @@ from .errors import (
     ValidationError,
 )
 from .poly import (
+    EXPONENT_CEILING,
+    FIELD_MASK,
     MonomialOrder,
     Poly,
     PolyRing,
-    mono_coprime,
-    mono_div,
-    mono_divides,
-    mono_lcm,
+    ceiling_exceeded,
 )
 
 
@@ -33,14 +31,9 @@ from .poly import (
 COUNTS = {"pairs": 0, "product": 0, "chain": 0, "reduced": 0, "zero": 0}
 
 BUCHBERGER_PAIRS = 200000  # pairs one buchberger call may pop, skipped ones included
+REDUCTION_TERMS = 1 << 23  # terms normal_form may push within one buchberger call
 STANDARD_MONOMIALS_CEILING = 1 << 20  # cells of the exponent box standard_monomials scans
 GENERATOR_DEGREE_CEILING = 64  # total degree of a generator the groebner command takes
-EXPONENT_BITS = 32  # width of one packed-key field, its guard bit included
-EXPONENT_CEILING = (1 << (EXPONENT_BITS - 1)) - 1  # largest exponent or degree a field holds
-
-
-def _ceiling_exceeded() -> ResourceLimit:
-    return ResourceLimit(f"an exponent or degree exceeds the packed-key ceiling {EXPONENT_CEILING}")
 
 
 class GroebnerBasis:
@@ -51,60 +44,39 @@ class GroebnerBasis:
     term, so that it is canonical; normal forms and assert_groebner's verdict
     do not depend on the order.
 
-    Beside each member's leading exponent tuple the basis keeps its leading
-    term and tail as packed keys (Monagan and Pearce, J. Symbolic Comput. 46
-    (2011)): one field of EXPONENT_BITS bits per variable, the first variable
-    most significant, under a total-degree field for grlex, so integer order
-    is the monomial order.  The top bit of every field, ``guard``, stays
-    clear: x^a divides x^b iff ``not (b - a) & guard``, and x^a x^b is a + b.
+    Beside each member the basis keeps its leading monomial's key and a
+    reducer: the leading term and the tail as keys of the order
+    (MonomialOrder.key, the monomial's own key for lex), so integer order is
+    the monomial order, and by how much the tail's degree passes the leading
+    term's.  ``budget`` is the count of terms normal_form may still push
+    against the basis.
     """
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, polys: list[Poly]):
         self.ring = ring
         self.order = order
-        fields = ring.nvars + order.graded
-        self._struct = struct.Struct(f">{fields}I")  # "I": one unsigned 32-bit field
-        self.guard = sum(1 << (EXPONENT_BITS * k + EXPONENT_BITS - 1) for k in range(fields))
         self.polys: list[Poly] = []
-        self.leading_terms: list[tuple] = []
-        self.packed_leading_terms: list[int] = []
-        # (packed leading term, [(packed tail term, coefficient)]) per member
+        self.leading_terms: list[int] = []
+        # (leading term, [(tail term, coefficient)], degree excess) per member
         self.reducers: list[tuple] = []
+        self.budget = math.inf
         for g in polys:
             self.add(g)
-
-    def pack(self, e: tuple) -> int:
-        """The packed key of exponent tuple e.
-
-        Raises ResourceLimit when an exponent, or for grlex the degree,
-        exceeds EXPONENT_CEILING.
-        """
-        pack_fields = self._struct.pack
-        try:
-            m = int.from_bytes(pack_fields(sum(e), *e) if self.order.graded
-                               else pack_fields(*e), "big")
-        except struct.error:  # a field too large for EXPONENT_BITS
-            raise _ceiling_exceeded() from None
-        if m & self.guard:
-            raise _ceiling_exceeded()
-        return m
-
-    def unpack(self, m: int) -> tuple[int, ...]:
-        """The exponent tuple of packed key m."""
-        fields = self._struct.unpack(m.to_bytes(self._struct.size, "big"))
-        return fields[1:] if self.order.graded else fields
 
     def add(self, g: Poly) -> None:
         """Append nonzero g, made monic."""
         lt, lc = g.leading(self.order)
         if lc != 1:
             g = g.scale(self.ring.field.inv(lc))
-        pack = self.pack
-        packed_lt = pack(lt)
+        tail = [(m, c) for m, c in g.terms.items() if m != lt]
+        excess = max((m % FIELD_MASK for m, _ in tail), default=0) - lt % FIELD_MASK
+        key = self.order.key
         self.polys.append(g)
         self.leading_terms.append(lt)
-        self.packed_leading_terms.append(packed_lt)
-        self.reducers.append((packed_lt, [(pack(e), c) for e, c in g.terms.items() if e != lt]))
+        if self.order.graded:
+            self.reducers.append((key(lt), [(key(m), c) for m, c in tail], excess))
+        else:
+            self.reducers.append((lt, tail, excess))
 
     def __iter__(self):
         return iter(self.polys)
@@ -119,23 +91,29 @@ class GroebnerBasis:
 def normal_form(p: Poly, basis: GroebnerBasis) -> Poly:
     """Full reduction: no monomial of the result is divisible by a leading term.
 
-    p's terms are packed once (see GroebnerBasis) and only the remainder's
-    are unpacked.  The work terms sit in a heap of negated packed keys, so
-    the largest pops first.  Every term a reduction step adds lies below the
-    term it reduces, so each monomial enters the heap once; a cancelled term
-    keeps a zero coefficient and is skipped when popped.  Members are tried
-    in insertion order.  Raises ResourceLimit when a term's exponent or
-    degree would exceed EXPONENT_CEILING, which shows as a guard bit.
+    The work terms sit in a heap of negated order keys (see GroebnerBasis),
+    so the largest pops first; for lex these are p's own keys.  Every term a
+    reduction step adds lies below the term it reduces, so each monomial
+    enters the heap once; a cancelled term keeps a zero coefficient and is
+    skipped when popped.  Members are tried in insertion order.  Raises
+    ResourceLimit when a step would form a term of degree past
+    EXPONENT_CEILING (only a lex tail can outrank its leading term's
+    degree), or push more terms than the basis's budget.
     """
     if p.ring != basis.ring:
         raise IncompatibleRing("polynomial not in the basis ring")
     fld = p.ring.field
     fsub, fmul = fld.sub, fld.mul
     heappop, heappush = heapq.heappop, heapq.heappush
-    guard = basis.guard
-    pack = basis.pack
+    guard = p.ring.guard
+    order = basis.order
+    budget = basis.budget
     remainder: dict = {}
-    work = {pack(e): c for e, c in p.terms.items()}
+    if order.graded:
+        key = order.key
+        work = {key(m): c for m, c in p.terms.items()}
+    else:
+        work = dict(p.terms)
     heap = [-m for m in work]
     heapq.heapify(heap)
     reducers = basis.reducers
@@ -144,46 +122,55 @@ def normal_form(p: Poly, basis: GroebnerBasis) -> Poly:
         c = work.pop(m)
         if not c:
             continue
-        for lt, tail in reducers:
+        for lt, tail, excess in reducers:
             shift = m - lt
             if not shift & guard:
+                if excess > 0 and m % FIELD_MASK + excess > EXPONENT_CEILING:
+                    raise ceiling_exceeded()
+                budget -= len(tail)
+                if budget < 0:
+                    raise ResourceLimit(f"Buchberger reduction ceiling {REDUCTION_TERMS} "
+                                        "terms exceeded")
                 # subtract c * x^shift * g; g is monic
                 for ge, gc in tail:
                     me = ge + shift
                     old = work.get(me)
                     if old is None:
-                        if me & guard:
-                            raise _ceiling_exceeded()
                         old = 0
                         heappush(heap, -me)
                     work[me] = fsub(old, fmul(c, gc))
                 break
         else:
             remainder[m] = c
-    unpack = basis.unpack
-    return Poly(p.ring, {unpack(m): c for m, c in remainder.items()})
+    basis.budget = budget
+    if order.graded:
+        low = order.low_mask
+        remainder = {m & low: c for m, c in remainder.items()}
+    return Poly(p.ring, remainder)
 
 
 def _spoly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     ef, cf = f.leading(order)
     eg, cg = g.leading(order)
-    lcm = mono_lcm(ef, eg)
-    fld = f.ring.field
-    mf = f.ring.monomial(mono_div(lcm, ef), fld.inv(cf))
-    mg = f.ring.monomial(mono_div(lcm, eg), fld.inv(cg))
+    ring = f.ring
+    lcm = ring.lcm(ef, eg)
+    fld = ring.field
+    mf = Poly(ring, {lcm - ef: fld.inv(cf)})
+    mg = Poly(ring, {lcm - eg: fld.inv(cg)})
     return mf * f - mg * g
 
 
 def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
     """Reduced Groebner basis; normal pair strategy, deterministic output.
 
-    Pending pairs sit in a heap keyed by (deg lcm, packed lcm, i, j).  A
-    popped pair is skipped when its leading terms are coprime (product
-    criterion) or when some other member's leading term divides their lcm and
-    neither pair with that member is still pending (chain criterion; Gebauer
-    and Moeller, J. Symbolic Comput. 6 (1988)).  Raises ResourceLimit when the
-    count of popped pairs, skipped ones included, exceeds BUCHBERGER_PAIRS.
-    Adds to COUNTS.
+    Pending pairs sit in a heap keyed by (deg lcm, lcm, i, j).  A popped pair
+    is skipped when its leading terms are coprime (product criterion) or when
+    some other member's leading term divides their lcm and neither pair with
+    that member is still pending (chain criterion; Gebauer and Moeller, J.
+    Symbolic Comput. 6 (1988)).  Raises ResourceLimit when the count of
+    popped pairs, skipped ones included, exceeds BUCHBERGER_PAIRS, or when
+    the normal forms, interreduction included, push more than
+    REDUCTION_TERMS terms.  Adds to COUNTS.
     """
     gens = [g for g in generators if g]
     if not gens:
@@ -193,9 +180,10 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
         if g.ring != ring:
             raise IncompatibleRing("generators in mixed rings")
     basis = GroebnerBasis(ring, order, [])
+    basis.budget = REDUCTION_TERMS
     lts = basis.leading_terms
-    packed_lts = basis.packed_leading_terms
-    guard = basis.guard
+    guard = ring.guard
+    lcm_of = ring.lcm
     heap: list = []
     pending: set = set()
 
@@ -203,8 +191,8 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
         k = len(lts)
         basis.add(g)
         for i in range(k):
-            lcm = mono_lcm(lts[i], lts[k])
-            heapq.heappush(heap, (sum(lcm), basis.pack(lcm), i, k))
+            lcm = lcm_of(lts[i], lts[k])
+            heapq.heappush(heap, (lcm % FIELD_MASK, lcm, i, k))
             pending.add((i, k))
 
     for g in gens:
@@ -217,14 +205,14 @@ def buchberger(generators: list[Poly], order: MonomialOrder) -> GroebnerBasis:
         COUNTS["pairs"] += 1
         if processed > BUCHBERGER_PAIRS:
             raise ResourceLimit(f"Buchberger pair ceiling {BUCHBERGER_PAIRS} exceeded")
-        if mono_coprime(lts[i], lts[j]):
+        if lcm == lts[i] + lts[j]:
             COUNTS["product"] += 1
             continue
         if any(
             k != i and k != j and not (lcm - lt) & guard
             and (min(i, k), max(i, k)) not in pending
             and (min(j, k), max(j, k)) not in pending
-            for k, lt in enumerate(packed_lts)
+            for k, lt in enumerate(lts)
         ):
             COUNTS["chain"] += 1
             continue
@@ -246,17 +234,20 @@ def _interreduce(basis: GroebnerBasis) -> GroebnerBasis:
     Members are taken by ascending leading term: one whose leading term a kept
     member's divides is dropped, any other is reduced against the kept ones.
     No later member could reduce a kept one, as a larger leading term divides
-    no smaller monomial (Cox, Little and O'Shea, IVA, section 2.7).
+    no smaller monomial (Cox, Little and O'Shea, IVA, section 2.7).  The
+    reductions draw on what is left of the basis's budget.
     """
-    guard = basis.guard
+    guard = basis.ring.guard
     reduced = GroebnerBasis(basis.ring, basis.order, [])
-    ascending = sorted(zip(basis.packed_leading_terms, basis.polys), key=itemgetter(0))
-    for lt, g in ascending:
-        if not any(not (lt - kept) & guard for kept in reduced.packed_leading_terms):
+    reduced.budget = basis.budget
+    keys = map(basis.order.key, basis.leading_terms)
+    ascending = sorted(zip(keys, basis.leading_terms, basis.polys), key=itemgetter(0))
+    for _, lt, g in ascending:
+        if not any(not (lt - kept) & guard for kept in reduced.leading_terms):
             reduced.add(normal_form(g, reduced))
-    for members in (reduced.polys, reduced.leading_terms, reduced.packed_leading_terms,
-                    reduced.reducers):
+    for members in (reduced.polys, reduced.leading_terms, reduced.reducers):
         members.reverse()
+    reduced.budget = math.inf
     return reduced
 
 
@@ -269,31 +260,28 @@ def assert_groebner(basis: GroebnerBasis) -> None:
                 raise AssertionError(f"S-polynomial of members {i},{j} does not reduce to 0")
 
 
-def standard_monomials(basis: GroebnerBasis, cap: int | None = None) -> list[tuple[int, ...]]:
-    """Monomials not divisible by any leading term, sorted ascending.
+def standard_monomials(basis: GroebnerBasis, cap: int | None = None) -> list[int]:
+    """Keys of the monomials no leading term divides, sorted ascending.
 
     A constant leading term (the unit ideal) divides every monomial, so
     there are none.  Otherwise, when some variable has no pure-power
     leading-term bound the complement is infinite: raises
     InfiniteDimensional unless ``cap`` bounds every exponent.  Raises
     ResourceLimit when the box of exponents below the bounds has more than
-    STANDARD_MONOMIALS_CEILING cells.
+    STANDARD_MONOMIALS_CEILING cells.  The box is walked one variable at a
+    time, and a monomial's multiples are skipped once a leading term
+    divides it.
     """
     ring = basis.ring
-    n = ring.nvars
-    if not all(map(any, basis.leading_terms)):
+    lts = basis.leading_terms
+    if 0 in lts:
         return []
     bounds = []
-    for i in range(n):
-        bound = None
-        for lt in basis.leading_terms:
-            if all(e == 0 for k, e in enumerate(lt) if k != i) and lt[i] > 0:
-                bound = lt[i] if bound is None else min(bound, lt[i])
+    for name, s in zip(ring.variables, ring.shifts):
+        bound = min((lt >> s for lt in lts if lt and not lt & ~(FIELD_MASK << s)), default=None)
         if bound is None:
             if cap is None:
-                raise InfiniteDimensional(
-                    f"no pure power of {ring.variables[i]!r} among leading terms"
-                )
+                raise InfiniteDimensional(f"no pure power of {name!r} among leading terms")
             bound = cap
         elif cap is not None:
             bound = min(bound, cap)
@@ -303,17 +291,18 @@ def standard_monomials(basis: GroebnerBasis, cap: int | None = None) -> list[tup
         raise ResourceLimit(
             f"standard-monomial ceiling {STANDARD_MONOMIALS_CEILING} exceeded by {cells} cells"
         )
-    out = []
-    stack = [(0, ())]
-    while stack:
-        i, prefix = stack.pop()
-        if i == n:
-            if not any(mono_divides(lt, prefix) for lt in basis.leading_terms):
-                out.append(prefix)
-            continue
-        for e in range(bounds[i]):
-            stack.append((i + 1, prefix + (e,)))
-    out.sort(key=basis.order.key)
+    guard = ring.guard
+    out = [0]
+    for s, bound in zip(ring.shifts, bounds):
+        grown = []
+        for prefix in out:
+            for e in range(bound):
+                m = prefix + (e << s)
+                if any(not (m - lt) & guard for lt in lts):
+                    break
+                grown.append(m)
+        out = grown
+    out.sort(key=basis.order.sort_key)
     return out
 
 
@@ -329,7 +318,7 @@ class QuotientRing:
         self.basis = basis
         self.ring = basis.ring
         self.order = basis.order
-        self._std: list[tuple[int, ...]] | None = None
+        self._std: list[int] | None = None
 
     @property
     def field(self):
@@ -357,13 +346,17 @@ class QuotientRing:
     def gen(self, name: str) -> Poly:
         return self.reduce(self.ring.gen(name))
 
-    def std_monomials(self) -> list[tuple[int, ...]]:
+    def _standard(self) -> list[int]:
         if self._std is None:
             self._std = standard_monomials(self.basis)
         return self._std
 
+    def std_monomials(self) -> list[tuple[int, ...]]:
+        """The standard monomials' exponent tuples, ascending."""
+        return list(map(self.ring.exponents, self._standard()))
+
     def dimension(self) -> int:
-        return len(self.std_monomials())
+        return len(self._standard())
 
     # -- local-ring analysis -------------------------------------------------
     def socle(self) -> list[Poly]:
@@ -375,7 +368,7 @@ class QuotientRing:
         the unique maximal ideal.  The returned normal forms are sorted and
         normalized.  The ring is Gorenstein iff the result has length one.
         """
-        std = self.std_monomials()
+        std = self._standard()
         fld = self.field
         dim = len(std)
         index = {m: k for k, m in enumerate(std)}
@@ -391,7 +384,7 @@ class QuotientRing:
                 raise NotLocal(f"variable {vname!r} is not nilpotent")
             cols = []
             for m in std:
-                prod = self.mul(self.ring.monomial(m), x)
+                prod = self.mul(Poly(self.ring, {m: 1}), x)
                 col = [0] * dim
                 for e, c in prod.terms.items():
                     col[index[e]] = c
@@ -423,14 +416,16 @@ def cap_ring(field, names, caps=(), total=None) -> QuotientRing:
     is empty.
     """
     n = len(names)
-    monos = {tuple(c if k == i else 0 for k in range(n)) for i, c in zip(range(n), caps)}
-    if total is not None:
-        monos.update(tuple(picks.count(i) for i in range(n))
-                     for picks in combinations_with_replacement(range(n), total))
-    minimal = [m for m in monos if not any(d != m and mono_divides(d, m) for d in monos)]
     ring = PolyRing(field, names)
+    monos = {ring.pack(tuple(c if k == i else 0 for k in range(n)))
+             for i, c in zip(range(n), caps)}
+    if total is not None:
+        monos.update(ring.pack(tuple(picks.count(i) for i in range(n)))
+                     for picks in combinations_with_replacement(range(n), total))
+    guard = ring.guard
+    minimal = [m for m in monos if not any(d != m and not (m - d) & guard for d in monos)]
     return QuotientRing(GroebnerBasis(ring, ring.lex(),
-                                      [ring.monomial(m) for m in sorted(minimal, reverse=True)]))
+                                      [Poly(ring, {m: 1}) for m in sorted(minimal, reverse=True)]))
 
 
 def _field_kernel(rows: list[list[int]], ncols: int, fld) -> list[list[int]]:

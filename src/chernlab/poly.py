@@ -1,50 +1,38 @@
 """Sparse multivariate polynomials over a finite field.
 
-A polynomial is a dict mapping exponent tuples to nonzero encoded field
-elements.  Rings are lightweight objects pairing a field with an ordered
-variable tuple; all arithmetic stays inside one ring.
+A polynomial is a dict mapping monomial keys (see PolyRing) to nonzero
+encoded field elements.  Rings are lightweight objects pairing a field with an
+ordered variable tuple; all arithmetic stays inside one ring.  Exponent tuples
+appear only at the edges: ``PolyRing.pack`` and ``exponents``, ``text`` and
+``parse_poly``.
 """
 
 from __future__ import annotations
 
 import re
-from operator import add, le, mul, sub
+import struct
 from typing import Iterable
 
-from .errors import IncompatibleRing, UnassignedVariable, ValidationError
+from .errors import IncompatibleRing, ResourceLimit, UnassignedVariable, ValidationError
 from .field import FiniteField
 
-
-# Exponent-tuple kernels: x^a x^b, x^a / x^b (b dividing a), whether x^a
-# divides x^b, lcm(x^a, x^b) and whether x^a and x^b share no variable
-# (Buchberger's product criterion).  Each loops at C level, by map over an
-# operator function.
-
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(map(add, a, b))
+EXPONENT_BITS = 32  # width of one key field, its guard bit included
+EXPONENT_CEILING = (1 << (EXPONENT_BITS - 1)) - 1  # largest total degree of a monomial
+# one field of ones; k % FIELD_MASK is the sum of k's fields, its degree, as
+# no degree reaches it
+FIELD_MASK = (1 << EXPONENT_BITS) - 1
 
 
-def mono_div(a: tuple, b: tuple) -> tuple:
-    return tuple(map(sub, a, b))
-
-
-def mono_divides(a: tuple, b: tuple) -> bool:
-    return all(map(le, a, b))
-
-
-def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(map(max, a, b))
-
-
-def mono_coprime(a: tuple, b: tuple) -> bool:
-    return not any(map(mul, a, b))
+def ceiling_exceeded() -> ResourceLimit:
+    return ResourceLimit(f"an exponent or degree exceeds the packed-key ceiling {EXPONENT_CEILING}")
 
 
 class MonomialOrder:
-    """Lexicographic or graded-lex order on exponent tuples.
+    """Lexicographic or graded-lex order on monomial keys.
 
     Variables rank in ring order, the first most significant, so the lex key
-    of an exponent tuple is the tuple itself.
+    of a monomial is the key itself.  The grlex key puts the degree above
+    the key's fields; grlex keys add as monomials multiply.
     """
 
     def __init__(self, kind: str, nvars: int):
@@ -53,11 +41,19 @@ class MonomialOrder:
         self.kind = kind
         self.nvars = nvars
         self.graded = kind == "grlex"
+        self._top = EXPONENT_BITS * nvars
+        self.low_mask = (1 << self._top) - 1  # the monomial of a grlex key
 
-    def key(self, exps: tuple[int, ...]):
+    def key(self, m: int) -> int:
         if self.graded:
-            return (sum(exps),) + exps
-        return exps
+            return (m % FIELD_MASK) << self._top | m
+        return m
+
+    @property
+    def sort_key(self):
+        """The key that sorts monomials in this order: None, integer order,
+        for lex."""
+        return self.key if self.graded else None
 
     def __eq__(self, other):
         return (
@@ -82,7 +78,15 @@ def grlex_order(nvars: int) -> MonomialOrder:
 
 
 class PolyRing:
-    """F_q[x_1..x_m] with named variables in a fixed order."""
+    """F_q[x_1..x_m] with named variables in a fixed order.
+
+    A monomial is one int, its key (Monagan and Pearce, J. Symbolic Comput.
+    46 (2011)): a field of EXPONENT_BITS bits per variable, the first
+    variable most significant, so integer order is lex order and x^a x^b is
+    a + b.  No monomial's degree passes EXPONENT_CEILING, so the top bit of
+    every field, ``guard``, stays clear: x^a divides x^b iff
+    ``not (b - a) & guard``.
+    """
 
     def __init__(self, field: FiniteField, variables: Iterable[str]):
         self.field = field
@@ -91,26 +95,44 @@ class PolyRing:
             raise ValidationError("duplicate variable names")
         self.nvars = len(self.variables)
         self._index = {v: i for i, v in enumerate(self.variables)}
-        self._zero_exp = (0,) * self.nvars
+        self.shifts = tuple(EXPONENT_BITS * (self.nvars - 1 - i) for i in range(self.nvars))
+        self.guard = sum(1 << (s + EXPONENT_BITS - 1) for s in self.shifts)
+        self._struct = struct.Struct(f">{self.nvars}I")  # "I": one unsigned 32-bit field
+
+    def pack(self, exps: tuple[int, ...]) -> int:
+        """The key of an exponent tuple; ResourceLimit past EXPONENT_CEILING."""
+        if sum(exps) > EXPONENT_CEILING:
+            raise ceiling_exceeded()
+        try:
+            return int.from_bytes(self._struct.pack(*exps), "big")
+        except struct.error:  # a negative exponent, or the wrong count
+            raise ValidationError(f"bad exponents {tuple(exps)!r} for {self}") from None
+
+    def exponents(self, m: int) -> tuple[int, ...]:
+        """The exponent tuple of key m."""
+        return self._struct.unpack(m.to_bytes(self._struct.size, "big"))
+
+    def lcm(self, a: int, b: int) -> int:
+        """The key of lcm(x^a, x^b): in each field the larger exponent."""
+        guard = self.guard
+        ge = ((a | guard) - b) & guard  # a guard bit where a's field >= b's
+        return b ^ ((a ^ b) & (ge - (ge >> (EXPONENT_BITS - 1))))
 
     def zero(self) -> "Poly":
         return Poly(self, {})
 
     def one(self) -> "Poly":
-        return Poly(self, {self._zero_exp: 1})
+        return Poly(self, {0: 1})
 
     def const(self, a: int) -> "Poly":
         a = self.field.check(a) if a else 0
-        return Poly(self, {self._zero_exp: a} if a else {})
+        return Poly(self, {0: a} if a else {})
 
     def from_int(self, n: int) -> "Poly":
         return self.const(self.field.from_int(n))
 
     def gen(self, name: str) -> "Poly":
-        i = self.var_index(name)
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return Poly(self, {tuple(exps): 1})
+        return Poly(self, {1 << self.shifts[self.var_index(name)]: 1})
 
     def gens(self) -> list["Poly"]:
         return [self.gen(v) for v in self.variables]
@@ -122,7 +144,7 @@ class PolyRing:
             raise UnassignedVariable(f"no variable {name!r} in {self}") from None
 
     def monomial(self, exps: tuple[int, ...], coeff: int = 1) -> "Poly":
-        return Poly(self, {tuple(exps): coeff} if coeff else {})
+        return Poly(self, {self.pack(exps): coeff} if coeff else {})
 
     def lex(self) -> MonomialOrder:
         return lex_order(self.nvars)
@@ -203,6 +225,9 @@ class Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        """The product; keys add.  A product's degree is the sum of its
+        factors' degrees, so one check, not one per term, keeps every
+        exponent and degree within EXPONENT_CEILING."""
         other = self._coerce(other)
         fld = self.ring.field
         mul = fld.mul
@@ -212,12 +237,16 @@ class Poly:
             a, b = other, self
         else:
             a, b = self, other
+        degree = FIELD_MASK.__rmod__
+        if (max(map(degree, a.terms), default=0) + max(map(degree, b.terms), default=0)
+                > EXPONENT_CEILING):
+            raise ceiling_exceeded()
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
                 p = mul(ca, cb)
                 if not p:
                     continue
-                e = mono_mul(ea, eb)
+                e = ea + eb
                 s = add(out.get(e, 0), p)
                 if s:
                     out[e] = s
@@ -247,14 +276,14 @@ class Poly:
 
     # -- structure ----------------------------------------------------------
     def leading(self, order: MonomialOrder):
-        """(exponent, coeff) of the leading term, or None for 0."""
+        """(key, coeff) of the leading term, or None for 0."""
         if not self.terms:
             return None
-        e = max(self.terms, key=order.key)
-        return e, self.terms[e]
+        m = max(self.terms, key=order.sort_key)
+        return m, self.terms[m]
 
     def constant_term(self) -> int:
-        return self.terms.get(self.ring._zero_exp, 0)
+        return self.terms.get(0, 0)
 
     def monic(self, order: MonomialOrder) -> "Poly":
         lt = self.leading(order)
@@ -266,22 +295,32 @@ class Poly:
         """The same polynomial in ``ring``, variables matched by name.
 
         ``ring`` must be over the same field and hold every variable that
-        occurs in self.
+        occurs in self.  A variable at the same place from the last in both
+        rings keeps its field, so a ring's keys are unchanged in a ring that
+        puts new variables first.
         """
         if ring.field != self.ring.field:
             raise IncompatibleRing(f"{self.ring} and {ring} have different fields")
-        slots = [ring._index.get(v) for v in self.ring.variables]
+        kept = absent = 0
+        moves = []
+        for v, s in zip(self.ring.variables, self.ring.shifts):
+            slot = ring._index.get(v)
+            if slot is None:
+                absent |= FIELD_MASK << s
+            elif ring.shifts[slot] == s:
+                kept |= FIELD_MASK << s
+            else:
+                moves.append((s, ring.shifts[slot]))
         out = {}
-        for e, c in self.terms.items():
-            exps = list(ring._zero_exp)
-            for i, a in enumerate(e):
-                if a:
-                    if slots[i] is None:
-                        raise ValidationError(
-                            f"variable {self.ring.variables[i]!r} is not in {ring}"
-                        )
-                    exps[slots[i]] = a
-            out[tuple(exps)] = c
+        for m, c in self.terms.items():
+            if m & absent:
+                missing = next(v for v, s in zip(self.ring.variables, self.ring.shifts)
+                               if m & absent & FIELD_MASK << s)
+                raise ValidationError(f"variable {missing!r} is not in {ring}")
+            key = m & kept
+            for s, t in moves:
+                key |= (m >> s & FIELD_MASK) << t
+            out[key] = c
         return Poly(ring, out)
 
     # -- text ----------------------------------------------------------------
@@ -293,14 +332,12 @@ class Poly:
             order = self.ring.lex()
         fld = self.ring.field
         parts = []
-        for e in sorted(self.terms, key=order.key, reverse=True):
-            c = self.terms[e]
+        for m in sorted(self.terms, key=order.sort_key, reverse=True):
+            c = self.terms[m]
             factors = []
-            for i, exp in enumerate(e):
-                if exp == 0:
-                    continue
-                v = self.ring.variables[i]
-                factors.append(v if exp == 1 else f"{v}^{exp}")
+            for v, exp in zip(self.ring.variables, self.ring.exponents(m)):
+                if exp:
+                    factors.append(v if exp == 1 else f"{v}^{exp}")
             ctext = fld.format_element(c)
             if not factors:
                 parts.append(ctext)

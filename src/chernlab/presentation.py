@@ -48,9 +48,7 @@ class Presentation:
 
     def std_monomial_texts(self) -> list[str]:
         ring = self.qring.ring
-        return [
-            Poly(ring, {m: 1}).text(self.qring.order) for m in self.qring.std_monomials()
-        ]
+        return [ring.monomial(e).text(self.qring.order) for e in self.qring.std_monomials()]
 
     def elimination_summary(self):
         """Split the reduced basis into variable substitutions and core
@@ -60,7 +58,7 @@ class Presentation:
         core_rels = []
         ring = self.qring.ring
         for g in self.qring.basis.polys:
-            lt, _ = g.leading(self.qring.order)
+            lt = ring.exponents(g.leading(self.qring.order)[0])
             if sum(lt) == 1:
                 var = ring.variables[lt.index(1)]
                 subs[var] = g - ring.gen(var)  # var = -(tail)
@@ -70,9 +68,8 @@ class Presentation:
         iso = None
         if len(core_vars) == 1 and len(core_rels) == 1:
             rel = core_rels[0]
-            lt, _ = rel.leading(self.qring.order)
             if len(rel.terms) == 1:
-                m = max(lt)
+                m = max(ring.exponents(rel.leading(self.qring.order)[0]))
                 iso = (self.qring.field.q, core_vars[0], m)
         return subs, core_vars, core_rels, iso
 
@@ -89,13 +86,11 @@ def _product_coeffs(ambient_q: QuotientRing, divisors, mults) -> list[Poly]:
 def _unit_times_variable(poly: Poly, qring: QuotientRing):
     """If poly = x * u with u a unit of the local quotient, return x's name."""
     ring = poly.ring
-    for i, name in enumerate(ring.variables):
-        if all(e[i] >= 1 for e in poly.terms):
-            quotient = Poly(
-                ring,
-                {tuple(x - (1 if k == i else 0) for k, x in enumerate(e)): c
-                 for e, c in poly.terms.items()},
-            )
+    guard = ring.guard
+    for name, s in zip(ring.variables, ring.shifts):
+        x = 1 << s
+        if all(not (m - x) & guard for m in poly.terms):
+            quotient = Poly(ring, {m - x: c for m, c in poly.terms.items()})
             if qring.reduce(quotient).constant_term():
                 return name
     return None
@@ -188,5 +183,5 @@ def build_presentation(
     final_q = ambient_q
     if rels:
         final_q = QuotientRing(buchberger(ambient_q.basis.polys + rels, ambient_q.order))
-    final_q.std_monomials()
+    final_q.dimension()
     return Presentation(final_q, var_names, sorted(killed))

@@ -13,15 +13,16 @@ def elementary_symmetric(ring: PolyRing, k: int) -> Poly:
     n = ring.nvars
     if not 0 <= k <= n:
         raise ValidationError(f"e_{k} of {n} variables")
-    return Poly(ring, {tuple(int(i in subset) for i in range(n)): 1
+    return Poly(ring, {sum(1 << ring.shifts[i] for i in subset): 1
                        for subset in combinations(range(n), k)})
 
 
 def is_symmetric(p: Poly) -> bool:
     """Invariance under every adjacent transposition of the ring's variables."""
+    terms = {p.ring.exponents(m): c for m, c in p.terms.items()}
     for a in range(p.ring.nvars - 1):
-        swapped = {e[:a] + (e[a + 1], e[a]) + e[a + 2:]: c for e, c in p.terms.items()}
-        if swapped != p.terms:
+        swapped = {e[:a] + (e[a + 1], e[a]) + e[a + 2:]: c for e, c in terms.items()}
+        if swapped != terms:
             return False
     return True
 
@@ -49,7 +50,8 @@ def symmetrize(p: Poly, e_ring: PolyRing) -> Poly:
         guard += 1
         if guard > 100000:
             raise ValidationError("symmetrization did not terminate")
-        lam = max(work.terms)
+        lead = max(work.terms)
+        lam = ring.exponents(lead)
         if list(lam) != sorted(lam, reverse=True):
             raise NotSymmetric("leading exponents not weakly decreasing")
         # e-product exponents: lam_i - lam_{i+1}
@@ -58,7 +60,7 @@ def symmetrize(p: Poly, e_ring: PolyRing) -> Poly:
         for e_k, a in zip(e_polys, e_exps):
             if a:
                 prod = prod * e_k ** a
-        c = work.terms[lam]
+        c = work.terms[lead]
         work = work - prod.scale(c)
-        result[e_exps] = c
+        result[e_ring.pack(e_exps)] = c
     return Poly(e_ring, result)

@@ -512,6 +512,8 @@ def test_an_ingested_table_gives_the_census_without_maps(tmp_path, capsys):
     "groebner --q 2 --vars x,y,z --gens x^1000;y^1000;z^1000",
     "groebner --q 2 --vars x --gens x^100000000",
     "groebner --q 2 --vars x --gens x^10000000+1;x^2+x",
+    # within every degree ceiling, refused by the reduction ceiling
+    "groebner --q 5 --vars x,y --order lex --gens x^64+2*x*y+y+1;y^64+x^3+3*x",
     # degree and precision ceilings of the Chern-ring presentation and the laws
     "chern --group extraspecial(5,1) --p 5 --n 1",
     "chern --group extraspecial(3,1) --p 3 --n 1",

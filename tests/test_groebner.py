@@ -8,7 +8,6 @@ from chernlab.errors import InfiniteDimensional, NotLocal, ResourceLimit, Valida
 from chernlab.field import GF
 from chernlab.groebner import (
     COUNTS,
-    GroebnerBasis,
     QuotientRing,
     assert_groebner,
     buchberger,
@@ -16,7 +15,7 @@ from chernlab.groebner import (
     normal_form,
     standard_monomials,
 )
-from chernlab.poly import PolyRing, mono_divides, parse_poly
+from chernlab.poly import PolyRing, parse_poly
 
 
 def gb_of(ring, texts, order=None):
@@ -58,9 +57,9 @@ def test_normal_form_properties():
         nf = normal_form(p, gb)
         # idempotent, and no monomial divisible by a leading term
         assert normal_form(nf, gb) == nf
-        for e in nf.terms:
+        for e in map(ring.exponents, nf.terms):
             assert not any(
-                all(x <= y for x, y in zip(lt, e)) for lt in gb.leading_terms
+                all(x <= y for x, y in zip(lt, e)) for lt in map(ring.exponents, gb.leading_terms)
             )
         # p - nf lies in the ideal
         assert normal_form(p - nf, gb) == zero
@@ -78,23 +77,28 @@ def test_normal_form_uniqueness_on_cosets():
         assert normal_form(p, gb) == normal_form(p + shift, gb)
 
 
+def standard_exponents(gb, cap=None):
+    return [gb.ring.exponents(m) for m in standard_monomials(gb, cap)]
+
+
 def test_standard_monomials_of_monomial_ideal():
     ring = PolyRing(GF(2), ["x", "y"])
     gb = gb_of(ring, ["x^2", "x*y", "y^3"])
-    assert sorted(standard_monomials(gb)) == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    assert standard_exponents(gb) == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    assert QuotientRing(gb).std_monomials() == standard_exponents(gb)
 
 
 def test_standard_monomials_trivial():
     ring = PolyRing(GF(2), ["x"])
     gb = gb_of(ring, ["x"])
-    assert standard_monomials(gb) == [(0,)]
+    assert standard_exponents(gb) == [(0,)]
 
 
 def test_standard_monomials_of_the_unit_ideal():
     # a constant leading term divides every monomial, though no pure power bounds x or y
     ring = PolyRing(GF(5), ["x", "y"])
     gb = gb_of(ring, ["x*y+1", "3"])
-    assert gb.leading_terms == [(0, 0)]
+    assert gb.leading_terms == [0]
     assert standard_monomials(gb) == [] and standard_monomials(gb, cap=3) == []
     # the zero ring: no basis, every variable is 0, so nilpotent, and the socle is 0
     zero = QuotientRing(gb)
@@ -106,7 +110,7 @@ def test_standard_monomials_infinite_reported():
     gb = gb_of(ring, ["x*y"])
     with pytest.raises(InfiniteDimensional):
         standard_monomials(gb)
-    capped = standard_monomials(gb, cap=3)
+    capped = standard_exponents(gb, cap=3)
     assert (2, 0) in capped and (0, 2) in capped and (1, 1) not in capped
 
 
@@ -133,7 +137,7 @@ def test_dimension_agrees_with_multiplication_closure():
         for v in ring.variables:
             nxt = q.mul(elem, ring.gen(v))
             for e in nxt.terms:
-                m = ring.monomial(e)
+                m = ring.monomial(ring.exponents(e))
                 if m.text(q.order) not in span:
                     span.add(m.text(q.order))
                     frontier.append(m)
@@ -243,10 +247,11 @@ def divides(a, b):
 
 
 def leading_exp(p, order):
-    # lex and grlex restated, the first variable most significant
+    # lex and grlex restated on exponent tuples, the first variable most significant
+    exps = map(p.ring.exponents, p.terms)
     if order.kind == "grlex":
-        return max(p.terms, key=lambda e: (sum(e), e))
-    return max(p.terms)
+        return max(exps, key=lambda e: (sum(e), e))
+    return max(exps)
 
 
 def textbook_reduce(p, divisors, order):
@@ -256,7 +261,7 @@ def textbook_reduce(p, divisors, order):
     lts = [leading_exp(g, order) for g in divisors]
     while p:
         e = leading_exp(p, order)
-        c = p.terms[e]
+        c = p.terms[ring.pack(e)]
         for lt, g in zip(lts, divisors):
             if divides(lt, e):
                 p = p - g * ring.monomial(tuple(x - y for x, y in zip(e, lt)), c)
@@ -293,7 +298,7 @@ def textbook_buchberger(gens, order):
             minimal.append(g)
     reduced = [textbook_reduce(g, minimal[:k] + minimal[k + 1:], order).monic(order)
                for k, g in enumerate(minimal)]
-    reduced.sort(key=lambda g: order.key(leading_exp(g, order)), reverse=True)
+    reduced.sort(key=lambda g: order.key(g.ring.pack(leading_exp(g, order))), reverse=True)
     return [g.text(order) for g in reduced]
 
 
@@ -357,6 +362,24 @@ def test_pair_ceiling_raises_and_exits_2(monkeypatch, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_reduction_ceiling_raises_and_exits_2(monkeypatch, capsys):
+    # the F_7 ideal pushes 7105 terms; the count is the same with a budget
+    # of exactly that, one step at a time
+    monkeypatch.setattr(groebner, "REDUCTION_TERMS", 7105)
+    gb_of(PolyRing(GF(7), ["x", "y", "z"]), F7_LEX_IDEAL)
+    monkeypatch.setattr(groebner, "REDUCTION_TERMS", 7104)
+    with pytest.raises(ResourceLimit, match="reduction ceiling 7104 terms exceeded"):
+        gb_of(PolyRing(GF(7), ["x", "y", "z"]), F7_LEX_IDEAL)
+    code = cli.run(["groebner", "--q", "7", "--vars", "x,y,z", "--gens", ";".join(F7_LEX_IDEAL)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: Buchberger reduction ceiling 7104 terms exceeded\n"
+    # a quotient ring's normal forms are not bounded
+    q = cap_ring(GF(7), ["x"], [3])
+    monkeypatch.setattr(groebner, "REDUCTION_TERMS", 0)
+    assert q.pow(q.gen("x"), 2).text() == "x^2" and q.basis.budget == float("inf")
+
+
 def test_generator_degree_ceiling_is_inclusive(monkeypatch, capsys):
     # the total degree of each generator, x^2*y being 3, is bounded
     monkeypatch.setattr(cli, "GENERATOR_DEGREE_CEILING", 3)
@@ -405,40 +428,20 @@ def test_quotient_power_rejects_a_negative_exponent():
         q.pow(x, -1)
 
 
-@pytest.mark.parametrize("kind", ["lex", "grlex"])
-@pytest.mark.parametrize("nvars", range(5))
-def test_packed_keys_match_exponent_tuples(kind, nvars):
-    ring = PolyRing(GF(2), [f"x{i}" for i in range(nvars)])
-    order = ring.lex() if kind == "lex" else ring.grlex()
-    basis = GroebnerBasis(ring, order, [])
-    rng = random.Random(100 * nvars + len(kind))
-    bound = groebner.EXPONENT_CEILING // max(nvars, 1)
-    exps = [tuple(rng.choice((rng.randrange(4), rng.randrange(bound + 1)))
-                  for _ in range(nvars)) for _ in range(40)]
-    exps.append((0,) * nvars)
-    packed = {e: basis.pack(e) for e in exps}
-    for e in exps:
-        assert basis.unpack(packed[e]) == e
-    assert sorted(exps, key=order.key) == sorted(exps, key=packed.get)
-    for a in exps:
-        for b in exps:
-            assert (not (packed[b] - packed[a]) & basis.guard) is mono_divides(a, b)
+def test_the_hot_path_never_leaves_the_packed_layout(monkeypatch):
+    q = cap_ring(GF(4), ["x", "y", "z"], [4, 3, 5])
+    a = q.reduce(parse_poly(q.ring, "x*y + g*z^2 + x + 1"))
+    b = q.reduce(parse_poly(q.ring, "y^2*z + (g+1)*x^3 + z"))
+    ring = PolyRing(GF(7), ["x", "y", "z"])
+    gens = [parse_poly(ring, t) for t in F7_LEX_IDEAL]
+    p = parse_poly(ring, "x^4*y^3 + 5*x*z^5 + y^4 + 2")
+    expected = (q.mul(a, b), q.pow(a, 7), [g.terms for g in gb_of(ring, F7_LEX_IDEAL)])
 
-
-def test_exponent_ceiling_of_packed_keys():
-    assert groebner.EXPONENT_CEILING == 2**31 - 1
-    ring = PolyRing(GF(2), ["x", "y"])
-    lex = GroebnerBasis(ring, ring.lex(), [])
-    assert lex.unpack(lex.pack((2**31 - 1, 0))) == (2**31 - 1, 0)
-    with pytest.raises(ResourceLimit, match="packed-key ceiling"):
-        lex.pack((0, 2**31))
-    # the grlex degree field bounds the total degree
-    grlex = GroebnerBasis(ring, ring.grlex(), [])
-    with pytest.raises(ResourceLimit, match="packed-key ceiling"):
-        grlex.pack((2**30, 2**30))
-    # a reduction step that would make y^(2^31) stops instead
-    x, y = ring.gen("x"), ring.gen("y")
-    basis = GroebnerBasis(ring, ring.lex(), [x - y ** (2**31 - 1)])
-    with pytest.raises(ResourceLimit, match="packed-key ceiling"):
-        normal_form(x * y, basis)
-    assert normal_form(x, basis) == y ** (2**31 - 1)
+    def refuse(self, m):
+        raise AssertionError("a key was read as an exponent tuple")
+    monkeypatch.setattr(PolyRing, "exponents", refuse)
+    gb = buchberger(gens, ring.lex())
+    assert (q.mul(a, b), q.pow(a, 7), [g.terms for g in gb]) == expected
+    nf = normal_form(p, gb)
+    monkeypatch.undo()
+    assert nf == textbook_reduce(p, gb.polys, gb.order)
