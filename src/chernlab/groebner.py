@@ -70,10 +70,10 @@ class GroebnerBasis:
             g = g.scale(self.ring.field.inv(lc))
         tail = [(m, c) for m, c in g.terms.items() if m != lt]
         excess = max((m % FIELD_MASK for m, _ in tail), default=0) - lt % FIELD_MASK
-        key = self.order.key
         self.polys.append(g)
         self.leading_terms.append(lt)
         if self.order.graded:
+            key = self.order.key
             self.reducers.append((key(lt), [(key(m), c) for m, c in tail], excess))
         else:
             self.reducers.append((lt, tail, excess))
@@ -302,7 +302,7 @@ def standard_monomials(basis: GroebnerBasis, cap: int | None = None) -> list[int
                     break
                 grown.append(m)
         out = grown
-    out.sort(key=basis.order.sort_key)
+    out.sort(key=basis.order.key)
     return out
 
 

@@ -3,8 +3,8 @@
 A polynomial is a dict mapping monomial keys (see PolyRing) to nonzero
 encoded field elements.  Rings are lightweight objects pairing a field with an
 ordered variable tuple; all arithmetic stays inside one ring.  Exponent tuples
-appear only at the edges: ``PolyRing.pack`` and ``exponents``, ``text`` and
-``parse_poly``.
+appear only at the edges: ``PolyRing.pack``, ``exponents`` and ``monomial``,
+``text`` and ``parse_poly``.
 """
 
 from __future__ import annotations
@@ -48,12 +48,6 @@ class MonomialOrder:
         if self.graded:
             return (m % FIELD_MASK) << self._top | m
         return m
-
-    @property
-    def sort_key(self):
-        """The key that sorts monomials in this order: None, integer order,
-        for lex."""
-        return self.key if self.graded else None
 
     def __eq__(self, other):
         return (
@@ -237,7 +231,7 @@ class Poly:
             a, b = other, self
         else:
             a, b = self, other
-        degree = FIELD_MASK.__rmod__
+        degree = FIELD_MASK.__rmod__  # m % FIELD_MASK, the degree of key m
         if (max(map(degree, a.terms), default=0) + max(map(degree, b.terms), default=0)
                 > EXPONENT_CEILING):
             raise ceiling_exceeded()
@@ -279,7 +273,7 @@ class Poly:
         """(key, coeff) of the leading term, or None for 0."""
         if not self.terms:
             return None
-        m = max(self.terms, key=order.sort_key)
+        m = max(self.terms, key=order.key)
         return m, self.terms[m]
 
     def constant_term(self) -> int:
@@ -332,7 +326,7 @@ class Poly:
             order = self.ring.lex()
         fld = self.ring.field
         parts = []
-        for m in sorted(self.terms, key=order.sort_key, reverse=True):
+        for m in sorted(self.terms, key=order.key, reverse=True):
             c = self.terms[m]
             factors = []
             for v, exp in zip(self.ring.variables, self.ring.exponents(m)):
