@@ -395,6 +395,25 @@ def test_censuses_once_past_the_node_ceiling_pass(capsys, argv, count):
             == PAST_THE_NODE_CEILING_PINNED[argv])
 
 
+# the largest OmegaCh censuses in the tests; c4 at n = 5 has |Theta| = 1024,
+# so its search empties its divisor tables many times over
+LARGE_OMEGA_CH_PINNED = {
+    "omega --group c8 --p 2 --n 3 --variant ch":
+        "6a28fd8a07864cda46561999de6fead69c536d7c09a0cab0bfa29aec47789abd",
+    "omega --group sigma4 --p 2 --n 3 --variant ch":
+        "d31bf7f9784f1cab374574a4a451908917255774ac52ea5bfe92f36a0399f2b3",
+    "omega --group c4 --p 2 --n 5 --variant ch":
+        "2937685dbd83bcecba7f8cd5eb64f15c67a50fd15e43a983835d00001abbd2b3",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LARGE_OMEGA_CH_PINNED))
+def test_large_omega_ch_censuses_are_pinned(capsys, argv):
+    code, out = run_capture(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == LARGE_OMEGA_CH_PINNED[argv]
+
+
 def test_an_abelian_census_at_n3_is_pinned(capsys):
     # xi reads every divisor of this census off a pairing row
     code, out = run_capture(capsys, *"omega --group c4 --p 2 --n 3 --variant ch".split())
