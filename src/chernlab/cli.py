@@ -134,8 +134,9 @@ def cmd_omega(args) -> int:
             images = kappa(ring.table, enumerate_omega(model, args.p, args.n),
                            args.p, args.n, args.v)
         och = enumerate_omega_ch(ring, args.p, args.n, args.v)
+        texts: dict = {}  # each distinct divisor's text, written once
         witness = {"count": len(och),
-                   "representatives": [e.text() for e in och]}
+                   "representatives": [e.text(texts) for e in och]}
         if model is not None:
             position = {e: i for i, e in enumerate(och)}
             witness["maps"] = {

@@ -2,8 +2,9 @@
 
 Theta(v) = (Z/p^v)^n.  A divisor is a multiset of lattice points, stored as
 its count vector: a tuple of multiplicities indexed by Theta.points(), which
-is in lexicographic order.  Divisors are hashable values with multiset
-equality, and the semiring operations are index arithmetic on the vectors,
+is in lexicographic order.  Divisors are immutable hashable values with
+multiset equality; each keeps its hash and its support once they are first
+asked for.  The semiring operations are index arithmetic on the vectors,
 through the translation and scaling rows that Theta builds on first use.
 """
 
@@ -140,7 +141,7 @@ class Theta:
         return row
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Theta)
             and (self.p, self.v, self.n) == (other.p, other.v, other.n)
         )
@@ -157,10 +158,12 @@ class LatticeDivisor:
 
     ``vec[i]`` is the multiplicity of ``theta.points()[i]``.  Multiplication
     is the convolution [a][b] = [a+b]; lambda^k sums over k-element
-    sub-multisets; psi^k multiplies every point by k.
+    sub-multisets; psi^k multiplies every point by k.  The value is never
+    changed after construction, so its hash, hash((theta, vec)), and its
+    support are computed on first use and kept on the divisor.
     """
 
-    __slots__ = ("theta", "vec")
+    __slots__ = ("theta", "vec", "_hash", "_support")
 
     def __init__(self, theta: Theta, points=()):
         self.theta = theta
@@ -168,6 +171,7 @@ class LatticeDivisor:
         for pt in points:
             counts[theta.index(pt)] += 1
         self.vec = tuple(counts)
+        self._hash = self._support = None
 
     @classmethod
     def of_vec(cls, theta: Theta, vec: tuple[int, ...]) -> "LatticeDivisor":
@@ -176,6 +180,7 @@ class LatticeDivisor:
         self = object.__new__(cls)
         self.theta = theta
         self.vec = vec
+        self._hash = self._support = None
         return self
 
     @classmethod
@@ -187,10 +192,14 @@ class LatticeDivisor:
             vec[theta.index(pt)] += m
         return cls.of_vec(theta, tuple(vec))
 
-    def support(self) -> list[tuple[int, int]]:
+    def support(self) -> tuple[tuple[int, int], ...]:
         """The (index, multiplicity) pairs of nonzero multiplicity."""
-        vec = self.vec
-        return [(i, vec[i]) for i in compress(range(len(vec)), vec)]
+        support = self._support
+        if support is None:
+            vec = self.vec
+            support = self._support = tuple(
+                [(i, vec[i]) for i in compress(range(len(vec)), vec)])
+        return support
 
     @property
     def pairs(self) -> tuple:
@@ -208,14 +217,17 @@ class LatticeDivisor:
         return not any(self.vec)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, LatticeDivisor)
             and self.vec == other.vec
             and self.theta == other.theta
         )
 
     def __hash__(self):
-        return hash((self.theta, self.vec))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.theta, self.vec))
+        return h
 
     def __add__(self, other):
         self._check(other)

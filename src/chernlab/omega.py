@@ -27,7 +27,9 @@ from .repring import CharacterTable, RepRing
 
 OMEGA_TUPLE_ENTRIES = 1 << 24  # tuple entries written by one commuting-tuple search
 OMEGA_CH_NODES = 10000  # search nodes of one OmegaCh enumeration
-OMEGA_CH_MEMO = 1 << 16  # multiplicities of the left-hand sides one OmegaCh search keeps
+# entries one OmegaCh search keeps: |Theta| per divisor of its table of one
+# divisor per count vector, one per left-hand side it memoises
+OMEGA_CH_MEMO = 1 << 16
 OMEGA_DPRIME_VISITS = 1 << 20  # partial maps x |Theta| of one Omega'' enumeration
 
 # running totals over the process: OmegaCh search nodes, values forced by a
@@ -184,12 +186,19 @@ class OmegaChElem:
     def __hash__(self):
         return self._hash
 
-    def sort_key(self) -> list:
-        """The point-sorted pairs of each divisor: the certificate order."""
-        return [d.pairs for d in self.divisors]
-
-    def text(self) -> str:
-        return "; ".join(d.text() for d in self.divisors)
+    def text(self, texts: dict | None = None) -> str:
+        """The divisors' texts joined by "; ".  ``texts``, when given, maps
+        divisors to their text and is filled as it is read, so a divisor
+        shared by several elements is written once."""
+        if texts is None:
+            return "; ".join(d.text() for d in self.divisors)
+        out = []
+        for d in self.divisors:
+            text = texts.get(d)
+            if text is None:
+                text = texts[d] = d.text()
+            out.append(text)
+        return "; ".join(out)
 
     def __repr__(self):
         return f"<OmegaCh {self.text()}>"
@@ -328,9 +337,12 @@ def enumerate_omega_ch(
     checked once its participants are placed or solved for its one
     unplaced participant off the left-hand side (exact multiset subtraction
     and division, and the dimension check); a solved relation holds by
-    construction, so at a leaf every relation holds.  A right-hand side of
-    one D_k with c = 1 (every relation of an abelian group) is compared
-    with, or set to, the left-hand side's memoised count vector.
+    construction, so at a leaf every relation holds.  The search holds one
+    divisor per count vector, and the left-hand sides are memoised by
+    (r, D_i, D_j) as those divisors; OMEGA_CH_MEMO bounds both tables.  A
+    right-hand side of one D_k with c = 1 (every relation of an abelian
+    group) is compared with the left-hand side by identity, then by count
+    vector, or set to it.
 
     A branch on D_k of dimension d > 1 is pinned by its determinant: when
     lambda^d(D_k) = D_l, one linear D_l with c = 1 (placed by then, as the
@@ -362,18 +374,39 @@ def enumerate_omega_ch(
         if r == dims[i] > 1 and one is not None and dims[one] == 1:
             det_of[i] = one
 
+    # one divisor per count vector (the origin, the branch children, the
+    # solved values and the left-hand sides), and each relation's left-hand
+    # side by (r, D_i, D_j) as one of them; both are emptied together when
+    # full, so equal divisors may then be distinct objects, and a comparison
+    # falls back on the count vectors
+    divisors: dict[tuple, LatticeDivisor] = {}
     lhs_memo: dict = {}
 
-    def lhs_vec(values, rel):
-        """The left-hand side's count vector, memoised on its inputs (the
-        memo is emptied when full, so it stays small on any search)."""
+    def keep(kept, key, value):
+        """kept[key] = value, returned; both tables are emptied first once
+        they hold OMEGA_CH_MEMO entries."""
+        if len(divisors) * size + len(lhs_memo) >= OMEGA_CH_MEMO:
+            divisors.clear()
+            lhs_memo.clear()
+        kept[key] = value
+        return value
+
+    def divisor(vec, made=None):
+        """The divisor with count vector vec: the table's, else made (a
+        divisor with that vector) or a new one, kept."""
+        out = divisors.get(vec)
+        if out is None:
+            out = keep(divisors, vec, LatticeDivisor.of_vec(theta, vec) if made is None else made)
+        return out
+
+    def lhs(values, rel):
+        """The left-hand side's divisor, memoised on its inputs."""
         i, j, r, _, _ = relations[rel]
-        key = (r, values[i].vec, values[j].vec)
+        key = (r, values[i], values[j])
         out = lhs_memo.get(key)
         if out is None:
-            if len(lhs_memo) * size >= OMEGA_CH_MEMO:
-                lhs_memo.clear()
-            out = lhs_memo[key] = (values[i].lam(r) if r else values[i] * values[j]).vec
+            made = values[i].lam(r) if r else values[i] * values[j]
+            out = keep(lhs_memo, key, divisor(made.vec, made))
         return out
 
     def run(values, ops) -> bool:
@@ -381,18 +414,20 @@ def enumerate_omega_ch(
         divisors in values; False on a contradiction."""
         for rel, k in ops:
             _, _, _, terms, one = relations[rel]
+            left = lhs(values, rel)
             if one is not None:
                 if k is None:
-                    if lhs_vec(values, rel) != values[one].vec:
+                    right = values[one]
+                    if left is not right and left.vec != right.vec:
                         return False
                     continue
                 # D_k is the left-hand side itself: a count vector, so
                 # nonnegative and divisible by c = 1
-                solved = lhs_vec(values, rel)
+                solved = left
             else:
                 # the left-hand side less every known term: zero for a
                 # check, c times D_k for a solve
-                acc = list(lhs_vec(values, rel))
+                acc = list(left.vec)
                 m = 0
                 for k2, c in terms:
                     if k2 == k:
@@ -406,11 +441,11 @@ def enumerate_omega_ch(
                     continue
                 if min(acc) < 0 or any(a % m for a in acc):
                     return False
-                solved = tuple(a // m for a in acc)
-            if sum(solved) != dims[k]:
+                solved = divisor(tuple(a // m for a in acc))
+            if solved.dim() != dims[k]:
                 return False
             COUNTS["forced"] += 1
-            values[k] = LatticeDivisor.of_vec(theta, solved)
+            values[k] = solved
         return True
 
     def branches(values, k):
@@ -421,7 +456,7 @@ def enumerate_omega_ch(
         # the last point is pt(D_l) - sum(head): translate by pt(D_l) the
         # negative of the head's sum, walked along the shift rows
         shift, neg = theta.shift, theta.scaling(-1)
-        to_det = shift(values[l].vec.index(1))
+        to_det = shift(values[l].support()[0][0])
         out = []
         for head in combinations_with_replacement(range(size), d - 1):
             total = head[0]
@@ -453,11 +488,28 @@ def enumerate_omega_ch(
             for x in combo:
                 vec[x] += 1
             child = list(values)
-            child[k] = LatticeDivisor.of_vec(theta, tuple(vec))
+            child[k] = divisor(tuple(vec))
             dfs(child, step + 1)
 
-    dfs([LatticeDivisor(theta, [theta.zero()])] + [None] * (ring.h - 1), 0)
-    return sorted(set(results), key=OmegaChElem.sort_key)
+    dfs([divisor((1,) + (0,) * (size - 1))] + [None] * (ring.h - 1), 0)
+    return certificate_order(set(results))
+
+
+def certificate_order(elems) -> list[OmegaChElem]:
+    """The elements sorted by the point-sorted pairs of each divisor, read
+    once per distinct divisor."""
+    pairs: dict[LatticeDivisor, tuple] = {}
+
+    def key(elem):
+        out = []
+        for d in elem.divisors:
+            got = pairs.get(d)
+            if got is None:
+                got = pairs[d] = d.pairs
+            out.append(got)
+        return out
+
+    return sorted(elems, key=key)
 
 
 def xi_class_maps(elems: list[OmegaChElem], table: CharacterTable) -> list[tuple[int, ...]]:
@@ -492,14 +544,14 @@ def xi_class_maps(elems: list[OmegaChElem], table: CharacterTable) -> list[tuple
     equivariance = [(theta.scaling(k), table.power_map(k)) for k in range(m) if k != 1]
     pts = theta.points()
     point_values: dict[int, list] = {}  # roots along the pairing row, by point
-    divisor_values: dict[tuple, list] = {}  # values, by count vector
+    divisor_values: dict[LatticeDivisor, list] = {}  # values, by divisor
     out = []
     for f in elems:
         if any(d.theta != theta for d in f.divisors):
             raise ValidationError("mixed lattice parameters")
         values = []
         for d in f.divisors:
-            row = divisor_values.get(d.vec)
+            row = divisor_values.get(d)
             if row is None:
                 for x, mult in d.support():
                     point = point_values.get(x)
@@ -510,7 +562,7 @@ def xi_class_maps(elems: list[OmegaChElem], table: CharacterTable) -> list[tuple
                     row = point if row is None else list(map(cy.add, row, point))
                 if row is None:  # the zero divisor
                     row = [cy.zero] * theta.size
-                divisor_values[d.vec] = row
+                divisor_values[d] = row
             values.append(row)
         columns = list(zip(*values))
         result = list(map(unique.get, columns))

@@ -14,7 +14,7 @@ from chernlab.lattice import (
     newton_psi_to_lambda,
     unit_elementary,
 )
-from chernlab.omega import OmegaChElem
+from chernlab.omega import OmegaChElem, certificate_order
 
 
 @pytest.fixture
@@ -505,7 +505,57 @@ def test_omega_ch_order_matches_pair_oracle(pvn):
         elem = OmegaChElem([D for D, _ in drawn])
         elems.append(elem)
         keys[elem] = [d for _, d in drawn]
-    assert sorted(elems, key=OmegaChElem.sort_key) == sorted(elems, key=keys.__getitem__)
+    assert certificate_order(elems) == sorted(elems, key=keys.__getitem__)
+
+
+def _equal_divisors_built_apart():
+    """Groups of equal divisors, each built by __init__, of_vec,
+    from_counts, *, lam or psi."""
+    theta, lines = Theta(2, 1, 2), Theta(3, 1, 1)
+    corner = LatticeDivisor(theta, [(1, 1)])
+    heavy = LatticeDivisor(theta, [(0, 0), (0, 0), (1, 0)])
+    unit = LatticeDivisor(theta, [(0, 0)])
+    return [
+        [corner, LatticeDivisor.of_vec(theta, (0, 0, 0, 1)),
+         LatticeDivisor.from_counts(theta, {(1, 1): 1}),
+         LatticeDivisor(theta, [(1, 0)]) * LatticeDivisor(theta, [(0, 1)]),
+         LatticeDivisor(theta, [(1, 0), (0, 1)]).lam(2), corner.psi(3)],
+        [heavy, LatticeDivisor.of_vec(theta, (2, 0, 1, 0)),
+         LatticeDivisor.from_counts(theta, {(0, 0): 2, (1, 0): 1, (1, 1): 0}),
+         heavy * unit, unit * heavy, heavy.lam(1), heavy.psi(1)],
+        [LatticeDivisor(theta), LatticeDivisor.of_vec(theta, (0,) * 4), heavy * 0,
+         corner.lam(2), LatticeDivisor.from_counts(theta, {})],
+        [LatticeDivisor(lines, [(1,), (2,)]), LatticeDivisor.of_vec(lines, (0, 1, 1)),
+         LatticeDivisor(lines, [(2,), (1,)]).psi(2), LatticeDivisor(lines, [(1,)]) * 1
+         + LatticeDivisor(lines, [(5,)])],
+    ]
+
+
+def test_divisors_are_values_with_kept_hash_and_support():
+    groups = _equal_divisors_built_apart()
+    for group in groups:
+        for D in group:
+            assert hash(D) == hash((D.theta, D.vec)) == hash(D)
+            support = D.support()
+            assert isinstance(support, tuple) and D.support() is support
+            assert support == tuple((i, m) for i, m in enumerate(D.vec) if m)
+            for E in group:
+                assert D == E and hash(D) == hash(E)
+    # unequal values stay unequal whatever was kept on them
+    for a, b in combinations(range(len(groups)), 2):
+        assert groups[a][0] != groups[b][0]
+
+
+def test_text_pairs_and_counts_of_hand_built_divisors():
+    theta = Theta(2, 1, 2)
+    heavy = LatticeDivisor(theta, [(1, 0), (0, 0), (0, 0)])
+    assert heavy.pairs == (((0, 0), 2), ((1, 0), 1))
+    assert heavy.text() == "2[0,0] + [1,0]"
+    assert heavy.counts() == {(0, 0): 2, (1, 0): 1}
+    zero = LatticeDivisor(theta)
+    assert (zero.pairs, zero.text(), zero.counts()) == ((), "0", {})
+    far = LatticeDivisor.from_counts(Theta(3, 2, 1), {(10,): 3, (2,): 1})
+    assert far.pairs == (((1,), 3), ((2,), 1)) and far.text() == "3[1] + [2]"
 
 
 def test_a_one_point_lattice_bounds_the_bits_of_its_modulus():

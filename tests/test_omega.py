@@ -2,7 +2,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from chernlab import lattice, omega
+from chernlab import cli, lattice, omega
 from chernlab.errors import (
     InexactDivision,
     NoMatchingClass,
@@ -462,6 +462,39 @@ def test_omega_ch_node_count_pinned(group, p, nodes, forced, pruned):
     assert omega.COUNTS["pruned"] - before["pruned"] == pruned
 
 
+@pytest.mark.parametrize("group,p", [("c6xc3", 3), ("sigma4", 2), ("d8", 2)])
+def test_omega_ch_holds_one_divisor_per_count_vector(group, p):
+    by_vec: dict = {}
+    for elem in enumerate_omega_ch(RepRing(builtin_group(group)), p, 2):
+        for div in elem.divisors:
+            by_vec.setdefault(div.vec, set()).add(id(div))
+    assert all(len(ids) == 1 for ids in by_vec.values())
+
+
+@pytest.mark.parametrize("group,p", [("c6xc3", 3), ("sigma4", 2), ("d8", 2)])
+def test_omega_ch_with_emptied_tables_matches_the_default(monkeypatch, capsys, group, p):
+    # OMEGA_CH_MEMO = 1 empties both of the search's tables at every insert,
+    # so equal divisors are distinct objects and every comparison falls back
+    # on the count vectors: the certificate (representatives, kappa and xi)
+    # and the search's counts do not move
+    argv = ["omega", "--group", group, "--p", str(p), "--n", "2", "--variant", "ch"]
+
+    def census():
+        before = dict(omega.COUNTS)
+        assert cli.run(argv) == 0
+        counts = {k: omega.COUNTS[k] - before[k] for k in ("nodes", "forced", "pruned")}
+        return capsys.readouterr().out, counts
+
+    default = census()
+    monkeypatch.setattr(omega, "OMEGA_CH_MEMO", 1)
+    assert census() == default
+    by_vec: dict = {}
+    for elem in enumerate_omega_ch(RepRing(builtin_group(group)), p, 2):
+        for div in elem.divisors:
+            by_vec.setdefault(div.vec, set()).add(id(div))
+    assert any(len(ids) > 1 for ids in by_vec.values())
+
+
 PLANNED = ["sigma4", "d8", "c2xc4", "c3xc6", "extraspecial(3,1)"]
 
 
@@ -501,7 +534,7 @@ def omega_ch_brute(ring, p, n):
                == sum((values[k] * c for k, c in enumerate(coeffs) if c), zero)
                for i, j, r, coeffs in ring.relations()):
             found.append(OmegaChElem(values))
-    return sorted(found, key=OmegaChElem.sort_key)
+    return sorted(found, key=lambda elem: [d.pairs for d in elem.divisors])
 
 
 # no leaf of the search re-checks the relations: every relation is checked
