@@ -187,18 +187,15 @@ class OmegaChElem:
         return self._hash
 
     def text(self, texts: dict | None = None) -> str:
-        """The divisors' texts joined by "; ".  ``texts``, when given, maps
-        divisors to their text and is filled as it is read, so a divisor
-        shared by several elements is written once."""
+        """The divisors' texts joined by "; ".  ``texts`` maps divisors to
+        their text and is filled as it is read, so a caller that passes one
+        dict for many elements writes a shared divisor once."""
         if texts is None:
-            return "; ".join(d.text() for d in self.divisors)
-        out = []
+            texts = {}
         for d in self.divisors:
-            text = texts.get(d)
-            if text is None:
-                text = texts[d] = d.text()
-            out.append(text)
-        return "; ".join(out)
+            if d not in texts:
+                texts[d] = d.text()
+        return "; ".join(map(texts.__getitem__, self.divisors))
 
     def __repr__(self):
         return f"<OmegaCh {self.text()}>"
@@ -374,11 +371,9 @@ def enumerate_omega_ch(
         if r == dims[i] > 1 and one is not None and dims[one] == 1:
             det_of[i] = one
 
-    # one divisor per count vector (the origin, the branch children, the
-    # solved values and the left-hand sides), and each relation's left-hand
-    # side by (r, D_i, D_j) as one of them; both are emptied together when
-    # full, so equal divisors may then be distinct objects, and a comparison
-    # falls back on the count vectors
+    # the one divisor of each count vector, and the left-hand sides by
+    # (r, D_i, D_j); emptied together, after which equal divisors may be
+    # distinct objects, so comparisons fall back on the count vectors
     divisors: dict[tuple, LatticeDivisor] = {}
     lhs_memo: dict = {}
 
@@ -498,18 +493,10 @@ def enumerate_omega_ch(
 def certificate_order(elems) -> list[OmegaChElem]:
     """The elements sorted by the point-sorted pairs of each divisor, read
     once per distinct divisor."""
-    pairs: dict[LatticeDivisor, tuple] = {}
-
-    def key(elem):
-        out = []
-        for d in elem.divisors:
-            got = pairs.get(d)
-            if got is None:
-                got = pairs[d] = d.pairs
-            out.append(got)
-        return out
-
-    return sorted(elems, key=key)
+    pairs = dict.fromkeys(d for elem in elems for d in elem.divisors)
+    for d in pairs:
+        pairs[d] = d.pairs
+    return sorted(elems, key=lambda elem: list(map(pairs.__getitem__, elem.divisors)))
 
 
 def xi_class_maps(elems: list[OmegaChElem], table: CharacterTable) -> list[tuple[int, ...]]:
