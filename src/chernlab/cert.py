@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _quote
 
-from .errors import CertificateMismatch
 
 SCHEMA = "chernlab/1"
 
@@ -105,12 +104,6 @@ class Certificate:
 
     def failed_clauses(self) -> list[str]:
         return [c.name for c in self.clauses if c.status != "pass"]
-
-    def check(self) -> "Certificate":
-        bad = self.failed_clauses()
-        if bad:
-            raise CertificateMismatch(f"clause {bad[0]!r} failed in {self.pipeline}")
-        return self
 
     def as_dict(self) -> dict:
         return {

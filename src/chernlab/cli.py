@@ -174,7 +174,7 @@ def cmd_chern(args) -> int:
         "chern", {"group": args.group or args.table, "p": args.p, "n": args.n,
                   "v": args.v, "prec": args.prec},
     )
-    subs, core, rels, iso = pres.elimination_summary()
+    _, _, iso = pres.elimination_summary()
     cert.add(
         "presentation",
         True,

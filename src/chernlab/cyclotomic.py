@@ -97,9 +97,6 @@ class CyclotomicRing:
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
-    def neg(self, a):
-        return tuple(-x for x in a)
-
     def scale(self, n: int, a):
         return tuple(n * x for x in a)
 

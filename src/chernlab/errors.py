@@ -85,10 +85,6 @@ class NoMatchingClass(ChernlabError):
     pass
 
 
-class CertificateMismatch(ChernlabError):
-    """A pipeline clause failed; the message names the first failed clause."""
-
-
 class SchemaError(ChernlabError):
     pass
 

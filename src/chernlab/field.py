@@ -163,9 +163,6 @@ class FiniteField:
         """Image of the rational integer n under Z -> F_q."""
         return n % self.p
 
-    def elements(self):
-        return range(self.q)
-
     # -- text form ----------------------------------------------------------
     def format_element(self, a: int) -> str:
         if self.degree == 1:

@@ -213,9 +213,6 @@ class LatticeDivisor:
     def dim(self) -> int:
         return sum(self.vec)
 
-    def is_zero(self) -> bool:
-        return not any(self.vec)
-
     def __eq__(self, other):
         return self is other or (
             isinstance(other, LatticeDivisor)

@@ -53,7 +53,7 @@ def sigma3_pipeline() -> Certificate:
     pres = build_presentation(rep, law)
     cert.add("presentation_dimension_5", pres.dimension() == 5,
              {"dimension": pres.dimension()})
-    subs, core, rels, iso = pres.elimination_summary()
+    subs, core, iso = pres.elimination_summary()
     cert.add(
         "presentation_is_truncated_polynomial_ring",
         iso is not None and iso[0] == 3 and iso[2] == 5,

@@ -128,9 +128,6 @@ class PolyRing:
     def gen(self, name: str) -> "Poly":
         return Poly(self, {1 << self.shifts[self.var_index(name)]: 1})
 
-    def gens(self) -> list["Poly"]:
-        return [self.gen(v) for v in self.variables]
-
     def var_index(self, name: str) -> int:
         try:
             return self._index[name]
@@ -142,9 +139,6 @@ class PolyRing:
 
     def lex(self) -> MonomialOrder:
         return lex_order(self.nvars)
-
-    def grlex(self) -> MonomialOrder:
-        return grlex_order(self.nvars)
 
     def __eq__(self, other):
         return self is other or (
@@ -214,9 +208,6 @@ class Poly:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         """The product; keys add.  A product's degree is the sum of its

@@ -51,9 +51,9 @@ class Presentation:
         return [ring.monomial(e).text(self.qring.order) for e in self.qring.std_monomials()]
 
     def elimination_summary(self):
-        """Split the reduced basis into variable substitutions and core
-        relations; a single core variable with a single pure-power relation
-        exhibits the quotient as F_q[y]/(y^m)."""
+        """(subs, core_vars, iso): the variable substitutions in the reduced
+        basis, the variables they leave, and iso = (q, y, m) when one variable
+        y is left with one pure-power relation (F_q[y]/(y^m)), else None."""
         subs = {}
         core_rels = []
         ring = self.qring.ring
@@ -71,7 +71,7 @@ class Presentation:
             if len(rel.terms) == 1:
                 m = max(ring.exponents(rel.leading(self.qring.order)[0]))
                 iso = (self.qring.field.q, core_vars[0], m)
-        return subs, core_vars, core_rels, iso
+        return subs, core_vars, iso
 
 
 def _product_coeffs(ambient_q: QuotientRing, divisors, mults) -> list[Poly]:

@@ -368,9 +368,6 @@ class RepRing:
     def irreducible(self, i: int) -> VirtualRep:
         return VirtualRep(self, [1 if j == i else 0 for j in range(self.h)])
 
-    def by_name(self, name: str) -> VirtualRep:
-        return self.irreducible(self.table.char_names.index(name))
-
     def from_coeffs(self, coeffs) -> VirtualRep:
         return VirtualRep(self, coeffs)
 
@@ -458,10 +455,6 @@ class RepRing:
                         new[a + b] = new[a + b] + sa * fb
                 series = new
         return series
-
-    def lam(self, v: VirtualRep, r: int) -> VirtualRep:
-        series = self.lambda_series(v)
-        return series[r] if r < len(series) else self.zero()
 
     def character_values(self, v: VirtualRep) -> list[tuple]:
         cy = self.table.cyclo

@@ -25,7 +25,7 @@ def check_field_axioms(fld, elements):
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_axioms_exhaustive(q):
     fld = GF(q)
-    check_field_axioms(fld, list(fld.elements()))
+    check_field_axioms(fld, list(range(fld.q)))
 
 
 def test_axioms_f9_sampled():
@@ -56,5 +56,5 @@ def test_reducible_modulus_rejected():
 
 def test_element_text_round_trip():
     fld = GF(9)
-    for a in fld.elements():
+    for a in range(fld.q):
         assert fld.parse_element(fld.format_element(a)) == a

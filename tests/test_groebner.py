@@ -15,7 +15,7 @@ from chernlab.groebner import (
     normal_form,
     standard_monomials,
 )
-from chernlab.poly import PolyRing, parse_poly
+from chernlab.poly import PolyRing, grlex_order, parse_poly
 
 
 def gb_of(ring, texts, order=None):
@@ -319,11 +319,12 @@ def oracle_cases():
     caps = PolyRing(GF(2), ["x", "y"])
     yield [parse_poly(caps, t) for t in ["x^5", "y^4"]], caps.lex()
     total = PolyRing(GF(3), ["x", "y", "z"])
-    yield [parse_poly(total, t) for t in ["x^3", "x^2*y", "x*y*z", "y^3", "z^3"]], total.grlex()
+    yield ([parse_poly(total, t) for t in ["x^3", "x^2*y", "x*y*z", "y^3", "z^3"]],
+           grlex_order(total.nvars))
     rng = random.Random(2027)
     for k in range(20):
         ring = PolyRing(GF((2, 3, 4)[k % 3]), ["x", "y", "z"][: 2 + k % 2])
-        order = ring.lex() if k % 4 < 2 else ring.grlex()
+        order = ring.lex() if k % 4 < 2 else grlex_order(ring.nvars)
         yield random_ideal(rng, ring), order
     # a repeated leading term, a leading term that divides another, a unit
     f3 = PolyRing(GF(3), ["x", "y"])

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from chernlab.cert import Certificate
-from chernlab.errors import CertificateMismatch, ValidationError
+from chernlab.errors import ValidationError
 from chernlab.pipelines import (
     nonpositive_divisor_witness,
     sdiv_checks,
@@ -20,7 +20,6 @@ def sigma4_cert():
 def test_sigma3_pipeline_passes():
     cert = sigma3_pipeline()
     assert cert.status == "pass", cert.failed_clauses()
-    cert.check()
 
 
 def test_sdiv_pipeline_passes():
@@ -53,13 +52,6 @@ def test_sigma4_r_values_byte_exact(sigma4_cert):
 def test_sigma4_socle_witness(sigma4_cert):
     by_name = {c.name: c for c in sigma4_cert.clauses}
     assert by_name["socle_generated_by_w3c3"].witness["socle"] == ["c3*w^3"]
-
-
-def test_certificate_check_raises_on_failure():
-    cert = sigma3_pipeline()
-    cert.add("forced_failure", False, {})
-    with pytest.raises(CertificateMismatch):
-        cert.check()
 
 
 def test_certificates_deterministic():

@@ -48,7 +48,7 @@ def test_c2xc2_dimension(law22):
 def test_sigma3_presentation(law32):
     pres = build_presentation(RepRing(table_sigma3()), law32)
     assert pres.dimension() == 5
-    subs, core, rels, iso = pres.elimination_summary()
+    subs, core, iso = pres.elimination_summary()
     assert iso is not None and (iso[0], iso[2]) == (3, 5)
     assert pres.killed == ["c2_1"]
     gb_texts = [g.text(pres.qring.order) for g in pres.qring.basis.polys]
